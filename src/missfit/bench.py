@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -46,22 +47,14 @@ def r_squared(y, yhat) -> float:
 
 def scaled_auc(y, scores) -> float:
     """2 * AUC - 1, with midrank handling of tied scores."""
+    from scipy.stats import rankdata  # here: it doubles the package import time
     y = np.asarray(y)
     scores = np.asarray(scores, dtype=float)
     pos = scores[y == 1]
     neg = scores[y == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both classes must be present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):  # midranks over tied blocks
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks = rankdata(scores, method="average")
     auc = (ranks[y == 1].sum() - len(pos) * (len(pos) + 1) / 2.0) \
         / (len(pos) * len(neg))
     return 2.0 * auc - 1.0
@@ -188,8 +181,6 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     """
     if dataset.n < folds:
         raise ValueError("need n >= folds")
-    if len(grid) == 1:
-        pass  # still evaluated, so callers get a comparable cv score
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     chunks = np.array_split(perm, folds)
@@ -422,12 +413,22 @@ def write_results_csv(table: ResultsTable, path, timings_path=None) -> None:
                                  f"{r.seconds:.3f}"])
 
 
-def read_results_csv(path) -> ResultsTable:
+def read_results_csv(path, timings_path=None) -> ResultsTable:
+    """Records of a results CSV. Seconds come from the timings sidecar when
+    `timings_path` names an existing file, and are 0.0 otherwise."""
+    seconds = {}
+    if timings_path is not None and os.path.exists(timings_path):
+        with open(timings_path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                key = (row["dataset"], row["method"], int(row["replication"]))
+                seconds[key] = float(row["seconds"])
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            rep = int(row["replication"])
             records.append(Record(row["dataset"], row["method"], row["setting"],
-                                  int(row["replication"]), row["metric"],
-                                  float(row["value"]), 0.0))
+                                  rep, row["metric"], float(row["value"]),
+                                  seconds.get((row["dataset"], row["method"], rep),
+                                              0.0)))
     return ResultsTable(records)

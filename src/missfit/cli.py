@@ -155,13 +155,14 @@ def cmd_bench(args) -> int:
         return 0
     skip = set()
     prior = bench.ResultsTable([])
+    timings = args.out + ".timings.csv"
     if args.resume and os.path.exists(args.out):
-        prior = bench.read_results_csv(args.out)
+        prior = bench.read_results_csv(args.out, timings)
         skip = {(r.dataset, r.method, r.replication) for r in prior.records}
         print(f"resuming: {len(skip)} completed cells found")
     table = bench.run_experiment(config, jobs=args.jobs, skip=skip)
     table.records.extend(prior.records)
-    bench.write_results_csv(table, args.out, args.out + ".timings.csv")
+    bench.write_results_csv(table, args.out, timings)
     for msg in table.errors:
         print(f"warning: {msg}", file=sys.stderr)
     print(f"wrote {len(table.records)} records to {args.out}")

@@ -66,7 +66,7 @@ def masked_dot(w, x, m) -> float:
     if not (w.shape == x.shape == m.shape):
         raise DatasetError(
             f"length mismatch: w{w.shape}, x{x.shape}, m{m.shape}")
-    return float(np.sum(w * (1 - m) * x))
+    return float(np.sum(w * np.where(m == 1, 0.0, x)))
 
 
 def validate(dataset: MaskedDataset) -> None:

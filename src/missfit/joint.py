@@ -106,13 +106,15 @@ def auc_error(y, scores) -> float:
 
 
 def coordinate_step(mu, j, sigma_j, predictor, dataset: MaskedDataset,
-                    error_metric) -> tuple[int, float]:
+                    error_metric, current: float) -> tuple[int, float]:
     """Pick the best of mu_j + eps * sigma_j for eps in {-1, 0, +1}.
 
-    Ties prefer 0, then -1, so a flat error surface leaves mu unchanged.
+    `current` must be the error of `predictor` at `mu` itself, which is the
+    eps = 0 candidate, so only eps = -1 and +1 are evaluated. Ties prefer 0,
+    then -1, so a flat error surface leaves mu unchanged.
     """
-    errors = {}
-    for eps in (0, -1, 1):
+    errors = {0: current}
+    for eps in (-1, 1):
         trial = np.array(mu, dtype=float)
         trial[j] += eps * sigma_j
         errors[eps] = error_metric(dataset.y,
@@ -198,7 +200,7 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
                 if sigma[j] == 0.0 or not has_missing[j]:
                     continue
                 eps, err = coordinate_step(mu, j, sigma[j], predictor, dataset,
-                                           error_metric)
+                                           error_metric, current)
                 if eps != 0 and err < current:
                     mu[j] += eps * sigma[j]
                     current = err

@@ -81,45 +81,140 @@ def _impurity_sums(y: np.ndarray, task: str) -> float:
     return n * 2.0 * p * (1.0 - p)
 
 
+def _sweep_impurity(k, s1, s2, task):
+    """Impurity of children with k rows and target sums s1 (and squares s2)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0: masked out
+        if task == "regression":
+            return s2 - s1 * s1 / k
+        p = s1 / k
+        return k * 2.0 * p * (1.0 - p)
+
+
+def _shortlist_tolerance(yr, c, task) -> float:
+    """Margin above the least sweep score within which the exact winner lies.
+
+    Any sum of m terms, in any order, errs by at most m*eps*sum|terms|. Over
+    the node's n rows let u = y - ybar exactly, c = fl(y - ybar), U = sum u^2
+    (the computed T = sum c^2 is within a factor 2 of U) and Y = max|y|.
+
+    Regression, sweep: a child's S1 and S2 are each at most three running
+    sums over the node added or subtracted, so S2 errs by at most
+    3(n+2)*eps*U and S1 by e = 3(n+2)*eps*sum|u| <= 3(n+2)*eps*sqrt(nU). As
+    |S1|/k <= sqrt(U), S1^2/k errs by at most 2e*sqrt(U); the square,
+    division and subtraction add 3*eps*U. Two children and their sum:
+    a <= [6(n+2)(1 + 2 sqrt(n)) + 8]*eps*U.
+    Regression, exact: `_impurity_sums` takes the mean of the uncentred y,
+    which errs by d <= k*eps*Y; sum (y - mean)^2 is the child's SSE plus
+    k*d^2, summed with relative error (k+2)*eps. Two children:
+    b <= (n+4)*eps*U + 2n^3*eps^2*Y^2.
+    Each score is within a (sweep) or b (exact) of the true impurity, so any
+    candidate of least exact score has a sweep score at most 2(a+b) <=
+    32(n+2)(sqrt(n)+1)*eps*U + 4n^3*eps^2*Y^2 above the least one. The
+    tolerance is twice that, as margin for T against U and the eps^2 terms
+    dropped.
+
+    Classification (Gini from raw y sums, p = S1/k): S1 errs by at most
+    3(n+1)*n*eps*Y and 2kp(1-p) has slope at most 2k(1 + 2Y) in p; the same
+    steps give 2(a+b) <= 18(n+1)^3*eps*Y(1 + 2Y), doubled likewise.
+    """
+    n = len(yr)
+    eps = np.finfo(float).eps
+    Y = float(np.max(np.abs(yr)))
+    if task == "regression":
+        T = float(np.dot(c, c))
+        return (64.0 * (n + 2) * (np.sqrt(n) + 1) * eps * T
+                + 8.0 * n ** 3 * (eps * Y) ** 2)
+    return 36.0 * (n + 1) ** 3 * eps * Y * (1.0 + 2.0 * Y)
+
+
 def _best_split(X, M, y, rows, features, min_leaf, task):
-    """Scan all (feature, threshold, side) candidates; return the winner.
+    """Best (feature, threshold, side) split of `rows`, by a presorted sweep.
 
     Returns (impurity, feature, threshold, side, left_rows, right_rows) or
-    None. Candidates are visited in a fixed order (feature ascending, pure
-    split first, thresholds ascending, left before right); strict improvement
-    is required to displace the incumbent, so the lowest-ordered candidate
-    wins ties.
+    None. Candidates are ordered feature ascending, pure split first,
+    thresholds ascending, missing rows left before right; the first candidate
+    of least impurity wins.
+
+    Each feature's observed rows are sorted once; prefix sums of the targets
+    in that order, with the missing block's totals added to either side,
+    score every threshold candidate at once. They round differently from
+    `_impurity_sums`, so they only shortlist: every candidate within
+    `_shortlist_tolerance` of the least score is rescored by `_impurity_sums`
+    on the row arrays an exhaustive scan builds, which it also returns.
     """
+    n = len(rows)
+    yr = y[rows]
+    node = np.ix_(rows, features)
+    missing = M[node].T == 1                                     # (F, n)
+    # missing slots may hold anything; as +inf they sort after every observed
+    # value, and the stable sort keeps equal values in row order
+    xs = np.where(missing, np.inf, X[node].T)
+    perm = np.argsort(xs, axis=1, kind="stable")
+    xs = np.take_along_axis(xs, perm, axis=1)
+    n_obs = n - missing.sum(axis=1)
+
+    c = yr - yr.mean() if task == "regression" else yr
+    cs = c[perm]
+    p1 = np.zeros((len(features), n + 1))
+    np.cumsum(cs, axis=1, out=p1[:, 1:])
+    p2 = np.zeros_like(p1)
+    np.cumsum(cs * cs, axis=1, out=p2[:, 1:])
+
+    # thresholds: midpoints of consecutive distinct observed values
+    cut = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, n) < n_obs[:, None])
+    f_idx, i_idx = np.nonzero(cut)
+    thr = (xs[f_idx, i_idx] + xs[f_idx, i_idx + 1]) / 2.0
+    starts = np.searchsorted(f_idx, np.arange(len(features) + 1))
+    n_lo = np.empty(len(thr), dtype=np.intp)
+    for f in range(len(features)):
+        a, b = starts[f], starts[f + 1]
+        n_lo[a:b] = np.searchsorted(xs[f, :n_obs[f]], thr[a:b], side="right")
+
+    # (candidate, side) arrays of child totals; side 0 sends the missing
+    # rows left
+    no = n_obs[f_idx]
+
+    def sides(prefix):
+        lo, ob = prefix[f_idx, n_lo], prefix[f_idx, no]
+        mi = prefix[f_idx, n] - ob
+        return (np.stack([lo + mi, lo], axis=1),
+                np.stack([ob - lo, ob - lo + mi], axis=1))
+
+    k_left, k_right = sides(np.broadcast_to(np.arange(n + 1), p1.shape))
+    s1_left, s1_right = sides(p1)
+    s2_left, s2_right = sides(p2)
+    approx = (_sweep_impurity(k_left, s1_left, s2_left, task)
+              + _sweep_impurity(k_right, s1_right, s2_right, task))
+    valid = (k_left >= min_leaf) & (k_right >= min_leaf)
+    approx = np.where(valid, approx, np.inf).ravel()
+
+    pure = np.full(len(features), np.inf)  # pure splits, scored exactly
+    for f in np.flatnonzero((n - n_obs >= min_leaf) & (n_obs >= min_leaf)):
+        pure[f] = (_impurity_sums(y[rows[missing[f]]], task)
+                   + _impurity_sums(y[rows[~missing[f]]], task))
+    least = min(pure.min(), approx.min(initial=np.inf))
+    if least == np.inf:
+        return None
+    bound = least + _shortlist_tolerance(yr, c, task)
+    short = np.flatnonzero(approx <= bound)
+    short_f = f_idx[short // 2]
+
     best = None
-    for j in features:
-        mj = M[rows, j]
-        xj = X[rows, j]
-        miss = rows[mj == 1]
-        obs = rows[mj == 0]
-        # pure missing-vs-observed split
-        if len(miss) >= min_leaf and len(obs) >= min_leaf:
-            imp = _impurity_sums(y[miss], task) + _impurity_sums(y[obs], task)
+    for f, j in enumerate(features):
+        miss = rows[missing[f]]
+        if pure[f] <= bound and (best is None or pure[f] < best[0]):
+            best = (float(pure[f]), j, None, "left", miss, rows[~missing[f]])
+        order = rows[perm[f, :n_obs[f]]]
+        for cand in short[short_f == f]:
+            k, side = divmod(int(cand), 2)
+            left_obs, right_obs = order[:n_lo[k]], order[n_lo[k]:]
+            if side == 0:
+                left, right = np.concatenate([left_obs, miss]), right_obs
+            else:
+                left, right = left_obs, np.concatenate([right_obs, miss])
+            imp = _impurity_sums(y[left], task) + _impurity_sums(y[right], task)
             if best is None or imp < best[0]:
-                best = (imp, j, None, "left", miss, obs)
-        if len(obs) < 2:
-            continue
-        vals = np.unique(xj[mj == 0])
-        if len(vals) < 2:
-            continue
-        order = obs[np.argsort(xj[mj == 0], kind="stable")]
-        xo = X[order, j]
-        for thr in (vals[:-1] + vals[1:]) / 2.0:
-            n_left_obs = int(np.searchsorted(xo, thr, side="right"))
-            left_obs = order[:n_left_obs]
-            right_obs = order[n_left_obs:]
-            for side in ("left", "right"):
-                left = np.concatenate([left_obs, miss]) if side == "left" else left_obs
-                right = right_obs if side == "left" else np.concatenate([right_obs, miss])
-                if len(left) < min_leaf or len(right) < min_leaf:
-                    continue
-                imp = _impurity_sums(y[left], task) + _impurity_sums(y[right], task)
-                if best is None or imp < best[0]:
-                    best = (imp, j, float(thr), side, left, right)
+                best = (imp, j, float(thr[k]), ("left", "right")[side], left, right)
     return best
 
 

@@ -194,6 +194,16 @@ class TestFiniteAdaptive:
         tree = fit_finite_adaptive(ds, LAM0, max_depth=4, min_leaf=25)
         assert all(leaf.n_rows >= 25 for leaf in tree.leaves())
 
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e300])
+    def test_invariant_to_non_finite_masked_values(self, fill):
+        ds = random_dataset(15, n=200, d=4, p_miss=0.4, mask_signal=True)
+        tree = fit_finite_adaptive(ds, ElasticNetSpec(lam=0.01), max_depth=2,
+                                   min_leaf=20)
+        X2 = ds.X.copy()
+        X2[ds.M == 1] = fill
+        assert np.array_equal(tree.predict_matrix(ds.X, ds.M),
+                              tree.predict_matrix(X2, ds.M))
+
 
 class TestExtractImputation:
     def test_hand_coefficients(self):

@@ -50,6 +50,30 @@ class TestScaledAuc:
         with pytest.raises(ValueError):
             scaled_auc([1, 1], [0.2, 0.4])
 
+    def test_matches_midrank_loop(self):
+        def loop_auc(y, scores):
+            order = np.argsort(scores, kind="stable")
+            ranks = np.empty(len(scores))
+            sorted_scores = scores[order]
+            i = 0
+            while i < len(scores):  # midranks over tied blocks
+                j = i
+                while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+                    j += 1
+                ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+            auc = (ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+            return 2.0 * auc - 1.0
+
+        rng = np.random.default_rng(0)
+        for n in (2, 7, 50, 301):
+            y = np.arange(n) % 2
+            rng.shuffle(y)
+            scores = rng.integers(0, 5, size=n) / 4.0  # many tied blocks
+            scores[0] = -0.0
+            assert scaled_auc(y, scores) == loop_auc(y, scores)
+
 
 def small_dataset(seed=0, n=120, d=4):
     rng = np.random.default_rng(seed)

@@ -141,11 +141,18 @@ class TestBench:
         lines = full.read_text().splitlines()
         kept = [lines[0]] + [l for l in lines[1:] if ",cart_mia," not in l]
         partial.write_text("\n".join(kept) + "\n")
+        full_timings = (tmp_path / "full.csv.timings.csv").read_text().splitlines()
+        kept_timings = [l for l in full_timings if ",cart_mia," not in l]
+        (tmp_path / "partial.csv.timings.csv").write_text("\n".join(kept_timings) + "\n")
         code = main(["bench", "--config", str(cfg), "--out", str(partial),
                      "--resume", "--jobs", "1"])
         assert code == 0
         assert "resuming" in capsys.readouterr().out
         assert partial.read_bytes() == reference
+        # the kept cells keep their timings; the recomputed ones are added
+        resumed = (tmp_path / "partial.csv.timings.csv").read_text().splitlines()
+        assert [l for l in resumed if ",cart_mia," not in l] == kept_timings
+        assert len(resumed) == len(full_timings)
 
     def test_parallel_matches_serial_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -52,9 +52,10 @@ class TestCoordinateStep:
 
         mu, _ = mean_impute(ds)
         mu = mu.copy()
-        eps, err = coordinate_step(mu, 0, 0.5, Identity(), ds, mse_error)
+        current = mse_error(ds.y, Identity().predict(impute_with(ds, mu)))
+        eps, err = coordinate_step(mu, 0, 0.5, Identity(), ds, mse_error, current)
         assert eps == 1
-        assert err < mse_error(ds.y, Identity().predict(impute_with(ds, mu)))
+        assert err < current
 
     def test_flat_surface_keeps_zero(self):
         ds = censored_dataset(seed=2, n=100)
@@ -63,7 +64,9 @@ class TestCoordinateStep:
             def predict(self, X):
                 return np.zeros(len(X))
 
-        eps, _ = coordinate_step(np.zeros(3), 1, 1.0, Constant(), ds, mse_error)
+        current = mse_error(ds.y, np.zeros(ds.n))
+        eps, _ = coordinate_step(np.zeros(3), 1, 1.0, Constant(), ds, mse_error,
+                                 current)
         assert eps == 0
 
 

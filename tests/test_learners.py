@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from missfit import learners
 from missfit.core import MaskedDataset
 from missfit.learners import (Forest, MiaTree, TreeParams, fit_cart_mia,
                               fit_forest, forest_from_json, forest_to_json,
@@ -17,6 +19,114 @@ def random_dataset(seed, n=200, d=4, p_miss=0.3, task="regression"):
     else:
         y = signal + 0.3 * rng.normal(size=n)
     return MaskedDataset(X, M, y)
+
+
+def oracle_best_split(X, M, y, rows, features, min_leaf, task):
+    """Exhaustive MIA split search: every candidate scored from scratch.
+
+    The reference `learners._best_split` must reproduce exactly: same
+    winner, same impurity, same row arrays in the same order.
+    """
+    best = None
+    for j in features:
+        mj = M[rows, j]
+        xj = X[rows, j]
+        miss = rows[mj == 1]
+        obs = rows[mj == 0]
+        # pure missing-vs-observed split
+        if len(miss) >= min_leaf and len(obs) >= min_leaf:
+            imp = (learners._impurity_sums(y[miss], task)
+                   + learners._impurity_sums(y[obs], task))
+            if best is None or imp < best[0]:
+                best = (imp, j, None, "left", miss, obs)
+        if len(obs) < 2:
+            continue
+        vals = np.unique(xj[mj == 0])
+        if len(vals) < 2:
+            continue
+        order = obs[np.argsort(xj[mj == 0], kind="stable")]
+        xo = X[order, j]
+        for thr in (vals[:-1] + vals[1:]) / 2.0:
+            n_left_obs = int(np.searchsorted(xo, thr, side="right"))
+            left_obs = order[:n_left_obs]
+            right_obs = order[n_left_obs:]
+            for side in ("left", "right"):
+                left = np.concatenate([left_obs, miss]) if side == "left" else left_obs
+                right = right_obs if side == "left" else np.concatenate([right_obs, miss])
+                if len(left) < min_leaf or len(right) < min_leaf:
+                    continue
+                imp = (learners._impurity_sums(y[left], task)
+                       + learners._impurity_sums(y[right], task))
+                if best is None or imp < best[0]:
+                    best = (imp, j, float(thr), side, left, right)
+    return best
+
+
+def assert_same_split(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[:4] == want[:4]  # impurity, feature, threshold, side
+    assert np.array_equal(got[4], want[4]) and np.array_equal(got[5], want[5])
+
+
+@st.composite
+def split_cases(draw):
+    """Nodes built to hit the sweep's rounding and tie cases."""
+    min_leaf = draw(st.integers(1, 12))
+    n = 2 * min_leaf if draw(st.booleans()) else draw(st.integers(2 * min_leaf, 60))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = rng.normal(size=draw(st.integers(1, n)))  # few levels: repeats
+    X = rng.choice(levels, size=(n, d))
+    if draw(st.booleans()):  # adjacent floats: midpoints round onto a value
+        up = np.nextafter(1.0, 2.0)
+        X[:, 0] = rng.choice([np.nextafter(1.0, 0.0), 1.0, up,
+                              np.nextafter(up, 2.0)], size=n)
+    M = (rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 0.7]))).astype(np.int8)
+    if draw(st.booleans()):
+        M[:, 0] = 1  # all missing
+    if draw(st.booleans()):
+        M[:, -1] = 0  # no missing rows: left and right sides tie
+    if d > 1 and draw(st.booleans()):  # duplicate column: ties across features
+        X[:, 1], M[:, 1] = X[:, 0], M[:, 0]
+    X[M == 1] = np.nan
+    task = draw(st.sampled_from(["regression", "classification"]))
+    if task == "classification":
+        y = (rng.random(n) < 0.5).astype(float)
+    else:
+        y = rng.normal(size=n) + draw(st.sampled_from([0.0, 1e6]))
+    rows = (rng.integers(0, n, size=n) if draw(st.booleans())
+            else np.arange(n))
+    features = np.sort(rng.choice(d, draw(st.integers(1, d)), replace=False))
+    return X, M, y, rows, features, min_leaf, task
+
+
+def assert_same_tree(a, b):
+    assert (a.feature, a.threshold, a.missing_side, a.prediction, a.n_rows) == \
+        (b.feature, b.threshold, b.missing_side, b.prediction, b.n_rows)
+    if not a.is_leaf():
+        assert_same_tree(a.left, b.left)
+        assert_same_tree(a.right, b.right)
+
+
+class TestSplitSearch:
+    @settings(deadline=None, max_examples=300)
+    @given(split_cases())
+    def test_matches_exhaustive_oracle(self, case):
+        assert_same_split(learners._best_split(*case), oracle_best_split(*case))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_forest_trees_match_oracle_build(self, task, monkeypatch):
+        ds = random_dataset(18, n=150, d=5, task=task)
+        ds = MaskedDataset(np.round(ds.X, 1), ds.M, ds.y)  # repeated values
+        params = TreeParams(n_trees=4, mtry=2, max_depth=5, min_leaf=3, task=task)
+        fast = fit_forest(ds, params)
+        monkeypatch.setattr(learners, "_best_split", oracle_best_split)
+        slow = fit_forest(ds, params)
+        for a, b in zip(fast.trees, slow.trees, strict=True):
+            assert_same_tree(a.root, b.root)
 
 
 class TestParams:
