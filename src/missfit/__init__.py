@@ -7,8 +7,8 @@ from .adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
                        AdaptiveModel, ExpansionMode, PartitionTree, expand,
                        extract_imputation, fit_adaptive, fit_finite_adaptive)
 from .joint import (FitLimits, JointModel, RegressorContract, coordinate_step,
-                    forest_contract, impute_with, joint_fit, linear_contract,
-                    tree_contract)
+                    fit_mean_impute, forest_contract, impute_with, joint_fit,
+                    linear_contract, tree_contract)
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
 from .datagen import (GeneratorSpec, SemiSyntheticSpec, adversarial_permute,

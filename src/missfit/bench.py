@@ -15,16 +15,21 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .core import MaskedDataset, read_csv, validate
-from .elasticnet import ElasticNetSpec, fit as enet_fit
-from .adaptive import (ExpansionMode, fit_adaptive, fit_finite_adaptive)
-from .joint import (FitLimits, auc_error, joint_fit, linear_contract, mse_error,
+from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
+from .adaptive import (ExpansionMode, fit_adaptive, fit_finite_adaptive,
+                       model_to_json as adaptive_to_json,
+                       tree_to_json as partition_tree_to_json)
+from .joint import (FitLimits, auc_error, fit_mean_impute, joint_fit,
+                    joint_model_to_json, linear_contract, mse_error,
                     tree_contract, forest_contract)
-from .learners import TreeParams, fit_cart_mia, fit_forest, mean_impute
+from .learners import (TreeParams, fit_cart_mia, fit_forest, forest_to_json,
+                       tree_to_json as mia_tree_to_json)
 from .datagen import GeneratorSpec, generate
 
 log = logging.getLogger("missfit.bench")
@@ -66,39 +71,7 @@ def _is_binary(y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Methods. Each fit returns a predictor: callable (dataset, X_full|None) -> yhat.
-
-_ADAPTIVE_MODES = {"static", "affine_intercept", "affine", "polynomial2",
-                   "fully_adaptive"}
-
-DEFAULT_GRIDS = {
-    "static": [{"lam": l} for l in (0.1, 0.01, 0.001)],
-    "affine_intercept": [{"lam": l} for l in (0.1, 0.01, 0.001)],
-    "affine": [{"lam": l} for l in (0.1, 0.01, 0.001)],
-    "polynomial2": [{"lam": l} for l in (0.1, 0.01)],
-    "fully_adaptive": [{"lam": l} for l in (0.1, 0.01)],
-    "finite": [{"max_depth": t} for t in (1, 2, 3)],
-    "joint_linear": [{"lam": l} for l in (0.01, 0.001)],
-    "joint_tree": [{"max_depth": t} for t in (3, 5)],
-    "joint_forest": [{"max_depth": 6, "n_trees": 50}],
-    "mean_impute_linear": [{"lam": l} for l in (0.1, 0.01, 0.001)],
-    "mean_impute_tree": [{"max_depth": t} for t in (3, 5, 7)],
-    "mean_impute_forest": [{"max_depth": t, "n_trees": 100} for t in (6, 9)],
-    "cart_mia": [{"max_depth": t} for t in (2, 4, 6, 8, 10)],
-    "rf_mia": [{"max_depth": t, "n_trees": 100} for t in (6, 9)],
-    "complete_features": [{"lam": l} for l in (0.1, 0.01, 0.001)],
-    "oracle": [{"lam": l} for l in (0.1, 0.01, 0.001)],
-}
-
-BEST_VARIANTS = {
-    "adaptive_best": ("static", "affine_intercept", "affine", "finite"),
-    "joint_best": ("joint_linear", "joint_tree", "joint_forest"),
-    "mean_impute_best": ("mean_impute_linear", "mean_impute_tree",
-                         "mean_impute_forest"),
-}
-
-METHOD_NAMES = tuple(sorted(set(DEFAULT_GRIDS) | set(BEST_VARIANTS)))
-
+# Methods. Every fit returns a model with predict(X, M) -> predictions.
 
 def _enet_spec(params) -> ElasticNetSpec:
     return ElasticNetSpec(lam=params.get("lam", 0.01),
@@ -112,60 +85,110 @@ def _tree_params(params, seed, task) -> TreeParams:
                       mtry=params.get("mtry"), seed=seed, task=task)
 
 
-def fit_method(name: str, train: MaskedDataset, X_full, params: dict,
-               seed: int, task: str):
-    """Fit one named method; returns predict(dataset, X_full_rows) -> scores."""
-    if name in _ADAPTIVE_MODES:
-        mode = ExpansionMode.parse(name)
-        model = fit_adaptive(train, mode, _enet_spec(params))
-        return lambda ds, xf=None: model.predict_matrix(ds.X, ds.M)
-    if name == "finite":
-        tree = fit_finite_adaptive(train, _enet_spec(params),
-                                   max_depth=params.get("max_depth", 3),
-                                   min_leaf=params.get("min_leaf", 20))
-        return lambda ds, xf=None: tree.predict_matrix(ds.X, ds.M)
-    if name.startswith("joint_"):
-        kind = name.split("_", 1)[1]
-        if kind == "linear":
-            contract = linear_contract(_enet_spec(params))
-        elif kind == "tree":
-            contract = tree_contract(_tree_params(params, seed, task))
-        else:
-            contract = forest_contract(_tree_params(params, seed, task))
-        metric = auc_error if task == "classification" else mse_error
-        model = joint_fit(train, contract, FitLimits(), metric, seed)
-        return lambda ds, xf=None: model.predict(ds)
-    if name.startswith("mean_impute_"):
-        kind = name.split("_")[-1]
-        mu, imputed = mean_impute(train)
-        if kind == "linear":
-            lin = enet_fit(imputed, train.y, _enet_spec(params))
-            return lambda ds, xf=None: lin.predict(
-                np.where(ds.M == 1, mu, ds.X))
-        zeros = np.zeros_like(imputed, dtype=np.int8)
-        flat = MaskedDataset(imputed, zeros, train.y)
+def _fit_adaptive(name, train, params, seed, task):
+    return fit_adaptive(train, ExpansionMode.parse(name), _enet_spec(params))
+
+
+def _fit_finite(name, train, params, seed, task):
+    return fit_finite_adaptive(train, _enet_spec(params),
+                               max_depth=params.get("max_depth", 3),
+                               min_leaf=params.get("min_leaf", 20))
+
+
+def _fit_imputed(name, train, params, seed, task):
+    """joint_* and mean_impute_*: an imputation vector mu, then the regressor
+    that the name's suffix names. Only joint_* searches mu."""
+    kind = name.rsplit("_", 1)[1]
+    if kind == "linear":
+        contract = linear_contract(_enet_spec(params))
+    else:
         tp = _tree_params(params, seed, task)
-        model = (fit_cart_mia(flat, tp) if kind == "tree"
-                 else fit_forest(flat, tp))
-        return lambda ds, xf=None: model.predict(
-            np.where(ds.M == 1, mu, ds.X), np.zeros_like(ds.M))
-    if name == "cart_mia":
-        model = fit_cart_mia(train, _tree_params(params, seed, task))
-        return lambda ds, xf=None: model.predict(ds.X, ds.M)
-    if name == "rf_mia":
-        model = fit_forest(train, _tree_params(params, seed, task))
-        return lambda ds, xf=None: model.predict(ds.X, ds.M)
-    if name == "complete_features":
+        contract = tree_contract(tp) if kind == "tree" else forest_contract(tp)
+    if name.startswith("mean_impute_"):
+        return fit_mean_impute(train, contract, seed)
+    metric = auc_error if task == "classification" else mse_error
+    return joint_fit(train, contract, FitLimits(), metric, seed)
+
+
+def _fit_mia(name, train, params, seed, task):
+    fit = fit_cart_mia if name == "cart_mia" else fit_forest
+    return fit(train, _tree_params(params, seed, task))
+
+
+@dataclass(frozen=True)
+class LinearOnDesign:
+    """A linear fit on the design that `design` builds from (X, M)."""
+
+    fit: LinearFit
+    design: Callable
+
+    def predict(self, X, M) -> np.ndarray:
+        return self.fit.predict(self.design(np.atleast_2d(X), np.atleast_2d(M)))
+
+
+def _fit_on_design(name, train, params, seed, task):
+    if name == "oracle":  # train.X is fully observed; see run_replication
+        design = lambda X, M: np.column_stack([X, M])
+    else:  # complete_features: the columns observed in every training row
         cols = np.flatnonzero(train.M.sum(axis=0) == 0)
-        lin = enet_fit(train.X[:, cols], train.y, _enet_spec(params))
-        return lambda ds, xf=None, cols=cols: lin.predict(ds.X[:, cols])
-    if name == "oracle":
-        if X_full is None:
-            raise ValueError("oracle requires the fully observed design")
-        A = np.column_stack([X_full, train.M])
-        lin = enet_fit(A, train.y, _enet_spec(params))
-        return lambda ds, xf=None: lin.predict(np.column_stack([xf, ds.M]))
-    raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHOD_NAMES)}")
+        design = lambda X, M: np.where(M == 1, 0.0, X)[:, cols]
+    A = design(train.X, train.M)
+    return LinearOnDesign(enet_fit(A, train.y, _enet_spec(params)), design)
+
+
+@dataclass(frozen=True)
+class Method:
+    fit: Callable      # (name, train, params, seed, task) -> model
+    grid: list[dict]   # default hyper-parameter grid for kfold_cv
+    to_json: Callable | None = None  # how `missfit fit` saves the model
+
+
+def _lams(*lams):
+    return [{"lam": l} for l in lams]
+
+
+def _depths(*depths, **fixed):
+    return [{"max_depth": t, **fixed} for t in depths]
+
+
+METHODS = {
+    "static": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), adaptive_to_json),
+    "affine_intercept": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001),
+                               adaptive_to_json),
+    "affine": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), adaptive_to_json),
+    "polynomial2": Method(_fit_adaptive, _lams(0.1, 0.01), adaptive_to_json),
+    "fully_adaptive": Method(_fit_adaptive, _lams(0.1, 0.01), adaptive_to_json),
+    "finite": Method(_fit_finite, _depths(1, 2, 3), partition_tree_to_json),
+    "joint_linear": Method(_fit_imputed, _lams(0.01, 0.001), joint_model_to_json),
+    "joint_tree": Method(_fit_imputed, _depths(3, 5), joint_model_to_json),
+    "joint_forest": Method(_fit_imputed, _depths(6, n_trees=50),
+                           joint_model_to_json),
+    "mean_impute_linear": Method(_fit_imputed, _lams(0.1, 0.01, 0.001),
+                                 joint_model_to_json),
+    "mean_impute_tree": Method(_fit_imputed, _depths(3, 5, 7),
+                               joint_model_to_json),
+    "mean_impute_forest": Method(_fit_imputed, _depths(6, 9, n_trees=100),
+                                 joint_model_to_json),
+    "cart_mia": Method(_fit_mia, _depths(2, 4, 6, 8, 10), mia_tree_to_json),
+    "rf_mia": Method(_fit_mia, _depths(6, 9, n_trees=100), forest_to_json),
+    "complete_features": Method(_fit_on_design, _lams(0.1, 0.01, 0.001)),
+    "oracle": Method(_fit_on_design, _lams(0.1, 0.01, 0.001)),
+}
+
+BEST_VARIANTS = {
+    "adaptive_best": ("static", "affine_intercept", "affine", "finite"),
+    "joint_best": ("joint_linear", "joint_tree", "joint_forest"),
+    "mean_impute_best": ("mean_impute_linear", "mean_impute_tree",
+                         "mean_impute_forest"),
+}
+
+
+def fit_method(name: str, train: MaskedDataset, params: dict, seed: int,
+               task: str):
+    """Fit one named method; returns a model with predict(X, M) -> scores."""
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+    return METHODS[name].fit(name, train, params, seed, task)
 
 
 def _score(y, yhat, task) -> float:
@@ -173,7 +196,7 @@ def _score(y, yhat, task) -> float:
 
 
 def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
-             seed: int, X_full=None, task: str = "regression"):
+             seed: int, task: str = "regression"):
     """Pick the grid point with the best mean validation score.
 
     Fold assignment is a seeded shuffle split into `folds` chunks. Ties keep
@@ -190,11 +213,8 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
         for f in range(folds):
             val = chunks[f]
             tr = np.concatenate([chunks[g] for g in range(folds) if g != f])
-            predictor = fit_method(name, dataset.subset(tr),
-                                   None if X_full is None else X_full[tr],
-                                   params, seed, task)
-            yhat = predictor(dataset.subset(val),
-                             None if X_full is None else X_full[val])
+            model = fit_method(name, dataset.subset(tr), params, seed, task)
+            yhat = model.predict(dataset.X[val], dataset.M[val])
             try:
                 scores.append(_score(dataset.y[val], yhat, task))
             except ValueError:  # degenerate fold (constant / one-class)
@@ -232,8 +252,11 @@ class ExperimentConfig:
             raise ConfigError(
                 "$: exactly one of generator / dataset_csv is required")
         for i, m in enumerate(self.methods):
-            if m not in METHOD_NAMES:
+            if m not in METHODS and m not in BEST_VARIANTS:
                 raise ConfigError(f"$.methods[{i}]: unknown method {m!r}")
+            if m == "oracle" and self.dataset_csv is not None:
+                raise ConfigError(f"$.methods[{i}]: oracle needs the fully "
+                                  "observed design, which a CSV cannot give")
         if self.generator is not None:
             try:
                 GeneratorSpec(**{**self.generator, "seed": 0})
@@ -316,7 +339,6 @@ def run_replication(config: ExperimentConfig, rep: int,
         dataset, X_full, _truth = generate(spec)
     else:
         dataset = read_csv(config.dataset_csv, config.target)
-        X_full = None
     validate(dataset)
     task = "classification" if _is_binary(dataset.y) else "regression"
     metric_name = "2auc-1" if task == "classification" else "r2"
@@ -324,35 +346,29 @@ def run_replication(config: ExperimentConfig, rep: int,
     perm = rng.permutation(dataset.n)
     n_test = int(round(dataset.n * config.test_fraction))
     test_rows, train_rows = perm[:n_test], perm[n_test:]
-    train = dataset.subset(train_rows)
-    test = dataset.subset(test_rows)
-    xf_train = None if X_full is None else X_full[train_rows]
-    xf_test = None if X_full is None else X_full[test_rows]
+    split = (dataset.subset(train_rows), dataset.subset(test_rows))
+    if "oracle" in methods:  # the same rows, fully observed
+        full = MaskedDataset(X_full, dataset.M, dataset.y)
+        oracle_split = (full.subset(train_rows), full.subset(test_rows))
     setting = _replication_setting(config)
 
     records, errors = [], []
+    tuned = {}  # variant -> (params, cv score); each is cross-validated once
     for method in methods:
         t0 = time.perf_counter()
         try:
-            if method in BEST_VARIANTS:
-                variants = BEST_VARIANTS[method]
-                picks = []
-                for v in variants:
-                    grid = config.grids.get(v, DEFAULT_GRIDS[v])
-                    params, score = kfold_cv(train, v, grid, config.cv_folds,
-                                             rep_seed, xf_train, task)
-                    picks.append((score, v, params))
-                _, chosen, params = max(picks, key=lambda t: t[0])
-                predictor = fit_method(chosen, train, xf_train, params,
-                                       rep_seed, task)
-            else:
-                grid = config.grids.get(method, DEFAULT_GRIDS[method])
-                params, _ = kfold_cv(train, method, grid, config.cv_folds,
-                                     rep_seed, xf_train, task)
-                predictor = fit_method(method, train, xf_train, params,
-                                       rep_seed, task)
-            yhat = predictor(test, xf_test)
-            value = _score(test.y, yhat, task)
+            train, test = oracle_split if method == "oracle" else split
+            picks = []
+            for v in BEST_VARIANTS.get(method, (method,)):
+                if v not in tuned:
+                    grid = config.grids.get(v, METHODS[v].grid)
+                    tuned[v] = kfold_cv(train, v, grid, config.cv_folds,
+                                        rep_seed, task)
+                params, score = tuned[v]
+                picks.append((score, v, params))
+            _, chosen, params = max(picks, key=lambda t: t[0])
+            model = fit_method(chosen, train, params, rep_seed, task)
+            value = _score(test.y, model.predict(test.X, test.M), task)
             records.append(Record(config.name, method, setting, rep,
                                   metric_name, value,
                                   time.perf_counter() - t0))

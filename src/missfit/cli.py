@@ -15,11 +15,13 @@ import numpy as np
 
 from . import adaptive, bench, datagen, joint, learners
 from .core import DatasetError, read_csv
-from .elasticnet import ElasticNetSpec
 
-FIT_METHODS = ("static", "affine_intercept", "affine", "polynomial2",
-               "fully_adaptive", "finite", "joint_linear", "joint_tree",
-               "joint_forest", "cart_mia", "rf_mia")
+# Saved model type -> loader.
+LOADERS = {"adaptive": adaptive.model_from_json,
+           "partition_tree": adaptive.tree_from_json,
+           "joint": joint.joint_model_from_json,
+           "mia_tree": learners.tree_from_json,
+           "mia_forest": learners.forest_from_json}
 
 
 class UsageError(Exception):
@@ -54,44 +56,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.method not in FIT_METHODS:
+    method = bench.METHODS.get(args.method)
+    if method is None or method.to_json is None:
+        valid = [m for m, spec in bench.METHODS.items() if spec.to_json]
         raise UsageError(
-            f"unknown method {args.method!r}; valid: {', '.join(FIT_METHODS)}")
+            f"unknown method {args.method!r}; valid: {', '.join(valid)}")
     dataset = read_csv(args.data, args.target)
-    seed = _seed(args)
-    spec = ElasticNetSpec(lam=args.lam, alpha=args.alpha)
-    if args.method in ("static", "affine_intercept", "affine", "polynomial2",
-                       "fully_adaptive"):
-        model = adaptive.fit_adaptive(dataset,
-                                      adaptive.ExpansionMode.parse(args.method),
-                                      spec)
-        yhat = model.predict_matrix(dataset.X, dataset.M)
-        doc = adaptive.model_to_json(model)
-    elif args.method == "finite":
-        model = adaptive.fit_finite_adaptive(dataset, spec,
-                                             max_depth=args.max_depth)
-        yhat = model.predict_matrix(dataset.X, dataset.M)
-        doc = adaptive.tree_to_json(model)
-    elif args.method.startswith("joint_"):
-        kind = args.method.split("_", 1)[1]
-        params = learners.TreeParams(max_depth=args.max_depth, seed=seed)
-        contract = {"linear": joint.linear_contract(spec),
-                    "tree": joint.tree_contract(params),
-                    "forest": joint.forest_contract(params)}[kind]
-        model = joint.joint_fit(dataset, contract, seed=seed)
-        yhat = model.predict(dataset)
-        doc = joint.joint_model_to_json(model)
-    else:  # cart_mia | rf_mia
-        params = learners.TreeParams(max_depth=args.max_depth, seed=seed)
-        if args.method == "cart_mia":
-            model = learners.fit_cart_mia(dataset, params)
-            doc = learners.tree_to_json(model)
-        else:
-            model = learners.fit_forest(dataset, params)
-            doc = learners.forest_to_json(model)
-        yhat = model.predict(dataset.X, dataset.M)
+    params = {"lam": args.lam, "alpha": args.alpha, "max_depth": args.max_depth}
+    model = bench.fit_method(args.method, dataset, params, _seed(args),
+                             "regression")
+    yhat = model.predict(dataset.X, dataset.M)
     with open(args.out, "w") as fh:
-        fh.write(doc)
+        fh.write(method.to_json(model))
     mse = float(np.mean((dataset.y - yhat) ** 2))
     print(f"wrote {args.out}")
     print(f"training MSE {_sig6(mse)}  R2 {_sig6(bench.r_squared(dataset.y, yhat))}")
@@ -100,31 +76,18 @@ def cmd_fit(args) -> int:
 
 def _load_model(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    text = json.dumps(doc)
-    kind = doc.get("type")
-    if kind == "adaptive":
-        m = adaptive.model_from_json(text)
-        return m, lambda ds: m.predict_matrix(ds.X, ds.M)
-    if kind == "partition_tree":
-        m = adaptive.tree_from_json(text)
-        return m, lambda ds: m.predict_matrix(ds.X, ds.M)
-    if kind == "joint":
-        m = joint.joint_model_from_json(text)
-        return m, lambda ds: m.predict(ds)
-    if kind == "mia_tree":
-        m = learners.tree_from_json(text)
-        return m, lambda ds: m.predict(ds.X, ds.M)
-    if kind == "mia_forest":
-        m = learners.forest_from_json(text)
-        return m, lambda ds: m.predict(ds.X, ds.M)
-    raise UsageError(f"unrecognized model file {path}")
+        text = fh.read()
+    doc = json.loads(text)
+    loader = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
+    if loader is None:
+        raise UsageError(f"unrecognized model file {path}")
+    return loader(text)
 
 
 def cmd_predict(args) -> int:
-    _model, predict = _load_model(args.model)
+    model = _load_model(args.model)
     dataset = read_csv(args.data, args.target)
-    yhat = predict(dataset)
+    yhat = model.predict(dataset.X, dataset.M)
     with open(args.out, "w") as fh:
         fh.write("prediction\n")
         for v in yhat:
@@ -173,7 +136,7 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     if args.path.endswith(".json"):
-        model, _ = _load_model(args.path)
+        model = _load_model(args.path)
         print(type(model).__name__)
         for attr in ("mode", "d", "expansion_size", "contract_label", "stop_reason"):
             if hasattr(model, attr):

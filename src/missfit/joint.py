@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import MaskedDataset, validate
 from .elasticnet import ElasticNetSpec, fit as enet_fit
-from .learners import Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest
+from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
+                       mean_impute)
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,21 @@ class JointModel:
     cycles_per_iter: list[int] | None = None
     stop_reason: str = ""
 
-    def predict(self, dataset_or_X, M=None) -> np.ndarray:
-        if M is None:
-            ds = dataset_or_X
-            return self.predictor.predict(impute_with(ds, self.mu))
-        X = np.atleast_2d(dataset_or_X)
-        Xi = np.where(np.atleast_2d(M) == 1, self.mu, X)
+    def predict(self, X, M) -> np.ndarray:
+        Xi = np.where(np.atleast_2d(M) == 1, self.mu, np.atleast_2d(X))
         return self.predictor.predict(Xi)
+
+
+def fit_mean_impute(dataset: MaskedDataset, contract: RegressorContract,
+                    seed: int = 0) -> JointModel:
+    """Mean impute-then-regress: mu is the observed column means (see
+    learners.mean_impute), and the predictor is fitted once on the imputed
+    matrix. No coordinate search, so sigma is zero and the trace empty."""
+    validate(dataset)
+    mu, imputed = mean_impute(dataset)
+    predictor = contract.factory(imputed, dataset.y, seed)
+    return JointModel(mu, np.zeros(dataset.d), predictor, contract.label, [],
+                      n_refits=1, stop_reason="mean_impute")
 
 
 def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
@@ -153,12 +162,11 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
     refit that would worsen training error is rolled back, so the recorded
     error trace is non-increasing.
     """
-    validate(dataset)
+    start = fit_mean_impute(dataset, contract, seed)
+    mu, predictor, n_refits = start.mu, start.predictor, start.n_refits
     n, d = dataset.n, dataset.d
     obs = dataset.M == 0
     counts = obs.sum(axis=0)
-    Xz = np.where(obs, np.where(dataset.M == 1, 0.0, dataset.X), 0.0)
-    mu = np.where(counts > 0, Xz.sum(axis=0) / np.maximum(counts, 1), 0.0)
     sigma = np.empty(d)
     for j in range(d):
         vals = dataset.X[obs[:, j], j]
@@ -170,8 +178,6 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
             sigma[j] = float(np.std(vals, ddof=1)) / np.sqrt(n)
 
     has_missing = counts < n
-    predictor = contract.factory(impute_with(dataset, mu), dataset.y, seed)
-    n_refits = 1
     current = error_metric(dataset.y, predictor.predict(impute_with(dataset, mu)))
     if not has_missing.any():
         # nothing to optimize: mu stays at the column means

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from missfit import adaptive
 from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
-                              ExpansionMode, expand, expand_matrix,
+                              ExpansionMode, PartitionTree, TreeNode,
+                              _static_fit_sse, expand, expand_matrix,
                               expansion_size, extract_imputation, fit_adaptive,
                               fit_finite_adaptive, model_from_json,
                               model_to_json, tree_from_json, tree_to_json)
@@ -122,7 +124,8 @@ class TestPredict:
         for i in range(5):
             expected = model.fit.intercept + masked_dot(
                 model.fit.coefficients, ds.X[i], ds.M[i])
-            assert model.predict(ds.X[i], ds.M[i]) == pytest.approx(expected)
+            pred = model.predict(ds.X[i:i + 1], ds.M[i:i + 1])[0]
+            assert pred == pytest.approx(expected)
 
     def test_dimension_mismatch(self):
         ds = random_dataset(7)
@@ -134,10 +137,75 @@ class TestPredict:
         ds = random_dataset(8, d=3, p_miss=0.2)
         model = fit_adaptive(ds, FULLY_ADAPTIVE, ElasticNetSpec(lam=0.01))
         # a pattern absent from training still predicts (via the global fit)
-        assert np.isfinite(model.predict(np.ones(3), np.array([1, 1, 1])))
+        pred = model.predict(np.ones((1, 3)), np.ones((1, 3), dtype=int))
+        assert np.isfinite(pred)
+
+
+def oracle_fit_finite_adaptive(dataset, spec, max_depth, min_leaf,
+                               min_gain=1e-3):
+    """The greedy partition as first written: every node refits its own rows,
+    so each child of a split is fitted twice (once as a candidate side)."""
+    def build(rows, depth):
+        f, sse = _static_fit_sse(dataset.subset(rows), spec)
+        node = TreeNode(fit=f, n_rows=len(rows))
+        if depth >= max_depth or len(rows) < 2 * min_leaf:
+            return node
+        best = None
+        for j in range(dataset.d):
+            left = rows[dataset.M[rows, j] == 0]
+            right = rows[dataset.M[rows, j] == 1]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            sl = _static_fit_sse(dataset.subset(left), spec)[1]
+            sr = _static_fit_sse(dataset.subset(right), spec)[1]
+            if best is None or sl + sr < best[0]:
+                best = (sl + sr, j, left, right)
+        if best is None:
+            return node
+        total, j, left, right = best
+        gain = (sse - total) / sse if sse > 0 else 0.0
+        if gain < min_gain:
+            return node
+        node.split_feature = j
+        node.left = build(left, depth + 1)
+        node.right = build(right, depth + 1)
+        return node
+
+    return PartitionTree(build(np.arange(dataset.n), 0), dataset.d)
+
+
+def assert_same_partition(a: TreeNode, b: TreeNode):
+    assert (a.split_feature, a.n_rows, a.fit.intercept) == \
+        (b.split_feature, b.n_rows, b.fit.intercept)
+    assert np.array_equal(a.fit.coefficients, b.fit.coefficients)
+    if a.split_feature is not None:
+        assert_same_partition(a.left, b.left)
+        assert_same_partition(a.right, b.right)
 
 
 class TestFiniteAdaptive:
+    @pytest.mark.parametrize("seed,spec,max_depth,min_leaf", [
+        (20, ElasticNetSpec(lam=0.01), 3, 20),
+        (21, LAM0, 2, 10),
+        (22, ElasticNetSpec(lam=0.1), 4, 5),
+    ])
+    def test_matches_oracle_without_refits(self, monkeypatch, seed, spec,
+                                           max_depth, min_leaf):
+        ds = random_dataset(seed, n=300, d=4, p_miss=0.4, mask_signal=True)
+        calls = []
+        real_fit = adaptive.enet_fit
+        monkeypatch.setattr(adaptive, "enet_fit",
+                            lambda *a: calls.append(1) or real_fit(*a))
+        want = oracle_fit_finite_adaptive(ds, spec, max_depth, min_leaf)
+        oracle_fits = len(calls)
+        calls.clear()
+        tree = fit_finite_adaptive(ds, spec, max_depth=max_depth,
+                                   min_leaf=min_leaf)
+        assert_same_partition(tree.root, want.root)
+        splits = len(tree.leaves()) - 1
+        assert splits >= 2
+        assert len(calls) == oracle_fits - 2 * splits
+
     def test_single_pattern_no_split(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(100, 3))

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from missfit.bench import (BEST_VARIANTS, DEFAULT_GRIDS, ConfigError,
+from missfit.bench import (BEST_VARIANTS, METHODS, ConfigError,
                            ExperimentConfig, Record, ResultsTable, fit_method,
                            kfold_cv, r_squared, read_results_csv,
                            run_experiment, run_replication, scaled_auc,
                            write_results_csv)
+from missfit import bench
 from missfit.core import MaskedDataset
 from missfit.datagen import GeneratorSpec, generate
 
@@ -86,34 +87,36 @@ def small_dataset(seed=0, n=120, d=4):
 class TestFitMethod:
     def test_all_grid_methods_produce_finite_predictions(self):
         ds = small_dataset()
-        for name in DEFAULT_GRIDS:
-            params = DEFAULT_GRIDS[name][0]
+        for name in METHODS:
+            params = METHODS[name].grid[0]
             if name in ("joint_forest", "rf_mia", "mean_impute_forest"):
                 params = {**params, "n_trees": 5}
-            xf = ds.X if name == "oracle" else None
-            predictor = fit_method(name, ds, xf, params, seed=0,
-                                   task="regression")
-            yhat = predictor(ds, xf)
+            model = fit_method(name, ds, params, seed=0, task="regression")
+            yhat = model.predict(ds.X, ds.M)
             assert yhat.shape == (ds.n,)
             assert np.all(np.isfinite(yhat))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
-            fit_method("mystery", small_dataset(), None, {}, 0, "regression")
+            fit_method("mystery", small_dataset(), {}, 0, "regression")
 
     def test_oracle_requires_full_design(self):
-        with pytest.raises(ValueError):
-            fit_method("oracle", small_dataset(), None, {}, 0, "regression")
+        # only a generator config has the fully observed design
+        doc = {"name": "x", "methods": ["static", "oracle"],
+               "dataset_csv": "data.csv"}
+        with pytest.raises(ConfigError, match=r"\$\.methods\[1\]: oracle"):
+            ExperimentConfig.from_json(json.dumps(doc))
 
     def test_complete_features_ignores_missing_columns(self):
         ds = small_dataset(1)
-        predictor = fit_method("complete_features", ds, None, {"lam": 0.01},
-                               0, "regression")
+        model = fit_method("complete_features", ds, {"lam": 0.01}, 0,
+                           "regression")
         X2 = ds.X.copy()
         cols_with_missing = np.flatnonzero(ds.M.sum(axis=0) > 0)
         X2[:, cols_with_missing] = 1e9
         ds2 = MaskedDataset(X2, ds.M, ds.y)
-        assert np.allclose(predictor(ds, None), predictor(ds2, None))
+        assert np.allclose(model.predict(ds.X, ds.M),
+                           model.predict(ds2.X, ds2.M))
 
 
 class TestKfoldCv:
@@ -136,7 +139,7 @@ class TestKfoldCv:
 
     def test_deterministic(self):
         ds = small_dataset(4)
-        grid = DEFAULT_GRIDS["affine_intercept"]
+        grid = METHODS["affine_intercept"].grid
         a = kfold_cv(ds, "affine_intercept", grid, 4, seed=9)
         b = kfold_cv(ds, "affine_intercept", grid, 4, seed=9)
         assert a == b
@@ -218,20 +221,14 @@ class TestRunner:
         b, _ = run_replication(tiny_config(), 1)
         assert a[0].value != b[0].value
 
-    def test_failures_logged_not_raised(self, tmp_path):
-        # oracle needs the fully observed design, which a CSV can't provide,
-        # so that cell fails while the other method still produces a record
-        from missfit.core import write_csv
-        ds = small_dataset(6)
-        path = tmp_path / "data.csv"
-        write_csv(ds, path)
-        config = tiny_config(methods=["oracle", "static"], generator=None,
-                             dataset_csv=str(path),
-                             grids={"static": [{"lam": 0.01}],
-                                    "oracle": [{"lam": 0.01}]})
+    def test_failures_logged_not_raised(self):
+        # cart_mia cannot fit with min_leaf above half the rows, so that
+        # cell fails while the other method still produces a record
+        config = tiny_config(grids={"static": [{"lam": 0.01}],
+                                    "cart_mia": [{"min_leaf": 1000}]})
         recs, errs = run_replication(config, 0)
         assert [r.method for r in recs] == ["static"]
-        assert len(errs) == 1 and "oracle" in errs[0]
+        assert len(errs) == 1 and "cart_mia" in errs[0]
 
     def test_best_variant_beats_nothing(self):
         config = tiny_config(methods=["adaptive_best"],
@@ -242,6 +239,28 @@ class TestRunner:
         recs, errs = run_replication(config, 0)
         assert errs == []
         assert recs[0].method == "adaptive_best"
+
+    def test_composite_reuses_cv_of_a_variant_run_alone(self, monkeypatch,
+                                                        tmp_path):
+        calls = []
+        real_cv = bench.kfold_cv
+        monkeypatch.setattr(bench, "kfold_cv",
+                            lambda *a, **k: calls.append(1) or real_cv(*a, **k))
+        grids = {"static": [{"lam": 0.01}],
+                 "affine_intercept": [{"lam": 0.1}, {"lam": 0.01}],
+                 "affine": [{"lam": 0.01}], "finite": [{"max_depth": 1}]}
+        both = run_experiment(tiny_config(
+            methods=["affine_intercept", "adaptive_best"], grids=grids))
+        shared_calls = len(calls)
+        calls.clear()
+        alone = [run_experiment(tiny_config(methods=[m], grids=grids))
+                 for m in ("affine_intercept", "adaptive_best")]
+        assert shared_calls == len(calls) - tiny_config().replications
+        write_results_csv(both, tmp_path / "both.csv")
+        write_results_csv(ResultsTable(alone[0].records + alone[1].records),
+                          tmp_path / "alone.csv")
+        assert (tmp_path / "both.csv").read_bytes() == \
+            (tmp_path / "alone.csv").read_bytes()
 
     def test_run_experiment_serial_equals_parallel(self):
         config = tiny_config()

@@ -86,10 +86,11 @@ class TestFitPredict:
 
     def test_predict_rejects_garbage_model(self, dataset_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"type\": \"sundial\"}")
-        code = main(["predict", "--model", str(bad), "--data",
-                     str(dataset_csv), "--out", str(tmp_path / "p.csv")])
-        assert code == 2
+        for text in ("{\"type\": \"sundial\"}", "[1]"):
+            bad.write_text(text)
+            code = main(["predict", "--model", str(bad), "--data",
+                         str(dataset_csv), "--out", str(tmp_path / "p.csv")])
+            assert code == 2
 
 
 class TestBench:
@@ -122,6 +123,17 @@ class TestBench:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "$.methods[0]" in capsys.readouterr().err
+
+    def test_oracle_with_csv_is_usage_error(self, dataset_csv, tmp_path,
+                                            capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "csv", "methods": ["oracle"],
+                                   "dataset_csv": str(dataset_csv)}))
+        out = tmp_path / "o.csv"
+        code = main(["bench", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "$.methods[0]: oracle" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["bench", "--config", str(tmp_path / "nope.json"),

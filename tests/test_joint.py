@@ -145,7 +145,7 @@ class TestJointFit:
         for contract in (tree_contract(TreeParams(max_depth=3)),
                          forest_contract(TreeParams(max_depth=3, n_trees=10))):
             model = joint_fit(ds, contract, FitLimits(max_outer=3))
-            preds = model.predict(ds)
+            preds = model.predict(ds.X, ds.M)
             assert preds.shape == (ds.n,)
             assert np.all(np.diff(model.error_trace) <= 1e-12)
 
@@ -162,7 +162,7 @@ class TestPredictAndSerialize:
     def test_predict_matrix_form(self):
         ds = censored_dataset(seed=12, n=150)
         model = joint_fit(ds, linear_contract(), FitLimits(max_outer=2))
-        via_ds = model.predict(ds)
+        via_ds = model.predictor.predict(impute_with(ds, model.mu))
         via_xm = model.predict(ds.X, ds.M)
         assert np.allclose(via_ds, via_xm)
 
@@ -173,7 +173,8 @@ class TestPredictAndSerialize:
                          forest_contract(TreeParams(max_depth=3, n_trees=5))):
             model = joint_fit(ds, contract, FitLimits(max_outer=2))
             back = joint_model_from_json(joint_model_to_json(model))
-            assert np.allclose(back.predict(ds), model.predict(ds))
+            assert np.allclose(back.predict(ds.X, ds.M),
+                               model.predict(ds.X, ds.M))
             assert back.contract_label == model.contract_label
 
 
