@@ -1,10 +1,10 @@
 """Prediction with missing data: adaptive linear models, joint
 impute-then-regress, MIA trees and forests, and a benchmark harness."""
 
-from .core import MaskedDataset, PatternKey, masked_dot, unique_patterns, validate
+from .core import MaskedDataset, unique_patterns, validate
 from .elasticnet import ElasticNetSpec, LinearFit, fit as elasticnet_fit
 from .adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
-                       AdaptiveModel, ExpansionMode, PartitionTree, expand,
+                       AdaptiveModel, ExpansionMode, PartitionTree,
                        extract_imputation, fit_adaptive, fit_finite_adaptive)
 from .joint import (FitLimits, JointModel, RegressorContract, coordinate_step,
                     fit_mean_impute, forest_contract, impute_with, joint_fit,

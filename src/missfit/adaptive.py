@@ -17,13 +17,14 @@ in-sample error is monotone along the hierarchy at lambda = 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaskedDataset, PatternKey, masked_dot, unique_patterns, validate
+from .core import MaskedDataset, unique_patterns, validate
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit, support_penalty_weights
 
 
@@ -60,22 +61,19 @@ AFFINE = ExpansionMode("affine")
 FULLY_ADAPTIVE = ExpansionMode("fully_adaptive")
 
 
-def _mask_monomials(d: int, t: int):
-    """Index sets J, |J| in 1..t, in (size, lexicographic) order."""
-    out = []
-    for size in range(1, t + 1):
-        out.extend(itertools.combinations(range(d), size))
-    return out
-
-
-def _interaction_sets(d: int, t: int):
-    """(j', J) pairs for terms z_{j'} * prod(m_J), J nonempty, j' not in J."""
-    out = []
-    for jp in range(d):
-        rest = [j for j in range(d) if j != jp]
-        for size in range(1, t + 1):
-            out.extend((jp, J) for J in itertools.combinations(rest, size))
-    return out
+@functools.lru_cache(maxsize=None)
+def _terms(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index table (jp, J) of the expansion columns after the z block, each
+    z_jp * prod(m_J): the mask monomials (jp = d), then the interactions by
+    observed feature jp. J has size 1..t in (size, lex) order, padded with d;
+    index d is a constant-1 column of both z and m."""
+    sets = [J for size in range(1, t + 1)
+            for J in itertools.combinations(range(d), size)]
+    terms = [(d, J) for J in sets] + [(jp, J) for jp in range(d)
+                                      for J in sets if jp not in J]
+    jp = np.array([j for j, _ in terms])
+    J = np.array([J + (d,) * (t - len(J)) for _, J in terms])
+    return jp, J
 
 
 def expansion_size(d: int, mode: ExpansionMode) -> int:
@@ -86,19 +84,19 @@ def expansion_size(d: int, mode: ExpansionMode) -> int:
     if mode.kind == "affine":
         return d + d * d
     if mode.kind == "polynomial":
-        t = min(mode.degree, d)
-        return d + len(_mask_monomials(d, t)) + len(_interaction_sets(d, t))
+        return d + len(_terms(d, min(mode.degree, d))[0])
     raise ValueError(f"no fixed expansion size for {mode.kind}")
 
 
 def expand_matrix(X, M, mode: ExpansionMode) -> np.ndarray:
-    """Row-wise feature expansion for a whole matrix; see expand()."""
+    """Expanded design of the rows of X with mask M: the z block (x with
+    masked slots zeroed), then the columns listed by _terms."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if X.shape != M.shape:
         raise ValueError(f"X shape {X.shape} != M shape {M.shape}")
     d = X.shape[1]
-    Z = (1 - M) * np.where(M == 1, 0.0, X)  # kill stored values at missing slots
+    Z = np.where(M == 1, 0.0, X)  # kill stored values at missing slots
     if mode.kind == "static":
         return Z
     if mode.kind == "affine_intercept":
@@ -111,19 +109,36 @@ def expand_matrix(X, M, mode: ExpansionMode) -> np.ndarray:
         t = mode.degree
     else:
         raise ValueError(f"cannot expand mode {mode.kind}")
-    mono = [np.prod(M[:, list(J)], axis=1) for J in _mask_monomials(d, t)]
-    inter = [Z[:, jp] * np.prod(M[:, list(J)], axis=1)
-             for jp, J in _interaction_sets(d, t)]
-    return np.column_stack([Z] + mono + inter)
+    jp, J = _terms(d, t)
+    one = np.ones((len(X), 1))
+    M1 = np.hstack([M, one])
+    terms = M1[:, J[:, 0]]  # prod(m_J), one factor at a time: no (n, K, t) array
+    for k in range(1, t):
+        terms *= M1[:, J[:, k]]
+    terms *= np.hstack([Z, one])[:, jp]
+    return np.column_stack([Z, terms])
 
 
-def expand(x, m, mode: ExpansionMode) -> np.ndarray:
-    """Expanded feature vector for one observation.
+def _per_row_fits(M, fit_of) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row intercepts and coefficient rows, where fit_of(pattern) is the
+    LinearFit that serves the rows with that missingness pattern."""
+    b = np.empty(len(M))
+    W = np.empty(M.shape)
+    for pattern, rows in unique_patterns(M):
+        f = fit_of(pattern)
+        b[rows] = f.intercept
+        W[rows] = f.coefficients
+    return b, W
 
-    Output ordering: z block, then mask monomials by (size, lex) order, then
-    interaction terms grouped by observed feature.
-    """
-    return expand_matrix(x, m, mode)[0]
+
+def _as_batch(X, M, d: int) -> tuple[np.ndarray, np.ndarray]:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    M = np.atleast_2d(np.asarray(M))
+    if X.shape[1] != d:
+        raise ValueError(f"expected d={d} features, got {X.shape[1]}")
+    if M.shape != X.shape:
+        raise ValueError(f"X shape {X.shape} != M shape {M.shape}")
+    return X, M
 
 
 @dataclass
@@ -132,21 +147,18 @@ class AdaptiveModel:
     d: int
     fit: LinearFit | None  # None for fully adaptive
     expansion_size: int
-    pattern_fits: dict[PatternKey, LinearFit] | None = None
+    pattern_fits: dict[tuple[int, ...], LinearFit] | None = None
     fallback: LinearFit | None = None  # static model for unseen patterns
 
     def predict_matrix(self, X, M) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        M = np.atleast_2d(np.asarray(M))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected d={self.d} features, got {X.shape[1]}")
+        X, M = _as_batch(X, M, self.d)
         if self.mode.kind == "fully_adaptive":
-            Z = (1 - M) * np.where(M == 1, 0.0, X)
-            out = np.empty(X.shape[0])
-            for i in range(X.shape[0]):
-                f = self.pattern_fits.get(PatternKey.from_row(M[i]), self.fallback)
-                out[i] = f.intercept + float(Z[i] @ f.coefficients)
-            return out
+            b, W = _per_row_fits(
+                M, lambda p: self.pattern_fits.get(p, self.fallback))
+            Z = np.where(M == 1, 0.0, X)
+            # one dot product per row, rounded as Z[i] @ w is; a single
+            # matrix-vector product accumulates in another order
+            return b + np.matmul(Z[:, None, :], W[:, :, None])[:, 0, 0]
         return self.fit.predict(expand_matrix(X, M, self.mode))
 
     def predict(self, X, M) -> np.ndarray:
@@ -165,12 +177,11 @@ def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
     if dataset.n < 1:
         raise ValueError("empty dataset")
     if mode.kind == "fully_adaptive":
-        groups = unique_patterns(dataset)
         pattern_fits = {}
-        for key, rows in groups:
+        for pattern, rows in unique_patterns(dataset.M):
             sub = dataset.subset(rows)
             A = expand_matrix(sub.X, sub.M, STATIC)
-            pattern_fits[key] = enet_fit(A, sub.y, _with_weights(A, spec))
+            pattern_fits[pattern] = enet_fit(A, sub.y, _with_weights(A, spec))
         A_all = expand_matrix(dataset.X, dataset.M, STATIC)
         fallback = enet_fit(A_all, dataset.y, _with_weights(A_all, spec))
         return AdaptiveModel(mode, dataset.d, None, len(pattern_fits),
@@ -229,13 +240,9 @@ class PartitionTree:
         return node
 
     def predict_matrix(self, X, M) -> np.ndarray:
-        out = []
-        for x, m in zip(X, M):
-            if len(x) != self.d:
-                raise ValueError(f"expected d={self.d} features")
-            leaf = self.route(m)
-            out.append(leaf.fit.intercept + masked_dot(leaf.fit.coefficients, x, m))
-        return np.array(out)
+        X, M = _as_batch(X, M, self.d)
+        b, W = _per_row_fits(M, lambda p: self.route(p).fit)
+        return b + np.sum(W * np.where(M == 1, 0.0, X), axis=1)
 
     def predict(self, X, M) -> np.ndarray:
         # The body stays under predict_matrix, the name the benchmark binds.
@@ -321,7 +328,7 @@ def model_to_json(model: AdaptiveModel) -> str:
     doc = {"type": "adaptive", "mode": model.mode.name, "d": model.d,
            "expansion_size": model.expansion_size}
     if model.mode.kind == "fully_adaptive":
-        doc["patterns"] = [{"bits": list(k.bits), "fit": _fit_to_json(v)}
+        doc["patterns"] = [{"bits": list(k), "fit": _fit_to_json(v)}
                            for k, v in model.pattern_fits.items()]
         doc["fallback"] = _fit_to_json(model.fallback)
     else:
@@ -333,7 +340,7 @@ def model_from_json(text: str) -> AdaptiveModel:
     doc = json.loads(text)
     mode = ExpansionMode.parse(doc["mode"])
     if mode.kind == "fully_adaptive":
-        pats = {PatternKey(tuple(p["bits"])): _fit_from_json(p["fit"])
+        pats = {tuple(p["bits"]): _fit_from_json(p["fit"])
                 for p in doc["patterns"]}
         return AdaptiveModel(mode, doc["d"], None, doc["expansion_size"],
                              pats, _fit_from_json(doc["fallback"]))

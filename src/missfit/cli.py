@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import adaptive, bench, datagen, joint, learners
-from .core import DatasetError, read_csv
+from .core import DatasetError, read_csv, unique_patterns
 
 # Saved model type -> loader.
 LOADERS = {"adaptive": adaptive.model_from_json,
@@ -77,11 +77,14 @@ def cmd_fit(args) -> int:
 def _load_model(path):
     with open(path) as fh:
         text = fh.read()
-    doc = json.loads(text)
-    loader = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
-    if loader is None:
-        raise UsageError(f"unrecognized model file {path}")
-    return loader(text)
+    try:  # not JSON, or a field the loader needs is missing or ill-typed
+        doc = json.loads(text)
+        loader = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
+        if loader is None:
+            raise UsageError(f"unrecognized model file {path}")
+        return loader(text)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise UsageError(f"malformed model file {path}: {exc!r}") from exc
 
 
 def cmd_predict(args) -> int:
@@ -143,9 +146,8 @@ def cmd_inspect(args) -> int:
                 print(f"  {attr}: {getattr(model, attr)}")
         return 0
     dataset = read_csv(args.path, args.target)
-    from .core import unique_patterns
     print(f"n={dataset.n} d={dataset.d} "
-          f"patterns={len(unique_patterns(dataset))}")
+          f"patterns={len(unique_patterns(dataset.M))}")
     for j in range(dataset.d):
         name = dataset.feature_names[j] if dataset.feature_names else f"x{j+1}"
         print(f"  {name}: missing fraction {_sig6(float(dataset.M[:, j].mean()))}")

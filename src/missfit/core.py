@@ -47,28 +47,6 @@ class MaskedDataset:
                              self.feature_names)
 
 
-@dataclass(frozen=True)
-class PatternKey:
-    """Hashable identifier for one missingness pattern."""
-
-    bits: tuple[int, ...]
-
-    @classmethod
-    def from_row(cls, m_row) -> "PatternKey":
-        return cls(tuple(int(v) for v in m_row))
-
-
-def masked_dot(w, x, m) -> float:
-    """Inner product of w and x restricted to observed coordinates (m == 0)."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m)
-    if not (w.shape == x.shape == m.shape):
-        raise DatasetError(
-            f"length mismatch: w{w.shape}, x{x.shape}, m{m.shape}")
-    return float(np.sum(w * np.where(m == 1, 0.0, x)))
-
-
 def validate(dataset: MaskedDataset) -> None:
     """Check shape agreement, binary M, and finiteness of observed entries.
 
@@ -98,13 +76,25 @@ def validate(dataset: MaskedDataset) -> None:
         raise DatasetError("feature_names length does not match column count")
 
 
-def unique_patterns(dataset: MaskedDataset) -> list[tuple[PatternKey, list[int]]]:
-    """Group row indices by missingness pattern, in order of first appearance."""
-    groups: dict[PatternKey, list[int]] = {}
-    for i in range(dataset.n):
-        key = PatternKey.from_row(dataset.M[i])
-        groups.setdefault(key, []).append(i)
-    return list(groups.items())
+def unique_patterns(M) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Group the row indices of mask matrix M by missingness pattern.
+
+    Returns (pattern, rows) pairs in order of first appearance; rows ascend.
+    Each row is compared as one opaque byte string (a void-dtype view):
+    np.unique(axis=0) alone takes about three times as long on 16-row batches.
+    """
+    M = np.ascontiguousarray(M, dtype=np.int8)
+    if M.shape[1] == 0:  # a zero-width void dtype does not exist
+        keys = np.zeros(len(M), dtype=np.int8)
+    else:
+        keys = M.view(np.dtype((np.void, M.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # group ids in order of first appearance
+    label = np.argsort(order)[inverse]
+    rows = np.argsort(label, kind="stable")
+    ends = np.cumsum(np.bincount(label, minlength=len(first))).tolist()
+    patterns = map(tuple, M[first[order]].tolist())
+    return [(p, rows[a:b]) for p, a, b in zip(patterns, [0] + ends, ends)]
 
 
 MISSING_TOKENS = ("", "NA")

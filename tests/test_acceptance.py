@@ -95,7 +95,7 @@ class TestCriterion4:
         M = (rng.random((200, 4)) < 0.4).astype(int)
         ds = MaskedDataset(X, M, rng.normal(size=200))
         model = fit_adaptive(ds, FULLY_ADAPTIVE, ElasticNetSpec(lam=0.01))
-        ok &= len(model.pattern_fits) == len(unique_patterns(ds))
+        ok &= len(model.pattern_fits) == len(unique_patterns(ds.M))
         _report("criterion 4: expansion sizes d / 2d / d + d^2, one model per "
                 "pattern", ok, "; ".join(details))
 

@@ -4,12 +4,13 @@ import pytest
 from missfit import adaptive
 from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
                               ExpansionMode, PartitionTree, TreeNode,
-                              _static_fit_sse, expand, expand_matrix,
+                              _static_fit_sse, expand_matrix,
                               expansion_size, extract_imputation, fit_adaptive,
                               fit_finite_adaptive, model_from_json,
                               model_to_json, tree_from_json, tree_to_json)
-from missfit.core import MaskedDataset, masked_dot
+from missfit.core import MaskedDataset
 from missfit.elasticnet import ElasticNetSpec
+from oracles import masked_dot
 
 POLY1 = ExpansionMode.parse("polynomial1")
 POLY2 = ExpansionMode.parse("polynomial2")
@@ -28,36 +29,36 @@ def random_dataset(seed, n=120, d=4, p_miss=0.3, mask_signal=False):
 
 class TestExpand:
     def test_affine_length_d2(self):
-        out = expand([1.0, 2.0], [0, 1], AFFINE)
+        out = expand_matrix([1.0, 2.0], [0, 1], AFFINE)[0]
         assert out.shape == (6,)  # d + d^2
 
     def test_affine_reduces_to_static_when_fully_observed(self):
         x = np.array([3.0, -1.0, 2.0])
         m = np.zeros(3)
-        aff = expand(x, m, AFFINE)
-        stat = expand(x, m, STATIC)
+        aff = expand_matrix(x, m, AFFINE)[0]
+        stat = expand_matrix(x, m, STATIC)[0]
         assert np.array_equal(aff[:3], stat)
         assert np.all(aff[3:] == 0.0)
 
     def test_affine_intercept_hand_example(self):
-        out = expand([3.0, 5.0], [1, 0], AFFINE_INTERCEPT)
+        out = expand_matrix([3.0, 5.0], [1, 0], AFFINE_INTERCEPT)[0]
         assert out.tolist() == [0.0, 5.0, 1.0, 0.0]
 
     def test_sizes_match_declared(self):
         x = np.arange(5, dtype=float)
         m = np.array([0, 1, 0, 1, 0])
         for mode in (STATIC, AFFINE_INTERCEPT, AFFINE, POLY1, POLY2):
-            assert expand(x, m, mode).shape == (expansion_size(5, mode),)
+            assert expand_matrix(x, m, mode)[0].shape == (expansion_size(5, mode),)
 
     def test_polynomial_degree_too_large(self):
         with pytest.raises(ValueError):
-            expand([1.0, 2.0], [0, 0], ExpansionMode.parse("polynomial3"))
+            expand_matrix([1.0, 2.0], [0, 0], ExpansionMode.parse("polynomial3"))[0]
 
     def test_missing_values_never_leak(self):
         x = np.array([np.nan, 2.0])
         m = np.array([1, 0])
         for mode in (STATIC, AFFINE_INTERCEPT, AFFINE, POLY2):
-            assert np.all(np.isfinite(expand(x, m, mode)))
+            assert np.all(np.isfinite(expand_matrix(x, m, mode)[0]))
 
 
 class TestFitAdaptive:
@@ -99,7 +100,7 @@ class TestFitAdaptive:
         ds = random_dataset(3, n=80, d=3, p_miss=0.4)
         from missfit.core import unique_patterns
         model = fit_adaptive(ds, FULLY_ADAPTIVE, ElasticNetSpec(lam=0.01))
-        assert len(model.pattern_fits) == len(unique_patterns(ds))
+        assert len(model.pattern_fits) == len(unique_patterns(ds.M))
         assert model.expansion_size == len(model.pattern_fits)
 
 

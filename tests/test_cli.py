@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from missfit.cli import main
+from missfit.cli import LOADERS, main
 from missfit.core import MaskedDataset, write_csv
 
 
@@ -86,11 +86,30 @@ class TestFitPredict:
 
     def test_predict_rejects_garbage_model(self, dataset_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for text in ("{\"type\": \"sundial\"}", "[1]"):
+        for text in ("{\"type\": \"sundial\"}", "[1]", "{"):
             bad.write_text(text)
             code = main(["predict", "--model", str(bad), "--data",
                          str(dataset_csv), "--out", str(tmp_path / "p.csv")])
             assert code == 2
+
+    # a field of the wrong type, per saved model type
+    ILL_TYPED = {"adaptive": {"mode": 3, "d": 3, "expansion_size": 3},
+                 "partition_tree": {"d": 3, "root": []},
+                 "joint": {"predictor": "linear"},
+                 "mia_tree": {"d": 3, "root": 5},
+                 "mia_forest": {"d": 3, "params": {"depth": 2}, "trees": []}}
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_malformed_model_is_usage_error(self, kind, dataset_csv, tmp_path,
+                                            capsys):
+        bad = tmp_path / "bad.json"
+        for doc in ({"type": kind}, {"type": kind, **self.ILL_TYPED[kind]}):
+            bad.write_text(json.dumps(doc))
+            for argv in (["predict", "--model", str(bad), "--data",
+                          str(dataset_csv), "--out", str(tmp_path / "p.csv")],
+                         ["inspect", str(bad)]):
+                assert main(argv) == 2
+                assert "malformed model file" in capsys.readouterr().err
 
 
 class TestBench:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from missfit import bench
 from missfit.cli import main
@@ -68,6 +69,22 @@ def test_masked_slots_never_change_predictions(name, fill):
     refit = bench.fit_method(name, filled(train, FILLS[fill]),
                              small_params(name), 0, "regression")
     assert np.array_equal(refit.predict(test.X, test.M), want)
+
+
+
+@pytest.mark.parametrize("name", [m for m in bench.METHODS if m != "oracle"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_drawn_masked_slot_values_never_change_predictions(name, data):
+    # any float64 at each masked slot: NaN, ±inf, subnormals, -0.0, huge
+    _, test = split()
+    masked = test.M == 1
+    values = data.draw(st.lists(st.floats(), min_size=int(masked.sum()),
+                                max_size=int(masked.sum())))
+    X = test.X.copy()
+    X[masked] = values
+    assert np.array_equal(clean_fit(name).predict(X, test.M),
+                          clean_fit(name).predict(test.X, test.M))
 
 
 @pytest.mark.parametrize("name", SAVED)

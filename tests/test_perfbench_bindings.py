@@ -7,9 +7,14 @@ would otherwise show up only in a traced benchmark run.
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from missfit import adaptive, bench, core, elasticnet, joint, learners
+from missfit.core import MaskedDataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,3 +61,151 @@ def test_workload_module_attributes_exist():
     for mod, attr in sorted(used):
         assert hasattr(importlib.import_module(f"missfit.{mod}"), attr), \
             f"missfit.{mod}.{attr}"
+
+
+# Each work counter of the tracer, run on the real result of a tiny call of
+# the function it is bound to. A change to what a function returns must not
+# silently change a per-layer metric of the benchmark.
+
+def tiny(n=120, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    M = (rng.random((n, d)) < 0.4).astype(np.int8)
+    y = X.sum(axis=1) + M @ np.array([2.0, -2.0, 1.0]) \
+        + 0.1 * rng.normal(size=n)
+    return MaskedDataset(np.where(M == 1, 0.0, X), M, y)
+
+
+def json_nodes(doc):
+    """(node count, sum of n_rows) of a serialized MIA tree."""
+    nodes, rows = 1, doc["n_rows"]
+    for side in ("left", "right"):
+        if side in doc:
+            n, r = json_nodes(doc[side])
+            nodes, rows = nodes + n, rows + r
+    return nodes, rows
+
+
+def case_patterns():
+    ds = tiny()
+    return (ds.M,), core.unique_patterns(ds.M), \
+        {"patterns": len(np.unique(ds.M, axis=0))}
+
+
+def case_enet_fit():
+    ds = tiny()
+    A = np.where(ds.M == 1, 0.0, ds.X)
+    spec = elasticnet.ElasticNetSpec(lam=0.01, max_iters=3, tol=0.0)
+    return (A, ds.y, spec), elasticnet.fit(A, ds.y, spec), \
+        {"sweeps": 3, "coord_updates": 9, "nonconverged": 1}
+
+
+def case_expand():
+    ds = tiny()
+    return (ds.X, ds.M, adaptive.AFFINE), \
+        adaptive.expand_matrix(ds.X, ds.M, adaptive.AFFINE), \
+        {"expand_cells": ds.n * (3 + 3 * 3)}
+
+
+def case_finite():
+    ds = tiny()
+    tree = adaptive.fit_finite_adaptive(ds, elasticnet.ElasticNetSpec(lam=0.01),
+                                        max_depth=2, min_leaf=10)
+    reached = {id(tree.route(m)) for m in ds.M}  # every leaf holds rows
+    assert len(reached) >= 2
+    return (ds,), tree, {"finite_leaves": len(reached)}
+
+
+def case_joint_fit():
+    ds = tiny()
+    refits, steps = [], []
+    linear = joint.linear_contract(elasticnet.ElasticNetSpec(lam=0.01))
+    contract = joint.RegressorContract(
+        "linear", lambda *a: refits.append(1) or linear.factory(*a))
+    step = joint.coordinate_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(joint, "coordinate_step",
+                   lambda *a: steps.append(1) or step(*a))
+        model = joint.joint_fit(ds, contract, joint.FitLimits(max_outer=3))
+    # every feature has missing rows and a nonzero step, so each cycle
+    # takes one coordinate step per feature
+    assert len(steps) % ds.d == 0 and len(steps) > 0
+    return (ds, contract), model, \
+        {"refits": len(refits), "cycles": len(steps) // ds.d}
+
+
+def case_coordinate_step():
+    ds = tiny()
+    fit = elasticnet.LinearFit(0.0, np.array([1.0, 0.0, 1.0]), [])
+    mu = np.zeros(3)
+    current = joint.mse_error(ds.y, fit.predict(joint.impute_with(ds, mu)))
+    moved = joint.coordinate_step(mu, 0, 1.0, fit, ds, joint.mse_error, current)
+    flat = joint.coordinate_step(mu, 1, 1.0, fit, ds, joint.mse_error, current)
+    assert moved[0] != 0 and flat[0] == 0  # feature 1 has weight 0
+    return [((mu, 0), moved, {"step_moves": 1}),
+            ((mu, 1), flat, {"step_moves": 0})]
+
+
+def case_cart():
+    ds = tiny()
+    tree = learners.fit_cart_mia(ds, learners.TreeParams(max_depth=3))
+    nodes, rows = json_nodes(json.loads(learners.tree_to_json(tree))["root"])
+    assert nodes > 1
+    return (ds,), tree, {"trees": 1, "nodes": nodes, "node_rows": rows}
+
+
+def case_forest():
+    ds = tiny()
+    forest = learners.fit_forest(ds, learners.TreeParams(max_depth=2,
+                                                         n_trees=3, seed=0))
+    sizes = [json_nodes(t) for t in
+             json.loads(learners.forest_to_json(forest))["trees"]]
+    return (ds,), forest, {"trees": 3, "nodes": sum(n for n, _ in sizes),
+                           "node_rows": sum(r for _, r in sizes)}
+
+
+def case_replication():
+    config = bench.ExperimentConfig(
+        "tiny", ["static", "cart_mia"], replications=1, cv_folds=2,
+        generator={"n": 60, "d": 3, "k": 2, "r": 2, "p": 0.3},
+        grids={"static": [{"lam": 0.01}], "cart_mia": [{"max_depth": 2}]})
+    return (config, 0), bench.run_replication(config, 0), {"cells": 2}
+
+
+def case_tree_predict():
+    ds = tiny()
+    tree = learners.fit_cart_mia(ds, learners.TreeParams(max_depth=2))
+    return (tree, ds.X[:7], ds.M[:7]), tree.predict(ds.X[:7], ds.M[:7]), \
+        {"row_visits": 7}
+
+
+COUNTER_CASES = {
+    "core.unique_patterns": case_patterns,
+    "elasticnet.fit": case_enet_fit,
+    "adaptive.expand_matrix": case_expand,
+    "adaptive.fit_finite_adaptive": case_finite,
+    "joint.joint_fit": case_joint_fit,
+    "joint.coordinate_step": case_coordinate_step,
+    "learners.fit_cart_mia": case_cart,
+    "learners.fit_forest": case_forest,
+    "bench.run_replication": case_replication,
+    "learners.predict": case_tree_predict,
+}
+
+
+def traced_counters(tracer):
+    """span name -> counter, over every traced function and method."""
+    entries = [(e[0], e[-1]) for e in tracer.FUNCTIONS + tracer.METHODS]
+    return {span: counter for span, counter in entries if counter is not None}
+
+
+def test_every_counter_has_a_case(tracer):
+    assert set(traced_counters(tracer)) == set(COUNTER_CASES)
+
+
+@pytest.mark.parametrize("span", sorted(COUNTER_CASES))
+def test_counter_reads_the_real_result(tracer, span):
+    runs = COUNTER_CASES[span]()
+    counter = traced_counters(tracer)[span]
+    for args, out, expected in runs if isinstance(runs, list) else [runs]:
+        assert counter(args, {}, out) == expected
