@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaskedDataset, unique_patterns, validate
+from .core import MaskedDataset, binary_mask, unique_patterns, validate
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit, support_penalty_weights
 
 
@@ -133,7 +133,7 @@ def _per_row_fits(M, fit_of) -> tuple[np.ndarray, np.ndarray]:
 
 def _as_batch(X, M, d: int) -> tuple[np.ndarray, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    M = np.atleast_2d(np.asarray(M))
+    M = binary_mask(M)
     if X.shape[1] != d:
         raise ValueError(f"expected d={d} features, got {X.shape[1]}")
     if M.shape != X.shape:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, read_csv, validate
+from .core import MaskedDataset, binary_mask, read_csv, validate
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .adaptive import (ExpansionMode, fit_adaptive, fit_finite_adaptive,
                        model_to_json as adaptive_to_json,
@@ -123,7 +123,7 @@ class LinearOnDesign:
     design: Callable
 
     def predict(self, X, M) -> np.ndarray:
-        return self.fit.predict(self.design(np.atleast_2d(X), np.atleast_2d(M)))
+        return self.fit.predict(self.design(np.atleast_2d(X), binary_mask(M)))
 
 
 def _fit_on_design(name, train, params, seed, task):

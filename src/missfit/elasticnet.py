@@ -7,11 +7,16 @@ Minimizes, in the original (unstandardized) coordinates,
 where c_j are per-feature penalty multipliers. Columns are standardized
 internally for conditioning; the penalty weights are rescaled so the objective
 above is optimized exactly, and coefficients are transformed back on exit.
+
+Two steps are pinned so that results keep their bits (results CSVs and the
+benchmark's references are compared byte for byte): each rho is np.dot on
+the strided view Xs[:, j] of the C-order Xs, which OpenBLAS rounds unlike a
+unit-stride dot, and the residual update is buf = x_j * delta, then r -= buf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +33,11 @@ class ElasticNetSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        for name in ("lam", "tol"):  # NaN passes "< 0", and json reads NaN
+            if not (np.isfinite(v := getattr(self, name)) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1: {self.max_iters}")
         if self.penalty_weights is not None:
             w = np.asarray(self.penalty_weights, dtype=float)
             if np.any(~np.isfinite(w)) or np.any(w < 0):
@@ -49,14 +57,17 @@ class LinearFit:
 
 
 def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0). gamma must be nonnegative."""
+    """sign(z) * max(|z| - gamma, 0) for gamma >= 0, where sign(-0.0) is +0.0."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    return float(np.sign(z) * max(abs(z) - gamma, 0.0))
+    a = abs(z) - gamma
+    if a > 0.0:
+        return a if z > 0.0 else -a
+    return -0.0 if z < 0.0 else 0.0 if a == a else a
 
 
 def _objective(r, w, n, lam, alpha, c):
-    pen = lam * np.sum(c * (alpha * np.abs(w) + 0.5 * (1 - alpha) * w ** 2))
+    pen = lam * np.add.reduce(c * (alpha * np.abs(w) + 0.5 * (1 - alpha) * w ** 2))
     return float(0.5 * np.dot(r, r) / n + pen)
 
 
@@ -68,63 +79,57 @@ def fit(X, y, spec: ElasticNetSpec) -> LinearFit:
     spec.tol; hitting max_iters flags the fit as non-converged instead of
     raising.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)  # reductions round by layout
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be n x p and y length n")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite input")
     n, p = X.shape
-    c = spec.penalty_weights
-    c = np.ones(p) if c is None else np.asarray(c, dtype=float)
+    c = np.ones(p) if spec.penalty_weights is None else spec.penalty_weights
     if c.shape != (p,):
         raise ValueError(f"penalty_weights length {c.shape} != p={p}")
 
-    if spec.fit_intercept:
-        x_mean = X.mean(axis=0)
-        y_mean = float(y.mean())
-    else:
-        x_mean = np.zeros(p)
-        y_mean = 0.0
-    Xc = X - x_mean
-    yc = y - y_mean
-    scale = np.sqrt(np.mean(Xc ** 2, axis=0))
+    x_mean = X.mean(axis=0) if spec.fit_intercept else np.zeros(p)
+    y_mean = float(y.mean()) if spec.fit_intercept else 0.0
+    Xs = X - x_mean  # centred here, scaled in place below: one n x p copy
+    scale = np.sqrt(np.mean(Xs ** 2, axis=0))
     active = scale > 1e-12  # zero-variance columns stay at coefficient 0
     s = np.where(active, scale, 1.0)
-    Xs = Xc / s
+    Xs /= s
 
     # Penalties on original-scale w_j translate to weights c_j/s_j (l1) and
     # c_j/s_j^2 (l2) on the standardized coefficient w_j * s_j.
     lam, alpha = spec.lam, spec.alpha
-    l1 = lam * alpha * c / s
-    l2 = lam * (1 - alpha) * c / (s ** 2)
+    l1 = (lam * alpha * c / s).tolist()
+    shrink = (1.0 + lam * (1 - alpha) * c / (s ** 2)).tolist()
 
-    wt = np.zeros(p)  # standardized-space coefficients
-    r = yc.copy()
-    trace = [_objective(r, wt / s, n, lam, alpha, c)]
-    converged = False
-    cols = [Xs[:, j] for j in range(p)]
+    wt = [0.0] * p  # standardized-space coefficients
+    r = y - y_mean  # residual, updated in place
+    trace = [_objective(r, np.array(wt) / s, n, lam, alpha, c)]
+    idx = np.flatnonzero(active).tolist()
+    Xf = np.asfortranarray(Xs)
+    coords = [(j, Xs[:, j], Xf[:, j], l1[j], shrink[j]) for j in idx]
+    dot, multiply, subtract, buf = np.dot, np.multiply, np.subtract, np.empty(n)
     for _ in range(spec.max_iters):
         max_delta = 0.0
-        for j in range(p):
-            if not active[j]:
-                continue
-            xj = cols[j]
+        for j, xj, xf, g, h in coords:
             old = wt[j]
-            rho = np.dot(xj, r) / n + old  # columns have unit mean square
-            new = soft_threshold(rho, l1[j]) / (1.0 + l2[j])
+            # rho = x_j . r / n + old, as the columns have unit mean square
+            new = soft_threshold(float(dot(xj, r)) / n + old, g) / h
             if new != old:
-                r -= (new - old) * xj
+                delta = new - old
+                multiply(xf, delta, out=buf)
+                subtract(r, buf, out=r)
                 wt[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        trace.append(_objective(r, wt / s, n, lam, alpha, c))
+                max_delta = max(max_delta, abs(delta))
+        trace.append(_objective(r, np.array(wt) / s, n, lam, alpha, c))
         if max_delta < spec.tol:
-            converged = True
             break
 
-    coef = wt / s
+    coef = np.array(wt) / s
     intercept = y_mean - float(np.dot(x_mean, coef)) if spec.fit_intercept else 0.0
-    return LinearFit(intercept, coef, trace, converged)
+    return LinearFit(intercept, coef, trace, max_delta < spec.tol)
 
 
 def support_penalty_weights(X, lo: float = 1.0, hi: float = 100.0) -> np.ndarray:

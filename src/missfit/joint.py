@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, validate
+from .core import MaskedDataset, binary_mask, validate
 from .elasticnet import ElasticNetSpec, fit as enet_fit
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
@@ -136,7 +136,7 @@ class JointModel:
     stop_reason: str = ""
 
     def predict(self, X, M) -> np.ndarray:
-        Xi = np.where(np.atleast_2d(M) == 1, self.mu, np.atleast_2d(X))
+        Xi = np.where(binary_mask(M) == 1, self.mu, np.atleast_2d(X))
         return self.predictor.predict(Xi)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MaskedDataset, validate
+from .core import MaskedDataset, binary_mask, validate
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class MiaTree:
 
     def predict(self, X, M) -> np.ndarray:
         X = np.atleast_2d(X)
-        M = np.atleast_2d(M)
+        M = binary_mask(M)
         return np.array([self.predict_row(X[i], M[i]) for i in range(len(X))])
 
 

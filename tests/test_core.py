@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from missfit.core import (DatasetError, MaskedDataset, read_csv,
+from missfit.core import (DatasetError, MaskedDataset, binary_mask, read_csv,
                           unique_patterns, validate, write_csv)
 from oracles import masked_dot
 
@@ -59,6 +59,46 @@ class TestValidate:
     def test_row_count_mismatch(self):
         with pytest.raises(DatasetError):
             validate(MaskedDataset(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(4)))
+
+
+class TestMaskValues:
+    @pytest.mark.parametrize("dtype, value", [
+        (float, 0.5), (float, -0.5), (float, 0.999), (float, 256.0),
+        (float, np.nan), (float, np.inf),
+        (np.int64, 257)])  # the int8 cast would wrap 257 to 1
+    def test_dataset_refuses_what_the_int8_cast_would_change(self, dtype, value):
+        M = np.zeros((3, 2), dtype=dtype)
+        M[2, 1] = value
+        with pytest.raises(DatasetError, match=r"M\[2\]\[1\] is not binary"):
+            MaskedDataset(np.zeros((3, 2)), M, np.zeros(3))
+
+    @pytest.mark.parametrize("M", [np.array([[0.0, 1.0], [-0.0, 1.0]]),
+                                   np.array([[False, True], [True, False]]),
+                                   np.array([[0, 1], [1, 0]], dtype=np.uint8)])
+    def test_dataset_keeps_binary_masks(self, M):
+        ds = MaskedDataset(np.zeros((2, 2)), M, np.zeros(2))
+        assert ds.M.dtype == np.int8
+        assert ds.M.tolist() == (M == 1).astype(int).tolist()
+
+    @pytest.mark.parametrize("dtype, value", [
+        (float, 2.0), (float, -1.0), (float, 0.5), (float, np.nan),
+        (np.int8, 2), (np.int8, -1), (np.uint8, 2), (np.uint8, 255),
+        (np.int64, 2), (np.int64, -1)])
+    def test_binary_mask_names_the_first_bad_cell(self, dtype, value):
+        M = np.zeros((4, 3), dtype=dtype)
+        M[3, 0] = M[3, 2] = value
+        with pytest.raises(DatasetError, match=r"^M\[3\]\[0\] is not binary$"):
+            binary_mask(M)
+
+    def test_binary_mask_reads_one_mask_row_as_2d(self):
+        assert binary_mask(np.array([0, 1, 1], dtype=np.int8)).shape == (1, 3)
+        with pytest.raises(DatasetError, match=r"^M\[0\]\[2\] is not binary$"):
+            binary_mask([0, 1, 2])
+
+    @pytest.mark.parametrize("dtype", [float, np.int8, np.uint8, np.int64, bool])
+    def test_binary_mask_returns_binary_arrays_as_they_are(self, dtype):
+        M = np.eye(3, dtype=dtype)[:, ::-1]  # strided: tobytes copies
+        assert binary_mask(M) is M
 
 
 class TestUniquePatterns:

@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from missfit.elasticnet import (ElasticNetSpec, fit, lambda_grid, lambda_max,
                                 soft_threshold, support_penalty_weights)
+from oracles import enet_fit as oracle_fit
 
 
 class TestSoftThreshold:
@@ -20,6 +23,16 @@ class TestSoftThreshold:
     def test_negative_gamma(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
+
+    @pytest.mark.parametrize("z, gamma, sign", [
+        (-0.5, 1.0, -1.0), (-1.0, 1.0, -1.0), (-0.0, 1.0, 1.0), (0.0, 1.0, 1.0),
+        (0.5, 1.0, 1.0), (-0.0, 0.0, 1.0), (-3.0, 0.0, -1.0)])
+    def test_signed_zero(self, z, gamma, sign):
+        # as numpy's sign(z) * max(|z| - gamma, 0): sign(-0.0) is +0.0
+        out = soft_threshold(z, gamma)
+        assert type(out) is float
+        assert math.copysign(1.0, out) == sign
+        assert out == float(np.sign(z) * max(abs(z) - gamma, 0.0))
 
 
 def test_ols_closed_form():
@@ -169,3 +182,91 @@ def test_support_penalty_weights():
 def test_alpha_bounds():
     with pytest.raises(ValueError):
         ElasticNetSpec(alpha=1.2)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", float("nan")),
+    ("lam", float("nan")), ("lam", float("inf")), ("lam", -1e-9),
+    ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.0), ("max_iters", 2.5),
+    ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf"))])
+def test_spec_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        ElasticNetSpec(**{field: value})
+
+
+def test_spec_accepts_edges():
+    ElasticNetSpec(lam=0.0, max_iters=1, tol=0.0)
+    ElasticNetSpec(lam=np.float64(0.5), max_iters=np.int64(3))
+
+
+def _bits(f):
+    return (np.float64(f.intercept).tobytes(), f.coefficients.tobytes(),
+            np.array(f.objective_trace).tobytes(), f.converged)
+
+
+def _layouts(X):
+    """X in C order, Fortran order, and as strided views of larger arrays."""
+    n, p = X.shape
+    big = np.zeros((2 * n, 3 * p))
+    big[::2, 1::3] = X
+    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X),
+            "strided": big[::2, 1::3]}
+
+
+def test_fit_is_independent_of_memory_layout():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(200, 30)) * np.geomspace(1e-2, 1e2, 30)
+    y = X[:, :5] @ rng.normal(size=5) + rng.normal(size=200)
+    spec = ElasticNetSpec(lam=1e-3, alpha=0.5)
+    ref = oracle_fit(np.ascontiguousarray(X), y, spec)
+    for layout, Xl in _layouts(X).items():
+        assert _bits(fit(Xl, y, spec)) == _bits(ref), layout
+
+
+# Column kinds of the drawn designs: the degenerate columns that expanded
+# missing-data designs contain.
+KINDS = ("normal", "constant", "duplicate", "mask", "z*m", "z(1-m)")
+
+
+@st.composite
+def enet_cases(draw):
+    n = draw(st.integers(1, 80))
+    p = draw(st.integers(1, 120))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=p, max_size=p))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = (rng.random(n) < 0.4).astype(float)
+    X = np.empty((n, p))
+    for j, kind in enumerate(kinds):
+        z = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        X[:, j] = {"normal": z, "constant": np.full(n, z[0]),
+                   "duplicate": X[:, j - 1] if j else z, "mask": m,
+                   "z*m": z * m, "z(1-m)": z * (1 - m)}[kind]
+    y = X[:, :3] @ rng.normal(size=min(p, 3)) + rng.normal(size=n)
+    if draw(st.booleans()):
+        y = y - rng.normal() * 1e3
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    fit_intercept = draw(st.booleans())
+    lmax = lambda_max(X, y, alpha, fit_intercept)
+    lam = draw(st.sampled_from([0.0, 1e-12, 1e-3 * lmax, 0.1 * lmax,
+                                1.5 * lmax + 1.0]))
+    weights = draw(st.sampled_from(["none", "ones", "with zeros"]))
+    c = None if weights == "none" else rng.choice(
+        [0.0, 0.5, 1.0, 3.0] if weights == "with zeros" else [1.0], size=p)
+    if draw(st.booleans()):
+        max_iters, tol = draw(st.integers(1, 3)), 0.0
+    else:
+        max_iters, tol = 200, 1e-7
+    spec = ElasticNetSpec(lam=float(lam), alpha=alpha, penalty_weights=c,
+                          fit_intercept=fit_intercept, max_iters=max_iters,
+                          tol=tol)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    return _layouts(X)[layout], y, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=enet_cases())
+def test_fit_matches_reference_loop_bit_for_bit(case):
+    X, y, spec = case
+    got = fit(X, y, spec)
+    # the reference runs on C order: those bits are the ones callers get
+    assert _bits(got) == _bits(oracle_fit(np.ascontiguousarray(X), y, spec))

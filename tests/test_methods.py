@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from missfit import bench
 from missfit.cli import main
-from missfit.core import MaskedDataset, read_csv, write_csv
+from missfit.core import DatasetError, MaskedDataset, read_csv, write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +84,26 @@ def test_drawn_masked_slot_values_never_change_predictions(name, data):
     X = test.X.copy()
     X[masked] = values
     assert np.array_equal(clean_fit(name).predict(X, test.M),
+                          clean_fit(name).predict(test.X, test.M))
+
+
+@pytest.mark.parametrize("value, dtype", [(2, np.int8), (-1, np.int8),
+                                          (2.0, float), (0.5, float),
+                                          (-1.0, float)])
+@pytest.mark.parametrize("name", list(bench.METHODS))
+def test_predict_rejects_a_non_binary_mask(name, value, dtype):
+    # before, a 2 read as observed in some methods and as a new pattern in others
+    _, test = split()
+    M = test.M.astype(dtype)
+    M[4, 1] = value
+    with pytest.raises(DatasetError, match=r"M\[4\]\[1\] is not binary"):
+        clean_fit(name).predict(test.X, M)
+
+
+@pytest.mark.parametrize("name", list(bench.METHODS))
+def test_bool_mask_predicts_as_its_int8_form(name):
+    _, test = split()
+    assert np.array_equal(clean_fit(name).predict(test.X, test.M == 1),
                           clean_fit(name).predict(test.X, test.M))
 
 
