@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaskedDataset, binary_mask, unique_patterns, validate
+from .core import MaskedDataset, batch, unique_patterns
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit, support_penalty_weights
 
 
@@ -131,16 +131,6 @@ def _per_row_fits(M, fit_of) -> tuple[np.ndarray, np.ndarray]:
     return b, W
 
 
-def _as_batch(X, M, d: int) -> tuple[np.ndarray, np.ndarray]:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    M = binary_mask(M)
-    if X.shape[1] != d:
-        raise ValueError(f"expected d={d} features, got {X.shape[1]}")
-    if M.shape != X.shape:
-        raise ValueError(f"X shape {X.shape} != M shape {M.shape}")
-    return X, M
-
-
 @dataclass
 class AdaptiveModel:
     mode: ExpansionMode
@@ -151,7 +141,7 @@ class AdaptiveModel:
     fallback: LinearFit | None = None  # static model for unseen patterns
 
     def predict_matrix(self, X, M) -> np.ndarray:
-        X, M = _as_batch(X, M, self.d)
+        X, M = batch(X, M, self.d)
         if self.mode.kind == "fully_adaptive":
             b, W = _per_row_fits(
                 M, lambda p: self.pattern_fits.get(p, self.fallback))
@@ -173,7 +163,6 @@ def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
     Unless the spec pins penalty_weights, per-column weights are derived from
     the expanded design's support counts (sparser columns get penalized more).
     """
-    validate(dataset)
     if dataset.n < 1:
         raise ValueError("empty dataset")
     if mode.kind == "fully_adaptive":
@@ -240,7 +229,7 @@ class PartitionTree:
         return node
 
     def predict_matrix(self, X, M) -> np.ndarray:
-        X, M = _as_batch(X, M, self.d)
+        X, M = batch(X, M, self.d)
         b, W = _per_row_fits(M, lambda p: self.route(p).fit)
         return b + np.sum(W * np.where(M == 1, 0.0, X), axis=1)
 
@@ -278,8 +267,6 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
     side would drop below min_leaf rows, or when the relative error
     reduction falls below min_gain.
     """
-    validate(dataset)
-
     def build(rows: np.ndarray, depth: int, fit_sse=None) -> TreeNode:
         f, sse = fit_sse or _static_fit_sse(dataset.subset(rows), spec)
         node = TreeNode(fit=f, n_rows=len(rows))

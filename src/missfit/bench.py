@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, binary_mask, read_csv, validate
+from .core import MaskedDataset, batch, read_csv
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .adaptive import (ExpansionMode, fit_adaptive, fit_finite_adaptive,
                        model_to_json as adaptive_to_json,
@@ -117,13 +117,15 @@ def _fit_mia(name, train, params, seed, task):
 
 @dataclass(frozen=True)
 class LinearOnDesign:
-    """A linear fit on the design that `design` builds from (X, M)."""
+    """A linear fit on the design that `design` builds from (X, M), for
+    batches d columns wide like the training data."""
 
     fit: LinearFit
     design: Callable
+    d: int
 
     def predict(self, X, M) -> np.ndarray:
-        return self.fit.predict(self.design(np.atleast_2d(X), binary_mask(M)))
+        return self.fit.predict(self.design(*batch(X, M, self.d)))
 
 
 def _fit_on_design(name, train, params, seed, task):
@@ -133,7 +135,8 @@ def _fit_on_design(name, train, params, seed, task):
         cols = np.flatnonzero(train.M.sum(axis=0) == 0)
         design = lambda X, M: np.where(M == 1, 0.0, X)[:, cols]
     A = design(train.X, train.M)
-    return LinearOnDesign(enet_fit(A, train.y, _enet_spec(params)), design)
+    return LinearOnDesign(enet_fit(A, train.y, _enet_spec(params)), design,
+                          train.d)
 
 
 @dataclass(frozen=True)
@@ -339,7 +342,6 @@ def run_replication(config: ExperimentConfig, rep: int,
         dataset, X_full, _truth = generate(spec)
     else:
         dataset = read_csv(config.dataset_csv, config.target)
-    validate(dataset)
     task = "classification" if _is_binary(dataset.y) else "regression"
     metric_name = "2auc-1" if task == "classification" else "r2"
     rng = np.random.default_rng(rep_seed + 7)

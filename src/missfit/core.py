@@ -7,7 +7,7 @@ whatever number is stored there (no NaN sentinel); all semantics flow from M.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class MaskedDataset:
         self.X.setflags(write=False)
         self.M.setflags(write=False)
         self.y.setflags(write=False)
+        validate(self)
 
     @property
     def n(self) -> int:
@@ -61,7 +62,7 @@ def binary_mask(M) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim < 2:  # as np.atleast_2d, whose call costs as much as the check
         M = M.reshape(1, -1)
-    if M.dtype.char in "bB" and not M.tobytes().translate(None, b"\0\1"):
+    if M.dtype.char in "?bB" and not M.tobytes().translate(None, b"\0\1"):
         return M  # bytes.translate scans a 16-row batch 10x faster than numpy
     if np.count_nonzero(bad := M != (M != 0)):
         raise DatasetError(f"M{_first_cell(bad)} is not binary")
@@ -71,8 +72,10 @@ def binary_mask(M) -> np.ndarray:
 def validate(dataset: MaskedDataset) -> None:
     """Check shape agreement, binary M, and finiteness of observed entries.
 
-    Raises DatasetError naming the first offending cell. NaN/inf at missing
-    positions is fine: those entries are semantically undefined.
+    Every MaskedDataset runs this once, at construction, so a dataset that
+    exists is valid. Raises DatasetError naming the first offending cell.
+    NaN/inf at missing positions is fine: those entries are semantically
+    undefined.
     """
     X, M, y = dataset.X, dataset.M, dataset.y
     if X.ndim != 2 or M.ndim != 2:
@@ -89,6 +92,18 @@ def validate(dataset: MaskedDataset) -> None:
         raise DatasetError(f"non-finite target y{_first_cell(bad)}")
     if dataset.feature_names is not None and len(dataset.feature_names) != X.shape[1]:
         raise DatasetError("feature_names length does not match column count")
+
+
+def batch(X, M, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one input check of every predict(X, M): X as 2-d floats and M as a
+    binary mask (see binary_mask), both d columns wide and of equal shape."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    M = binary_mask(M)
+    if X.shape[1] != d:
+        raise ValueError(f"expected d={d} features, got {X.shape[1]}")
+    if M.shape != X.shape:
+        raise ValueError(f"X shape {X.shape} != M shape {M.shape}")
+    return X, M
 
 
 def unique_patterns(M) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -119,11 +134,13 @@ def read_csv(path, target: str) -> MaskedDataset:
     """Load a MaskedDataset from CSV. Empty cells and `NA` become missing.
 
     The header row is required; `target` names the y column. Missing targets
-    are not allowed.
+    are not allowed, nor are rows of another width than the header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path} is empty: no header row")
         if target not in header:
             raise DatasetError(f"target column {target!r} not in header")
         t_idx = header.index(target)
@@ -132,6 +149,9 @@ def read_csv(path, target: str) -> MaskedDataset:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DatasetError(f"row {len(y_vals)} has {len(row)} fields, "
+                                   f"the header {len(header)}")
             if row[t_idx] in MISSING_TOKENS:
                 raise DatasetError(f"missing target value in row {len(y_vals)}")
             y_vals.append(float(row[t_idx]))
@@ -146,9 +166,8 @@ def read_csv(path, target: str) -> MaskedDataset:
             X_rows.append(xs)
             M_rows.append(ms)
     names = tuple(header[j] for j in feat_idx)
-    ds = MaskedDataset(np.array(X_rows), np.array(M_rows), np.array(y_vals), names)
-    validate(ds)
-    return ds
+    return MaskedDataset(np.array(X_rows), np.array(M_rows), np.array(y_vals),
+                         names)
 
 
 def write_csv(dataset: MaskedDataset, path, target: str = "y") -> None:

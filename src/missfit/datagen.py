@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import MaskedDataset
 
@@ -174,6 +173,8 @@ def adversarial_permute(X_full, M, exact_limit: int = 2000):
     n = X_full.shape[0]
     scores = X_full @ M.T  # scores[i, l] = <x_i, m_l>
     if n <= exact_limit:
+        # imported here: scipy.optimize is most of the package's import time
+        from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(scores, maximize=True)
         sigma = np.empty(n, dtype=int)
         sigma[rows] = cols

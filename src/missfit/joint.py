@@ -9,12 +9,12 @@ of the three candidates gives the lowest training error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, binary_mask, validate
+from .core import MaskedDataset, batch
 from .elasticnet import ElasticNetSpec, fit as enet_fit
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
@@ -67,10 +67,8 @@ def forest_contract(params: TreeParams | None = None) -> RegressorContract:
     base = params or TreeParams(max_depth=6, n_trees=50)
 
     def factory(X, y, seed):
-        p = TreeParams(base.max_depth, base.min_leaf, base.n_trees, base.mtry,
-                       seed, base.task)
         ds = MaskedDataset(X, np.zeros_like(X, dtype=np.int8), y)
-        return _FullyObservedWrapper(fit_forest(ds, p))
+        return _FullyObservedWrapper(fit_forest(ds, replace(base, seed=seed)))
 
     return RegressorContract("forest", factory)
 
@@ -136,8 +134,8 @@ class JointModel:
     stop_reason: str = ""
 
     def predict(self, X, M) -> np.ndarray:
-        Xi = np.where(binary_mask(M) == 1, self.mu, np.atleast_2d(X))
-        return self.predictor.predict(Xi)
+        X, M = batch(X, M, len(self.mu))
+        return self.predictor.predict(np.where(M == 1, self.mu, X))
 
 
 def fit_mean_impute(dataset: MaskedDataset, contract: RegressorContract,
@@ -145,7 +143,6 @@ def fit_mean_impute(dataset: MaskedDataset, contract: RegressorContract,
     """Mean impute-then-regress: mu is the observed column means (see
     learners.mean_impute), and the predictor is fitted once on the imputed
     matrix. No coordinate search, so sigma is zero and the trace empty."""
-    validate(dataset)
     mu, imputed = mean_impute(dataset)
     predictor = contract.factory(imputed, dataset.y, seed)
     return JointModel(mu, np.zeros(dataset.d), predictor, contract.label, [],

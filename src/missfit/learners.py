@@ -10,11 +10,11 @@ with both choices of side for the missing rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, binary_mask, validate
+from .core import MaskedDataset, batch
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,10 @@ class MiaTree:
         return node.prediction
 
     def predict(self, X, M) -> np.ndarray:
-        X = np.atleast_2d(X)
-        M = binary_mask(M)
-        return np.array([self.predict_row(X[i], M[i]) for i in range(len(X))])
+        X, M = batch(X, M, self.d)
+        # rows as lists: a node test on a list is faster than on an array row
+        return np.array([self.predict_row(x, m)
+                         for x, m in zip(X.tolist(), M.tolist())])
 
 
 def _impurity_sums(y: np.ndarray, task: str) -> float:
@@ -244,7 +245,6 @@ def _build(X, M, y, rows, depth, params: TreeParams, rng) -> MiaNode:
 
 def fit_cart_mia(dataset: MaskedDataset, params: TreeParams) -> MiaTree:
     """Fit a single MIA tree on the full dataset (no feature subsampling)."""
-    validate(dataset)
     if dataset.n < 2 * params.min_leaf:
         raise ValueError("need at least 2 * min_leaf rows")
     root = _build(dataset.X, dataset.M, dataset.y, np.arange(dataset.n), 0,
@@ -263,27 +263,18 @@ class Forest:
         return preds.mean(axis=0)
 
 
-def fit_forest(dataset: MaskedDataset, params: TreeParams,
-               bootstrap: bool = True) -> Forest:
-    """Bagged MIA trees with per-split feature subsampling.
-
-    bootstrap=False fits every tree on the full sample (a single such tree
-    with mtry=d reproduces fit_cart_mia exactly).
-    """
-    validate(dataset)
+def fit_forest(dataset: MaskedDataset, params: TreeParams) -> Forest:
+    """Bagged MIA trees, each on a bootstrap sample, with per-split feature
+    subsampling."""
     mtry = params.mtry if params.mtry is not None else int(np.ceil(np.sqrt(dataset.d)))
-    mtry = min(mtry, dataset.d)
+    sub_params = replace(params, mtry=min(mtry, dataset.d))
     trees = []
     root_rng = np.random.default_rng(params.seed)
     tree_seeds = root_rng.integers(0, 2 ** 31, size=params.n_trees)
     for s in tree_seeds:
         rng = np.random.default_rng(int(s))
-        rows = (rng.integers(0, dataset.n, size=dataset.n) if bootstrap
-                else np.arange(dataset.n))
-        sub_params = TreeParams(params.max_depth, params.min_leaf, params.n_trees,
-                                mtry, params.seed, params.task)
-        root = _build(dataset.X, dataset.M, dataset.y, np.asarray(rows), 0,
-                      sub_params, rng)
+        rows = rng.integers(0, dataset.n, size=dataset.n)
+        root = _build(dataset.X, dataset.M, dataset.y, rows, 0, sub_params, rng)
         trees.append(MiaTree(root, dataset.d))
     return Forest(trees, params, dataset.d)
 

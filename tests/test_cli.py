@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import missfit
 from missfit.cli import LOADERS, main
 from missfit.core import MaskedDataset, write_csv
 
@@ -25,6 +30,18 @@ def config_doc(**over):
            "grids": {"static": [{"lam": 0.01}]}}
     doc.update(over)
     return doc
+
+
+def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
+    # each is imported where it is used: together they are most of the
+    # package's import time
+    code = ("import sys, missfit.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))")
+    src = str(Path(missfit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 class TestGenerate:
@@ -211,3 +228,14 @@ class TestInspect:
         code = main(["inspect", str(model)])
         assert code == 0
         assert "AdaptiveModel" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no header row"),
+        ("x1,y\n1.0,2.0\n1.0\n", "row 1 has 1 fields, the header 2"),
+        ("x1,y\n1.0,2.0,3.0\n", "row 0 has 3 fields, the header 2")])
+    def test_malformed_csv_is_usage_error(self, text, message, tmp_path,
+                                          capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert main(["inspect", str(data)]) == 2
+        assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -38,15 +40,15 @@ class TestValidate:
     def test_non_binary_mask_names_cell(self):
         M = np.zeros((3, 2))
         M[1, 0] = 2
-        ds = MaskedDataset(np.zeros((3, 2)), M, np.zeros(3))
         with pytest.raises(DatasetError, match=r"M\[1\]\[0\]"):
+            ds = MaskedDataset(np.zeros((3, 2)), M, np.zeros(3))
             validate(ds)
 
     def test_nan_at_observed_position_rejected(self):
         X = np.zeros((3, 2))
         X[0, 1] = np.nan
-        ds = MaskedDataset(X, np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(DatasetError, match=r"X\[0\]\[1\]"):
+            ds = MaskedDataset(X, np.zeros((3, 2)), np.zeros(3))
             validate(ds)
 
     def test_nan_at_missing_position_ok(self):
@@ -59,6 +61,21 @@ class TestValidate:
     def test_row_count_mismatch(self):
         with pytest.raises(DatasetError):
             validate(MaskedDataset(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(4)))
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("X, M, message", [
+        (np.array([[0.0, np.nan]]), np.zeros((1, 2), dtype=np.int8),
+         r"^non-finite observed value at X\[0\]\[1\]$"),
+        (np.zeros((1, 2)), np.array([[0, 2]], dtype=np.int8),
+         r"^M\[0\]\[1\] is not binary$")])
+    def test_constructor_raises_what_validate_says(self, X, M, message):
+        # a dataset that exists is valid: the constructor runs validate
+        unbuilt = SimpleNamespace(X=X, M=M, y=np.zeros(1), feature_names=None)
+        with pytest.raises(DatasetError, match=message):
+            validate(unbuilt)
+        with pytest.raises(DatasetError, match=message):
+            MaskedDataset(X, M, np.zeros(1))
 
 
 class TestMaskValues:
@@ -171,4 +188,21 @@ def test_csv_requires_target(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DatasetError, match="target"):
+        read_csv(path, "y")
+
+
+def test_csv_empty_file_is_a_dataset_error(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("")
+    with pytest.raises(DatasetError, match="no header row"):
+        read_csv(path, "y")
+
+
+@pytest.mark.parametrize("line", ["5.0,6.0", "5.0,6.0,7.0,8.0"])
+def test_csv_row_of_another_width_names_the_row(tmp_path, line):
+    path = tmp_path / "data.csv"
+    path.write_text(f"a,b,y\n1.0,2.0,3.0\n{line}\n")
+    n = len(line.split(","))
+    with pytest.raises(DatasetError,
+                       match=rf"^row 1 has {n} fields, the header 3$"):
         read_csv(path, "y")

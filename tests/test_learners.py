@@ -261,14 +261,6 @@ class TestCart:
 
 
 class TestForest:
-    def test_single_tree_no_bootstrap_matches_cart(self):
-        ds = random_dataset(10, n=150, d=3)
-        params = TreeParams(n_trees=1, mtry=3)
-        forest = fit_forest(ds, params, bootstrap=False)
-        cart = fit_cart_mia(ds, params)
-        assert np.array_equal(forest.predict(ds.X, ds.M),
-                              cart.predict(ds.X, ds.M))
-
     def test_deterministic_given_seed(self):
         ds = random_dataset(11, n=120)
         a = fit_forest(ds, TreeParams(n_trees=10, seed=5))

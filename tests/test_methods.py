@@ -101,6 +101,18 @@ def test_predict_rejects_a_non_binary_mask(name, value, dtype):
 
 
 @pytest.mark.parametrize("name", list(bench.METHODS))
+def test_predict_rejects_a_mismatched_batch(name):
+    # a 1-row mask, two extra mask rows, one extra column: never broadcast,
+    # cut or ignored
+    _, test = split()
+    X, M = test.X[:5], test.M[:5]
+    wider = lambda A: np.hstack([A, A[:, :1]])
+    for bad_X, bad_M in [(X, M[:1]), (X, test.M[:7]), (wider(X), wider(M))]:
+        with pytest.raises(ValueError):
+            clean_fit(name).predict(bad_X, bad_M)
+
+
+@pytest.mark.parametrize("name", list(bench.METHODS))
 def test_bool_mask_predicts_as_its_int8_form(name):
     _, test = split()
     assert np.array_equal(clean_fit(name).predict(test.X, test.M == 1),
