@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,6 +155,28 @@ class AdaptiveModel:
         # The body stays under predict_matrix, the name the benchmark binds.
         return self.predict_matrix(X, M)
 
+    def to_dict(self) -> dict:
+        doc = {"type": "adaptive", "mode": self.mode.name, "d": self.d,
+               "expansion_size": self.expansion_size}
+        if self.mode.kind == "fully_adaptive":
+            doc["patterns"] = [{"bits": list(k), "fit": v.to_dict()}
+                               for k, v in self.pattern_fits.items()]
+            doc["fallback"] = self.fallback.to_dict()
+        else:
+            doc["fit"] = self.fit.to_dict()
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc) -> AdaptiveModel:
+        mode = ExpansionMode.parse(doc["mode"])
+        if mode.kind == "fully_adaptive":
+            pats = {tuple(p["bits"]): LinearFit.from_dict(p["fit"])
+                    for p in doc["patterns"]}
+            return cls(mode, doc["d"], None, doc["expansion_size"], pats,
+                       LinearFit.from_dict(doc["fallback"]))
+        return cls(mode, doc["d"], LinearFit.from_dict(doc["fit"]),
+                   doc["expansion_size"])
+
 
 def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
                  spec: ElasticNetSpec) -> AdaptiveModel:
@@ -183,7 +205,6 @@ def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
 def _with_weights(A, spec: ElasticNetSpec) -> ElasticNetSpec:
     if spec.penalty_weights is not None:
         return spec
-    from dataclasses import replace
     return replace(spec, penalty_weights=support_penalty_weights(A))
 
 
@@ -214,6 +235,23 @@ class TreeNode:
     split_feature: int | None = None  # None at leaves
     left: "TreeNode | None" = None    # m_j = 0 branch
     right: "TreeNode | None" = None   # m_j = 1 branch
+
+    def to_dict(self) -> dict:
+        doc = {"fit": self.fit.to_dict(), "n_rows": self.n_rows}
+        if self.split_feature is not None:
+            doc["split_feature"] = self.split_feature
+            doc["left"] = self.left.to_dict()
+            doc["right"] = self.right.to_dict()
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc) -> TreeNode:
+        node = cls(LinearFit.from_dict(doc["fit"]), doc["n_rows"])
+        if "split_feature" in doc:
+            node.split_feature = doc["split_feature"]
+            node.left = cls.from_dict(doc["left"])
+            node.right = cls.from_dict(doc["right"])
+        return node
 
 
 @dataclass
@@ -246,6 +284,13 @@ class PartitionTree:
             else:
                 stack.extend([node.right, node.left])
         return out
+
+    def to_dict(self) -> dict:
+        return {"type": "partition_tree", "d": self.d, "root": self.root.to_dict()}
+
+    @classmethod
+    def from_dict(cls, doc) -> PartitionTree:
+        return cls(TreeNode.from_dict(doc["root"]), doc["d"])
 
 
 def _static_fit_sse(sub: MaskedDataset, spec: ElasticNetSpec):
@@ -299,65 +344,19 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip
-
-def _fit_to_json(f: LinearFit) -> dict:
-    return {"intercept": f.intercept, "coefficients": list(map(float, f.coefficients)),
-            "converged": f.converged}
-
-
-def _fit_from_json(obj) -> LinearFit:
-    return LinearFit(obj["intercept"], np.array(obj["coefficients"]), [],
-                     obj.get("converged", True))
-
+# JSON text of the documents above; the benchmark's tracer binds these by name.
 
 def model_to_json(model: AdaptiveModel) -> str:
-    doc = {"type": "adaptive", "mode": model.mode.name, "d": model.d,
-           "expansion_size": model.expansion_size}
-    if model.mode.kind == "fully_adaptive":
-        doc["patterns"] = [{"bits": list(k), "fit": _fit_to_json(v)}
-                           for k, v in model.pattern_fits.items()]
-        doc["fallback"] = _fit_to_json(model.fallback)
-    else:
-        doc["fit"] = _fit_to_json(model.fit)
-    return json.dumps(doc, indent=1)
+    return json.dumps(model.to_dict(), indent=1)
 
 
 def model_from_json(text: str) -> AdaptiveModel:
-    doc = json.loads(text)
-    mode = ExpansionMode.parse(doc["mode"])
-    if mode.kind == "fully_adaptive":
-        pats = {tuple(p["bits"]): _fit_from_json(p["fit"])
-                for p in doc["patterns"]}
-        return AdaptiveModel(mode, doc["d"], None, doc["expansion_size"],
-                             pats, _fit_from_json(doc["fallback"]))
-    return AdaptiveModel(mode, doc["d"], _fit_from_json(doc["fit"]),
-                         doc["expansion_size"])
-
-
-def _node_to_json(node: TreeNode) -> dict:
-    doc = {"fit": _fit_to_json(node.fit), "n_rows": node.n_rows}
-    if node.split_feature is not None:
-        doc["split_feature"] = node.split_feature
-        doc["left"] = _node_to_json(node.left)
-        doc["right"] = _node_to_json(node.right)
-    return doc
-
-
-def _node_from_json(obj) -> TreeNode:
-    node = TreeNode(_fit_from_json(obj["fit"]), obj["n_rows"])
-    if "split_feature" in obj:
-        node.split_feature = obj["split_feature"]
-        node.left = _node_from_json(obj["left"])
-        node.right = _node_from_json(obj["right"])
-    return node
+    return AdaptiveModel.from_dict(json.loads(text))
 
 
 def tree_to_json(tree: PartitionTree) -> str:
-    return json.dumps({"type": "partition_tree", "d": tree.d,
-                       "root": _node_to_json(tree.root)}, indent=1)
+    return json.dumps(tree.to_dict(), indent=1)
 
 
 def tree_from_json(text: str) -> PartitionTree:
-    doc = json.loads(text)
-    return PartitionTree(_node_from_json(doc["root"]), doc["d"])
+    return PartitionTree.from_dict(json.loads(text))

@@ -22,14 +22,10 @@ import numpy as np
 
 from .core import MaskedDataset, batch, read_csv
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
-from .adaptive import (ExpansionMode, fit_adaptive, fit_finite_adaptive,
-                       model_to_json as adaptive_to_json,
-                       tree_to_json as partition_tree_to_json)
-from .joint import (FitLimits, auc_error, fit_mean_impute, joint_fit,
-                    joint_model_to_json, linear_contract, mse_error,
-                    tree_contract, forest_contract)
-from .learners import (TreeParams, fit_cart_mia, fit_forest, forest_to_json,
-                       tree_to_json as mia_tree_to_json)
+from .adaptive import ExpansionMode, fit_adaptive, fit_finite_adaptive
+from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
+                    mse_error, tree_contract, forest_contract)
+from .learners import TreeParams, fit_cart_mia, fit_forest
 from .datagen import GeneratorSpec, generate
 
 log = logging.getLogger("missfit.bench")
@@ -63,6 +59,11 @@ def scaled_auc(y, scores) -> float:
     auc = (ranks[y == 1].sum() - len(pos) * (len(pos) + 1) / 2.0) \
         / (len(pos) * len(neg))
     return 2.0 * auc - 1.0
+
+
+def auc_error(y, scores) -> float:
+    """1 - AUC, midrank tie handling. Lower is better, matching mse_error."""
+    return 1.0 - (scaled_auc(y, scores) + 1.0) / 2.0
 
 
 def _is_binary(y) -> bool:
@@ -143,7 +144,7 @@ def _fit_on_design(name, train, params, seed, task):
 class Method:
     fit: Callable      # (name, train, params, seed, task) -> model
     grid: list[dict]   # default hyper-parameter grid for kfold_cv
-    to_json: Callable | None = None  # how `missfit fit` saves the model
+    saves: bool = False  # `missfit fit` may save it (model.to_dict())
 
 
 def _lams(*lams):
@@ -155,25 +156,20 @@ def _depths(*depths, **fixed):
 
 
 METHODS = {
-    "static": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), adaptive_to_json),
-    "affine_intercept": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001),
-                               adaptive_to_json),
-    "affine": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), adaptive_to_json),
-    "polynomial2": Method(_fit_adaptive, _lams(0.1, 0.01), adaptive_to_json),
-    "fully_adaptive": Method(_fit_adaptive, _lams(0.1, 0.01), adaptive_to_json),
-    "finite": Method(_fit_finite, _depths(1, 2, 3), partition_tree_to_json),
-    "joint_linear": Method(_fit_imputed, _lams(0.01, 0.001), joint_model_to_json),
-    "joint_tree": Method(_fit_imputed, _depths(3, 5), joint_model_to_json),
-    "joint_forest": Method(_fit_imputed, _depths(6, n_trees=50),
-                           joint_model_to_json),
-    "mean_impute_linear": Method(_fit_imputed, _lams(0.1, 0.01, 0.001),
-                                 joint_model_to_json),
-    "mean_impute_tree": Method(_fit_imputed, _depths(3, 5, 7),
-                               joint_model_to_json),
-    "mean_impute_forest": Method(_fit_imputed, _depths(6, 9, n_trees=100),
-                                 joint_model_to_json),
-    "cart_mia": Method(_fit_mia, _depths(2, 4, 6, 8, 10), mia_tree_to_json),
-    "rf_mia": Method(_fit_mia, _depths(6, 9, n_trees=100), forest_to_json),
+    "static": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), True),
+    "affine_intercept": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), True),
+    "affine": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), True),
+    "polynomial2": Method(_fit_adaptive, _lams(0.1, 0.01), True),
+    "fully_adaptive": Method(_fit_adaptive, _lams(0.1, 0.01), True),
+    "finite": Method(_fit_finite, _depths(1, 2, 3), True),
+    "joint_linear": Method(_fit_imputed, _lams(0.01, 0.001), True),
+    "joint_tree": Method(_fit_imputed, _depths(3, 5), True),
+    "joint_forest": Method(_fit_imputed, _depths(6, n_trees=50), True),
+    "mean_impute_linear": Method(_fit_imputed, _lams(0.1, 0.01, 0.001), True),
+    "mean_impute_tree": Method(_fit_imputed, _depths(3, 5, 7), True),
+    "mean_impute_forest": Method(_fit_imputed, _depths(6, 9, n_trees=100), True),
+    "cart_mia": Method(_fit_mia, _depths(2, 4, 6, 8, 10), True),
+    "rf_mia": Method(_fit_mia, _depths(6, 9, n_trees=100), True),
     "complete_features": Method(_fit_on_design, _lams(0.1, 0.01, 0.001)),
     "oracle": Method(_fit_on_design, _lams(0.1, 0.01, 0.001)),
 }

@@ -16,12 +16,12 @@ import numpy as np
 from . import adaptive, bench, datagen, joint, learners
 from .core import DatasetError, read_csv, unique_patterns
 
-# Saved model type -> loader.
-LOADERS = {"adaptive": adaptive.model_from_json,
-           "partition_tree": adaptive.tree_from_json,
-           "joint": joint.joint_model_from_json,
-           "mia_tree": learners.tree_from_json,
-           "mia_forest": learners.forest_from_json}
+# Saved model type -> the class whose from_dict reads it.
+LOADERS = {"adaptive": adaptive.AdaptiveModel,
+           "partition_tree": adaptive.PartitionTree,
+           "joint": joint.JointModel,
+           "mia_tree": learners.MiaTree,
+           "mia_forest": learners.Forest}
 
 
 class UsageError(Exception):
@@ -57,8 +57,8 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     method = bench.METHODS.get(args.method)
-    if method is None or method.to_json is None:
-        valid = [m for m, spec in bench.METHODS.items() if spec.to_json]
+    if method is None or not method.saves:
+        valid = [m for m, spec in bench.METHODS.items() if spec.saves]
         raise UsageError(
             f"unknown method {args.method!r}; valid: {', '.join(valid)}")
     dataset = read_csv(args.data, args.target)
@@ -67,7 +67,7 @@ def cmd_fit(args) -> int:
                              "regression")
     yhat = model.predict(dataset.X, dataset.M)
     with open(args.out, "w") as fh:
-        fh.write(method.to_json(model))
+        fh.write(json.dumps(model.to_dict(), indent=1))
     mse = float(np.mean((dataset.y - yhat) ** 2))
     print(f"wrote {args.out}")
     print(f"training MSE {_sig6(mse)}  R2 {_sig6(bench.r_squared(dataset.y, yhat))}")
@@ -77,12 +77,12 @@ def cmd_fit(args) -> int:
 def _load_model(path):
     with open(path) as fh:
         text = fh.read()
-    try:  # not JSON, or a field the loader needs is missing or ill-typed
+    try:  # not JSON, or a field from_dict needs is missing or ill-typed
         doc = json.loads(text)
-        loader = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
-        if loader is None:
+        cls = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
+        if cls is None:
             raise UsageError(f"unrecognized model file {path}")
-        return loader(text)
+        return cls.from_dict(doc)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise UsageError(f"malformed model file {path}: {exc!r}") from exc
 

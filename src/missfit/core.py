@@ -130,11 +130,19 @@ def unique_patterns(M) -> list[tuple[tuple[int, ...], np.ndarray]]:
 MISSING_TOKENS = ("", "NA")
 
 
+def _number(row, j, i, header) -> float:
+    try:
+        return float(row[j])
+    except ValueError:
+        raise DatasetError(f"row {i} column {header[j]!r}: {row[j]!r} is not "
+                           "a number") from None
+
+
 def read_csv(path, target: str) -> MaskedDataset:
     """Load a MaskedDataset from CSV. Empty cells and `NA` become missing.
 
-    The header row is required; `target` names the y column. Missing targets
-    are not allowed, nor are rows of another width than the header.
+    The header row is required; `target` names the y column. Missing targets,
+    non-numeric fields and rows of another width than the header are refused.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -154,15 +162,15 @@ def read_csv(path, target: str) -> MaskedDataset:
                                    f"the header {len(header)}")
             if row[t_idx] in MISSING_TOKENS:
                 raise DatasetError(f"missing target value in row {len(y_vals)}")
-            y_vals.append(float(row[t_idx]))
             xs, ms = [], []
             for j in feat_idx:
                 if row[j] in MISSING_TOKENS:
                     xs.append(0.0)
                     ms.append(1)
                 else:
-                    xs.append(float(row[j]))
+                    xs.append(_number(row, j, len(y_vals), header))
                     ms.append(0)
+            y_vals.append(_number(row, t_idx, len(y_vals), header))
             X_rows.append(xs)
             M_rows.append(ms)
     names = tuple(header[j] for j in feat_idx)

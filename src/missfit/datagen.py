@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import MaskedDataset
+from .core import MaskedDataset, write_csv
 
 
 @dataclass(frozen=True)
@@ -61,25 +61,25 @@ class SemiSyntheticSpec:
 class GroundTruth:
     """Noise-free signal function; evaluates on fully observed feature rows."""
 
-    def __init__(self, support, kind, params, scale_mean, scale_std):
+    def __init__(self, support, kind, params):
         self.support = np.asarray(support)
         self.kind = kind
         self.params = params
-        self.scale_mean = scale_mean
-        self.scale_std = scale_std
+        self.scale_mean, self.scale_std = 0.0, 1.0  # set by _noisy_signal
 
-    def __call__(self, X, M=None) -> np.ndarray:
-        X = np.atleast_2d(X)
-        inputs = X[:, self.support]
+    def raw(self, X, M=None) -> np.ndarray:
+        """The signal before standardization."""
+        inputs = np.atleast_2d(X)[:, self.support]
         if M is not None and self.params.get("mask_cols") is not None:
             mask_cols = self.params["mask_cols"]
             inputs = np.column_stack([inputs, np.atleast_2d(M)[:, mask_cols]])
         if self.kind == "linear":
-            raw = self.params["b"] + inputs @ self.params["w"]
-        else:
-            h = np.maximum(inputs @ self.params["W1"].T + self.params["c"], 0.0)
-            raw = h @ self.params["v"]
-        return (raw - self.scale_mean) / self.scale_std
+            return self.params["b"] + inputs @ self.params["w"]
+        h = np.maximum(inputs @ self.params["W1"].T + self.params["c"], 0.0)
+        return h @ self.params["v"]
+
+    def __call__(self, X, M=None) -> np.ndarray:
+        return (self.raw(X, M) - self.scale_mean) / self.scale_std
 
 
 def gen_design(spec: GeneratorSpec) -> np.ndarray:
@@ -91,35 +91,33 @@ def gen_design(spec: GeneratorSpec) -> np.ndarray:
     return rng.normal(size=(spec.n, spec.d)) @ L.T
 
 
-def _raw_signal(inputs, kind, rng):
-    k_in = inputs.shape[1]
+def _noisy_signal(X, M, support, mask_cols, kind, snr, rng):
+    """Draw a linear or small-network signal over X[:, support] (and the
+    mask_cols of M), standardize it to unit empirical variance, and add
+    noise of standard deviation 1/sqrt(snr). Returns (y, truth)."""
+    k_in = len(support) + (0 if mask_cols is None else len(mask_cols))
     if kind == "linear":
-        b = float(rng.normal())
-        w = rng.uniform(-1.0, 1.0, size=k_in)
-        return {"b": b, "w": w}, b + inputs @ w
-    hidden = 10
-    W1 = rng.normal(size=(hidden, k_in))
-    c = rng.normal(size=hidden)
-    v = rng.normal(size=hidden)
-    return {"W1": W1, "c": c, "v": v}, np.maximum(inputs @ W1.T + c, 0.0) @ v
+        params = {"b": float(rng.normal()),
+                  "w": rng.uniform(-1.0, 1.0, size=k_in)}
+    else:
+        hidden = 10
+        params = {"W1": rng.normal(size=(hidden, k_in)),
+                  "c": rng.normal(size=hidden), "v": rng.normal(size=hidden)}
+    params["mask_cols"] = mask_cols
+    truth = GroundTruth(support, kind, params)
+    raw = truth.raw(X, M)
+    if np.var(raw) <= 1e-12:
+        raise ValueError("degenerate signal: zero empirical variance")
+    truth.scale_mean, truth.scale_std = float(np.mean(raw)), float(np.std(raw))
+    f = (raw - truth.scale_mean) / truth.scale_std
+    return f + rng.normal(scale=1.0 / np.sqrt(snr), size=len(f)), truth
 
 
 def gen_signal(X, spec: GeneratorSpec) -> tuple[np.ndarray, GroundTruth]:
-    """Signal over k random support features plus SNR-calibrated noise.
-
-    The noise-free signal is standardized to unit empirical variance, so the
-    noise standard deviation is 1/sqrt(snr).
-    """
+    """Signal over k random support features plus SNR-calibrated noise."""
     rng = np.random.default_rng(spec.seed + 1)
     support = np.sort(rng.choice(spec.d, spec.k, replace=False))
-    params, raw = _raw_signal(X[:, support], spec.signal, rng)
-    if np.var(raw) <= 1e-12:
-        raise ValueError("degenerate signal: zero empirical variance")
-    truth = GroundTruth(support, spec.signal, params,
-                        float(np.mean(raw)), float(np.std(raw)))
-    f = truth(X)
-    noise = rng.normal(scale=1.0 / np.sqrt(spec.snr), size=len(f))
-    return f + noise, truth
+    return _noisy_signal(X, None, support, None, spec.signal, spec.snr, rng)
 
 
 def apply_mcar(n: int, d: int, p: float, seed: int) -> np.ndarray:
@@ -140,11 +138,12 @@ def apply_censoring(X, p: float, thresholds=None) -> np.ndarray:
         raise ValueError("p must be in (0, 1)")
     X = np.asarray(X, dtype=float)
     if thresholds is None:
-        thresholds = np.quantile(X, 1.0 - p, axis=0)  # type-7 interpolation
+        thresholds = censoring_thresholds(X, p)
     return (X > thresholds).astype(np.int8)
 
 
 def censoring_thresholds(X, p: float) -> np.ndarray:
+    """Each column's (1-p) empirical quantile (type-7 interpolation)."""
     return np.quantile(np.asarray(X, dtype=float), 1.0 - p, axis=0)
 
 
@@ -204,7 +203,6 @@ def gen_semisynthetic(X_full, M, spec: SemiSyntheticSpec):
     """
     X_full = np.asarray(X_full, dtype=float)
     M = np.asarray(M)
-    n, d = X_full.shape
     rng = np.random.default_rng(spec.seed)
     missing_cols = np.flatnonzero(M.sum(axis=0) > 0)
     clean_cols = np.flatnonzero(M.sum(axis=0) == 0)
@@ -218,20 +216,11 @@ def gen_semisynthetic(X_full, M, spec: SemiSyntheticSpec):
     sup_clean = rng.choice(clean_cols, spec.k - spec.k_missing, replace=False)
     support = np.sort(np.concatenate([sup_miss, sup_clean]).astype(int))
 
-    inputs = X_full[:, support]
     mask_cols = None
     if spec.setting == "nmar" and spec.k_missing > 0:
         mask_cols = np.sort(sup_miss.astype(int))
-        inputs = np.column_stack([inputs, M[:, mask_cols].astype(float)])
-    params, raw = _raw_signal(inputs, spec.signal, rng)
-    if np.var(raw) <= 1e-12:
-        raise ValueError("degenerate signal: zero empirical variance")
-    params["mask_cols"] = mask_cols
-    truth = GroundTruth(support, spec.signal, params,
-                        float(np.mean(raw)), float(np.std(raw)))
-    f = (raw - truth.scale_mean) / truth.scale_std
-    y = f + rng.normal(scale=1.0 / np.sqrt(spec.snr), size=n)
-
+    y, truth = _noisy_signal(X_full, M, support, mask_cols, spec.signal,
+                             spec.snr, rng)
     if spec.setting == "am":
         sigma, _ = adversarial_permute(X_full, M)
         return y, np.asarray(M)[sigma], truth
@@ -240,7 +229,6 @@ def gen_semisynthetic(X_full, M, spec: SemiSyntheticSpec):
 
 def save_dataset(dataset: MaskedDataset, csv_path, sidecar_path, spec) -> None:
     """Write the CSV plus a JSON sidecar recording the generating spec."""
-    from .core import write_csv
     write_csv(dataset, csv_path)
     doc = {"spec": asdict(spec), "n": dataset.n, "d": dataset.d,
            "missing_fraction": [float(dataset.M[:, j].mean())

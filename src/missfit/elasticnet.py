@@ -55,6 +55,16 @@ class LinearFit:
     def predict(self, X) -> np.ndarray:
         return self.intercept + np.asarray(X, dtype=float) @ self.coefficients
 
+    def to_dict(self) -> dict:
+        return {"intercept": self.intercept,
+                "coefficients": list(map(float, self.coefficients)),
+                "converged": self.converged}
+
+    @classmethod
+    def from_dict(cls, doc) -> LinearFit:
+        return cls(doc["intercept"], np.array(doc["coefficients"]), [],
+                   doc.get("converged", True))
+
 
 def soft_threshold(z: float, gamma: float) -> float:
     """sign(z) * max(|z| - gamma, 0) for gamma >= 0, where sign(-0.0) is +0.0."""

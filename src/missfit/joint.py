@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import MaskedDataset, batch
-from .elasticnet import ElasticNetSpec, fit as enet_fit
+from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
 
@@ -98,12 +98,6 @@ def mse_error(y, yhat) -> float:
     return float(np.mean((np.asarray(y) - np.asarray(yhat)) ** 2))
 
 
-def auc_error(y, scores) -> float:
-    """1 - AUC, midrank tie handling. Lower is better, matching mse_error."""
-    from .bench import scaled_auc
-    return 1.0 - (scaled_auc(y, scores) + 1.0) / 2.0
-
-
 def coordinate_step(mu, j, sigma_j, predictor, dataset: MaskedDataset,
                     error_metric, current: float) -> tuple[int, float]:
     """Pick the best of mu_j + eps * sigma_j for eps in {-1, 0, +1}.
@@ -136,6 +130,29 @@ class JointModel:
     def predict(self, X, M) -> np.ndarray:
         X, M = batch(X, M, len(self.mu))
         return self.predictor.predict(np.where(M == 1, self.mu, X))
+
+    def to_dict(self) -> dict:
+        pred = self.predictor
+        if isinstance(pred, _FullyObservedWrapper):
+            predictor = pred.model.to_dict()
+        else:  # its own document, with a type and no converged flag
+            predictor = {"type": "linear", "intercept": float(pred.intercept),
+                         "coefficients": list(map(float, pred.coefficients))}
+        return {"type": "joint", "contract": self.contract_label,
+                "mu": list(map(float, self.mu)),
+                "sigma": list(map(float, self.sigma)),
+                "stop_reason": self.stop_reason, "predictor": predictor}
+
+    @classmethod
+    def from_dict(cls, doc) -> JointModel:
+        p = doc["predictor"]
+        if p["type"] == "linear":
+            predictor = LinearFit.from_dict(p)
+        else:
+            model = MiaTree if p["type"] == "mia_tree" else Forest
+            predictor = _FullyObservedWrapper(model.from_dict(p))
+        return cls(np.array(doc["mu"]), np.array(doc["sigma"]), predictor,
+                   doc["contract"], [], stop_reason=doc.get("stop_reason", ""))
 
 
 def fit_mean_impute(dataset: MaskedDataset, contract: RegressorContract,
@@ -225,33 +242,11 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
                       cycles_per_iter, stop_reason)
 
 
+# JSON text of JointModel documents; the benchmark's tracer binds these by name.
+
 def joint_model_to_json(model: JointModel) -> str:
-    from . import learners
-    doc = {"type": "joint", "contract": model.contract_label,
-           "mu": list(map(float, model.mu)), "sigma": list(map(float, model.sigma)),
-           "stop_reason": model.stop_reason}
-    pred = model.predictor
-    if isinstance(pred, _FullyObservedWrapper):
-        inner = pred.model
-        doc["predictor"] = json.loads(
-            learners.tree_to_json(inner) if isinstance(inner, MiaTree)
-            else learners.forest_to_json(inner))
-    else:
-        doc["predictor"] = {"type": "linear", "intercept": float(pred.intercept),
-                            "coefficients": list(map(float, pred.coefficients))}
-    return json.dumps(doc, indent=1)
+    return json.dumps(model.to_dict(), indent=1)
 
 
 def joint_model_from_json(text: str) -> JointModel:
-    from . import learners
-    from .elasticnet import LinearFit
-    doc = json.loads(text)
-    p = doc["predictor"]
-    if p["type"] == "linear":
-        predictor = LinearFit(p["intercept"], np.array(p["coefficients"]), [])
-    elif p["type"] == "mia_tree":
-        predictor = _FullyObservedWrapper(learners.tree_from_json(json.dumps(p)))
-    else:
-        predictor = _FullyObservedWrapper(learners.forest_from_json(json.dumps(p)))
-    return JointModel(np.array(doc["mu"]), np.array(doc["sigma"]), predictor,
-                      doc["contract"], [], stop_reason=doc.get("stop_reason", ""))
+    return JointModel.from_dict(json.loads(text))

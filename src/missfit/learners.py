@@ -10,7 +10,7 @@ with both choices of side for the missing rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,25 @@ class MiaNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
+    def to_dict(self) -> dict:
+        doc = {"prediction": self.prediction, "n_rows": self.n_rows}
+        if not self.is_leaf():
+            doc.update(feature=int(self.feature), threshold=self.threshold,
+                       missing_side=self.missing_side,
+                       left=self.left.to_dict(), right=self.right.to_dict())
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc) -> MiaNode:
+        node = cls(doc["prediction"], doc["n_rows"])
+        if "feature" in doc:
+            node.feature = doc["feature"]
+            node.threshold = doc["threshold"]
+            node.missing_side = doc["missing_side"]
+            node.left = cls.from_dict(doc["left"])
+            node.right = cls.from_dict(doc["right"])
+        return node
+
 
 @dataclass
 class MiaTree:
@@ -69,6 +88,13 @@ class MiaTree:
         # rows as lists: a node test on a list is faster than on an array row
         return np.array([self.predict_row(x, m)
                          for x, m in zip(X.tolist(), M.tolist())])
+
+    def to_dict(self) -> dict:
+        return {"type": "mia_tree", "d": self.d, "root": self.root.to_dict()}
+
+    @classmethod
+    def from_dict(cls, doc) -> MiaTree:
+        return cls(MiaNode.from_dict(doc["root"]), doc["d"])
 
 
 def _impurity_sums(y: np.ndarray, task: str) -> float:
@@ -262,6 +288,15 @@ class Forest:
         preds = np.stack([t.predict(X, M) for t in self.trees])
         return preds.mean(axis=0)
 
+    def to_dict(self) -> dict:
+        return {"type": "mia_forest", "d": self.d, "params": asdict(self.params),
+                "trees": [t.root.to_dict() for t in self.trees]}
+
+    @classmethod
+    def from_dict(cls, doc) -> Forest:
+        trees = [MiaTree(MiaNode.from_dict(t), doc["d"]) for t in doc["trees"]]
+        return cls(trees, TreeParams(**doc["params"]), doc["d"])
+
 
 def fit_forest(dataset: MaskedDataset, params: TreeParams) -> Forest:
     """Bagged MIA trees, each on a bootstrap sample, with per-split feature
@@ -294,52 +329,19 @@ def mean_impute(dataset: MaskedDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip
-
-def _node_to_json(node: MiaNode) -> dict:
-    doc = {"prediction": node.prediction, "n_rows": node.n_rows}
-    if not node.is_leaf():
-        doc.update(feature=int(node.feature), threshold=node.threshold,
-                   missing_side=node.missing_side,
-                   left=_node_to_json(node.left), right=_node_to_json(node.right))
-    return doc
-
-
-def _node_from_json(obj) -> MiaNode:
-    node = MiaNode(obj["prediction"], obj["n_rows"])
-    if "feature" in obj:
-        node.feature = obj["feature"]
-        node.threshold = obj["threshold"]
-        node.missing_side = obj["missing_side"]
-        node.left = _node_from_json(obj["left"])
-        node.right = _node_from_json(obj["right"])
-    return node
-
+# JSON text of the documents above; the benchmark's tracer binds these by name.
 
 def tree_to_json(tree: MiaTree) -> str:
-    return json.dumps({"type": "mia_tree", "d": tree.d,
-                       "root": _node_to_json(tree.root)}, indent=1)
+    return json.dumps(tree.to_dict(), indent=1)
 
 
 def tree_from_json(text: str) -> MiaTree:
-    doc = json.loads(text)
-    return MiaTree(_node_from_json(doc["root"]), doc["d"])
+    return MiaTree.from_dict(json.loads(text))
 
 
 def forest_to_json(forest: Forest) -> str:
-    return json.dumps({
-        "type": "mia_forest", "d": forest.d,
-        "params": {"max_depth": forest.params.max_depth,
-                   "min_leaf": forest.params.min_leaf,
-                   "n_trees": forest.params.n_trees,
-                   "mtry": forest.params.mtry,
-                   "seed": forest.params.seed,
-                   "task": forest.params.task},
-        "trees": [_node_to_json(t.root) for t in forest.trees]}, indent=1)
+    return json.dumps(forest.to_dict(), indent=1)
 
 
 def forest_from_json(text: str) -> Forest:
-    doc = json.loads(text)
-    params = TreeParams(**doc["params"])
-    trees = [MiaTree(_node_from_json(t), doc["d"]) for t in doc["trees"]]
-    return Forest(trees, params, doc["d"])
+    return Forest.from_dict(json.loads(text))

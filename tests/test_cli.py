@@ -239,3 +239,10 @@ class TestInspect:
         data.write_text(text)
         assert main(["inspect", str(data)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_non_numeric_field_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n1.0,abc,3.0\n")
+        assert main(["inspect", str(data)]) == 2
+        assert "row 0 column 'x2': 'abc' is not a number" in \
+            capsys.readouterr().err

@@ -206,3 +206,13 @@ def test_csv_row_of_another_width_names_the_row(tmp_path, line):
     with pytest.raises(DatasetError,
                        match=rf"^row 1 has {n} fields, the header 3$"):
         read_csv(path, "y")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1.0,abc,3.0", r"^row 1 column 'b': 'abc' is not a number$"),
+    ("1.0,2.0,x", r"^row 1 column 'y': 'x' is not a number$")])
+def test_csv_non_numeric_field_names_row_and_column(tmp_path, line, message):
+    path = tmp_path / "data.csv"
+    path.write_text(f"a,b,y\n1.0,2.0,3.0\n{line}\n")
+    with pytest.raises(DatasetError, match=message):
+        read_csv(path, "y")

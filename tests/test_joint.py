@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from missfit.bench import auc_error
 from missfit.core import MaskedDataset
 from missfit.elasticnet import ElasticNetSpec
-from missfit.joint import (FitLimits, auc_error, coordinate_step,
+from missfit.joint import (FitLimits, coordinate_step,
                            forest_contract, impute_with, joint_fit,
                            joint_model_from_json, joint_model_to_json,
                            linear_contract, mse_error, tree_contract)

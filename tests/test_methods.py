@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CLI_CORE = ("static", "affine_intercept", "affine", "polynomial2",
             "fully_adaptive", "finite", "joint_linear", "joint_tree",
             "joint_forest", "cart_mia", "rf_mia")
-SAVED = [m for m, spec in bench.METHODS.items() if spec.to_json is not None]
+SAVED = [m for m, spec in bench.METHODS.items() if spec.saves]
 FILLS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "1e300": 1e300}
 
 
