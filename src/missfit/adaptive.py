@@ -54,6 +54,9 @@ class ExpansionMode:
             return f"polynomial{self.degree}"
         return self.kind
 
+    def __str__(self) -> str:
+        return self.name
+
 
 STATIC = ExpansionMode("static")
 AFFINE_INTERCEPT = ExpansionMode("affine_intercept")
@@ -188,24 +191,24 @@ def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
     if dataset.n < 1:
         raise ValueError("empty dataset")
     if mode.kind == "fully_adaptive":
-        pattern_fits = {}
-        for pattern, rows in unique_patterns(dataset.M):
-            sub = dataset.subset(rows)
-            A = expand_matrix(sub.X, sub.M, STATIC)
-            pattern_fits[pattern] = enet_fit(A, sub.y, _with_weights(A, spec))
-        A_all = expand_matrix(dataset.X, dataset.M, STATIC)
-        fallback = enet_fit(A_all, dataset.y, _with_weights(A_all, spec))
+        pattern_fits = {pattern: _fit_design(dataset.subset(rows), STATIC, spec)[0]
+                        for pattern, rows in unique_patterns(dataset.M)}
+        fallback, _ = _fit_design(dataset, STATIC, spec)
         return AdaptiveModel(mode, dataset.d, None, len(pattern_fits),
                              pattern_fits, fallback)
-    A = expand_matrix(dataset.X, dataset.M, mode)
-    lin = enet_fit(A, dataset.y, _with_weights(A, spec))
+    lin, A = _fit_design(dataset, mode, spec)
     return AdaptiveModel(mode, dataset.d, lin, A.shape[1])
 
 
-def _with_weights(A, spec: ElasticNetSpec) -> ElasticNetSpec:
-    if spec.penalty_weights is not None:
-        return spec
-    return replace(spec, penalty_weights=support_penalty_weights(A))
+def _fit_design(dataset: MaskedDataset, mode: ExpansionMode,
+                spec: ElasticNetSpec) -> tuple[LinearFit, np.ndarray]:
+    """The elastic-net fit on the expanded design of dataset, and that design.
+    The penalty weights are the design's support weights unless the spec
+    pins them."""
+    A = expand_matrix(dataset.X, dataset.M, mode)
+    if spec.penalty_weights is None:
+        spec = replace(spec, penalty_weights=support_penalty_weights(A))
+    return enet_fit(A, dataset.y, spec), A
 
 
 def extract_imputation(model: AdaptiveModel) -> tuple[np.ndarray, np.ndarray]:
@@ -294,10 +297,8 @@ class PartitionTree:
 
 
 def _static_fit_sse(sub: MaskedDataset, spec: ElasticNetSpec):
-    A = expand_matrix(sub.X, sub.M, STATIC)
-    f = enet_fit(A, sub.y, _with_weights(A, spec))
-    sse = float(np.sum((sub.y - f.predict(A)) ** 2))
-    return f, sse
+    f, A = _fit_design(sub, STATIC, spec)
+    return f, float(np.sum((sub.y - f.predict(A)) ** 2))
 
 
 def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,

@@ -62,7 +62,10 @@ def scaled_auc(y, scores) -> float:
 
 
 def auc_error(y, scores) -> float:
-    """1 - AUC, midrank tie handling. Lower is better, matching mse_error."""
+    """1 - AUC, midrank tie handling. Lower is better, matching mse_error.
+    With one class in y every ranking ties: 0.5."""
+    if len(np.unique(y)) < 2:
+        return 0.5
     return 1.0 - (scaled_auc(y, scores) + 1.0) / 2.0
 
 
@@ -206,13 +209,13 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     chunks = np.array_split(perm, folds)
+    splits = [(dataset.subset(np.concatenate(chunks[:f] + chunks[f + 1:])),
+               chunks[f]) for f in range(folds)]
     best = None
     for params in grid:
         scores = []
-        for f in range(folds):
-            val = chunks[f]
-            tr = np.concatenate([chunks[g] for g in range(folds) if g != f])
-            model = fit_method(name, dataset.subset(tr), params, seed, task)
+        for train, val in splits:
+            model = fit_method(name, train, params, seed, task)
             yhat = model.predict(dataset.X[val], dataset.M[val])
             try:
                 scores.append(_score(dataset.y[val], yhat, task))

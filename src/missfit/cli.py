@@ -30,7 +30,10 @@ class UsageError(Exception):
 
 def _seed(args) -> int:
     env = os.environ.get("MISSFIT_SEED")
-    return int(env) if env is not None else args.seed
+    try:
+        return int(env) if env is not None else args.seed
+    except ValueError:
+        raise UsageError(f"MISSFIT_SEED must be an integer, got {env!r}") from None
 
 
 def _sig6(x: float) -> str:
@@ -38,12 +41,13 @@ def _sig6(x: float) -> str:
 
 
 def cmd_generate(args) -> int:
-    if not 0.0 < args.p < 1.0:
-        raise UsageError(f"--p must be in (0, 1), got {args.p}")
-    spec = datagen.GeneratorSpec(n=args.n, d=args.d, r=args.r, k=args.k,
-                                 snr=args.snr, signal=args.signal,
-                                 mechanism=args.mechanism, p=args.p,
-                                 seed=_seed(args))
+    try:
+        spec = datagen.GeneratorSpec(n=args.n, d=args.d, r=args.r, k=args.k,
+                                     snr=args.snr, signal=args.signal,
+                                     mechanism=args.mechanism, p=args.p,
+                                     seed=_seed(args))
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     dataset, _X_full, _truth = datagen.generate(spec)
     sidecar = args.out + ".json"
     datagen.save_dataset(dataset, args.out, sidecar, spec)
@@ -75,10 +79,9 @@ def cmd_fit(args) -> int:
 
 
 def _load_model(path):
-    with open(path) as fh:
-        text = fh.read()
-    try:  # not JSON, or a field from_dict needs is missing or ill-typed
-        doc = json.loads(text)
+    try:  # not UTF-8 or JSON, or a field from_dict needs is absent or ill-typed
+        with open(path) as fh:
+            doc = json.loads(fh.read())
         cls = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
         if cls is None:
             raise UsageError(f"unrecognized model file {path}")
@@ -212,10 +215,7 @@ def main(argv=None) -> int:
     except (UsageError, bench.ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # an unreadable path, a failed run
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 2 or self.r < 0:
+            raise ValueError("need n >= 2 and r >= 0")
         if not (self.d >= self.k >= 1):
             raise ValueError("need d >= k >= 1")
         if not 0.0 < self.p < 1.0:

@@ -4,9 +4,10 @@ Minimizes, in the original (unstandardized) coordinates,
 
     (1/2n) ||y - b - X w||^2 + lambda * sum_j c_j (alpha |w_j| + (1-alpha)/2 w_j^2)
 
-where c_j are per-feature penalty multipliers. Columns are standardized
-internally for conditioning; the penalty weights are rescaled so the objective
-above is optimized exactly, and coefficients are transformed back on exit.
+where b is an unpenalized intercept, fitted in every problem, and c_j are
+per-feature penalty multipliers. Columns are standardized internally for
+conditioning; the penalty weights are rescaled so the objective above is
+optimized exactly, and coefficients are transformed back on exit.
 
 Two steps are pinned so that results keep their bits (results CSVs and the
 benchmark's references are compared byte for byte): each rho is np.dot on
@@ -26,7 +27,6 @@ class ElasticNetSpec:
     lam: float = 0.0
     alpha: float = 1.0
     penalty_weights: np.ndarray | None = None  # length-p, 1.0 = standard
-    fit_intercept: bool = True
     max_iters: int = 10_000
     tol: float = 1e-7
 
@@ -100,8 +100,8 @@ def fit(X, y, spec: ElasticNetSpec) -> LinearFit:
     if c.shape != (p,):
         raise ValueError(f"penalty_weights length {c.shape} != p={p}")
 
-    x_mean = X.mean(axis=0) if spec.fit_intercept else np.zeros(p)
-    y_mean = float(y.mean()) if spec.fit_intercept else 0.0
+    x_mean = X.mean(axis=0)
+    y_mean = float(y.mean())
     Xs = X - x_mean  # centred here, scaled in place below: one n x p copy
     scale = np.sqrt(np.mean(Xs ** 2, axis=0))
     active = scale > 1e-12  # zero-variance columns stay at coefficient 0
@@ -138,41 +138,27 @@ def fit(X, y, spec: ElasticNetSpec) -> LinearFit:
             break
 
     coef = np.array(wt) / s
-    intercept = y_mean - float(np.dot(x_mean, coef)) if spec.fit_intercept else 0.0
+    intercept = y_mean - float(np.dot(x_mean, coef))
     return LinearFit(intercept, coef, trace, max_delta < spec.tol)
 
 
-def support_penalty_weights(X, lo: float = 1.0, hi: float = 100.0) -> np.ndarray:
-    """Per-column penalty multipliers n / #nonzero, clamped to [lo, hi].
+def support_penalty_weights(X) -> np.ndarray:
+    """Per-column penalty multipliers n / #nonzero, clamped to [1, 100]; a
+    column with no nonzero entry gets 100.
 
     Sparse columns (few nonzero entries) carry proportionally fewer effective
     samples, so their coefficients are penalized more.
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
     support = np.count_nonzero(X, axis=0)
-    with np.errstate(divide="ignore"):
-        w = np.where(support > 0, n / np.maximum(support, 1), hi)
-    return np.clip(w, lo, hi)
+    w = np.where(support > 0, X.shape[0] / np.maximum(support, 1), 100.0)
+    return np.clip(w, 1.0, 100.0)
 
 
-def lambda_max(X, y, alpha: float, fit_intercept: bool = True) -> float:
+def lambda_max(X, y, alpha: float) -> float:
     """Smallest lambda zeroing all coefficients under unit penalty weights."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    yc = y - y.mean() if fit_intercept else y
-    Xc = X - X.mean(axis=0) if fit_intercept else X
-    grad = np.abs(Xc.T @ yc) / n
+    grad = np.abs((X - X.mean(axis=0)).T @ (y - y.mean())) / X.shape[0]
     # with alpha = 0 nothing is ever exactly zeroed; use the lasso scale
     return float(grad.max() / max(alpha, 1e-3))
-
-
-def lambda_grid(X, y, spec: ElasticNetSpec, n_lambdas: int) -> list[float]:
-    """Geometric grid from lambda_max down to lambda_max * 1e-3."""
-    if n_lambdas < 2:
-        raise ValueError("n_lambdas must be >= 2")
-    lmax = lambda_max(X, y, spec.alpha, spec.fit_intercept)
-    if lmax <= 0:  # constant y: degenerate problem
-        return [0.0]
-    return list(np.geomspace(lmax, lmax * 1e-3, n_lambdas))

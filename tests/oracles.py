@@ -105,12 +105,8 @@ def enet_fit(X, y, spec):
     n, p = X.shape
     c = spec.penalty_weights
     c = np.ones(p) if c is None else np.asarray(c, dtype=float)
-    if spec.fit_intercept:
-        x_mean = X.mean(axis=0)
-        y_mean = float(y.mean())
-    else:
-        x_mean = np.zeros(p)
-        y_mean = 0.0
+    x_mean = X.mean(axis=0)
+    y_mean = float(y.mean())
     Xc = X - x_mean
     yc = y - y_mean
     scale = np.sqrt(np.mean(Xc ** 2, axis=0))
@@ -143,5 +139,5 @@ def enet_fit(X, y, spec):
             converged = True
             break
     coef = wt / s
-    intercept = y_mean - float(np.dot(x_mean, coef)) if spec.fit_intercept else 0.0
+    intercept = y_mean - float(np.dot(x_mean, coef))
     return LinearFit(intercept, coef, trace, converged)

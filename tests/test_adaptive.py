@@ -9,7 +9,8 @@ from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
                               fit_finite_adaptive, model_from_json,
                               model_to_json, tree_from_json, tree_to_json)
 from missfit.core import MaskedDataset
-from missfit.elasticnet import ElasticNetSpec
+from missfit.elasticnet import (ElasticNetSpec, fit as enet_fit,
+                                support_penalty_weights)
 from oracles import masked_dot
 
 POLY1 = ExpansionMode.parse("polynomial1")
@@ -95,6 +96,20 @@ class TestFitAdaptive:
         ds = MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
             fit_adaptive(ds, STATIC, LAM0)
+
+    @pytest.mark.parametrize("mode", [AFFINE_INTERCEPT, FULLY_ADAPTIVE])
+    def test_pinned_penalty_weights_are_kept(self, mode):
+        ds = random_dataset(5, n=100, d=3, p_miss=0.4, mask_signal=True)
+        design = STATIC if mode is FULLY_ADAPTIVE else mode
+        A = expand_matrix(ds.X, ds.M, design)
+        coefs = lambda c: enet_fit(A, ds.y, ElasticNetSpec(
+            lam=0.05, penalty_weights=c)).coefficients
+        pinned = np.linspace(0, 2, A.shape[1])
+        model = fit_adaptive(ds, mode, ElasticNetSpec(lam=0.05,
+                                                      penalty_weights=pinned))
+        got = (model.fallback if mode is FULLY_ADAPTIVE else model.fit).coefficients
+        assert got.tobytes() == coefs(pinned).tobytes()
+        assert not np.array_equal(got, coefs(support_penalty_weights(A)))
 
     def test_fully_adaptive_one_model_per_pattern(self):
         ds = random_dataset(3, n=80, d=3, p_miss=0.4)

@@ -149,6 +149,19 @@ class TestKfoldCv:
         with pytest.raises(ValueError):
             kfold_cv(ds, "static", [{"lam": 0.1}], folds=5, seed=0)
 
+    def test_one_training_subset_per_fold(self, monkeypatch):
+        sizes = []
+        subset = MaskedDataset.subset
+
+        def counted(self, rows):
+            sizes.append(len(rows))
+            return subset(self, rows)
+
+        monkeypatch.setattr(MaskedDataset, "subset", counted)
+        grid = [{"lam": 0.1}, {"lam": 0.01}, {"lam": 0.001}]
+        kfold_cv(small_dataset(6, n=50), "static", grid, folds=5, seed=0)
+        assert sizes == [40] * 5
+
 
 class TestConfig:
     def base(self, **over):
@@ -193,6 +206,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\$\.generator"):
             ExperimentConfig.from_json(
                 json.dumps(self.base(generator={"d": 2, "k": 5})))
+
+    def test_empty_generator_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"\$\.generator: need n >= 2"):
+            ExperimentConfig.from_json(
+                json.dumps(self.base(generator={"n": 0, "d": 4, "k": 2})))
 
 
 def tiny_config(**over):

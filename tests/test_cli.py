@@ -61,6 +61,23 @@ class TestGenerate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", ["--n 0", "--n 1", "--r -1",
+                                       "--d 3 --k 5", "--snr 0"])
+    def test_bad_generator_flags_are_usage_errors(self, flags, tmp_path,
+                                                  capsys):
+        out = tmp_path / "x.csv"
+        assert main(["generate", *flags.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bad_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MISSFIT_SEED", "abc")
+        code = main(["generate", "--n", "30", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "MISSFIT_SEED must be an integer, got 'abc'" in \
+            capsys.readouterr().err
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
         args = ["generate", "--n", "30", "--d", "3", "--k", "2", "--r", "2"]
@@ -96,6 +113,18 @@ class TestFitPredict:
         assert code == 2
         assert "unknown method" in capsys.readouterr().err
 
+    def test_a_directory_is_a_runtime_error(self, dataset_csv, tmp_path,
+                                            capsys):
+        out = str(tmp_path / "out.csv")
+        for argv in (["predict", "--model", str(tmp_path), "--data",
+                      str(dataset_csv), "--out", out],
+                     ["inspect", str(tmp_path)],
+                     ["bench", "--config", str(tmp_path), "--out", out]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--method", "static", "--out", str(tmp_path / "m.json")])
@@ -103,8 +132,8 @@ class TestFitPredict:
 
     def test_predict_rejects_garbage_model(self, dataset_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for text in ("{\"type\": \"sundial\"}", "[1]", "{"):
-            bad.write_text(text)
+        for data in (b'{"type": "sundial"}', b"[1]", b"{", b"\xff\xfe"):
+            bad.write_bytes(data)
             code = main(["predict", "--model", str(bad), "--data",
                          str(dataset_csv), "--out", str(tmp_path / "p.csv")])
             assert code == 2
@@ -228,6 +257,18 @@ class TestInspect:
         code = main(["inspect", str(model)])
         assert code == 0
         assert "AdaptiveModel" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method, mode", [
+        ("static", "static"), ("affine", "affine"),
+        ("polynomial2", "polynomial2"), ("fully_adaptive", "fully_adaptive")])
+    def test_adaptive_model_prints_its_mode_name(self, method, mode,
+                                                 dataset_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        main(["fit", "--data", str(dataset_csv), "--method", method,
+              "--out", str(model)])
+        capsys.readouterr()
+        assert main(["inspect", str(model)]) == 0
+        assert f"\n  mode: {mode}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text, message", [
         ("", "no header row"),

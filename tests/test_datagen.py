@@ -19,6 +19,12 @@ class TestSpecs:
         with pytest.raises(ValueError):
             GeneratorSpec(p=1.0)
 
+    @pytest.mark.parametrize("field", [{"n": 0}, {"n": 1}, {"r": -1}],
+                             ids=["n=0", "n=1", "r=-1"])
+    def test_no_dataset_to_make(self, field):
+        with pytest.raises(ValueError, match="need n >= 2 and r >= 0"):
+            GeneratorSpec(**field)
+
     def test_bad_setting(self):
         with pytest.raises(ValueError):
             SemiSyntheticSpec(setting="mnar", k=3, k_missing=1)

@@ -73,14 +73,16 @@ def test_exactly_twice_min_leaf_rows(name, min_leaf):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_kfold_cv_scores_when_folds_hold_one_class(name):
-    # 3 positives in 5 folds: at least two validation folds are one-class
+    # 3 positives in 5 folds: at least two validation folds are one-class;
+    # then all 3 in one validation fold, so its training rows are one-class
     ds = dataset(60)
-    y = np.zeros(60)
-    y[[4, 30, 51]] = 1.0
-    ds = MaskedDataset(ds.X, ds.M, y)
-    _, score = bench.kfold_cv(ds, name, [small_params(name)], 5, 0,
-                              "classification")
-    assert np.isfinite(score)
+    one_fold = np.random.default_rng(0).permutation(60)[:3]  # kfold_cv's fold 0
+    for positives in ([4, 30, 51], one_fold):
+        y = np.zeros(60)
+        y[positives] = 1.0
+        _, score = bench.kfold_cv(MaskedDataset(ds.X, ds.M, y), name,
+                                  [small_params(name)], 5, 0, "classification")
+        assert np.isfinite(score)
 
 
 def tiny_config():

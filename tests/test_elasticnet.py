@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from missfit.elasticnet import (ElasticNetSpec, fit, lambda_grid, lambda_max,
-                                soft_threshold, support_penalty_weights)
+from missfit.elasticnet import (ElasticNetSpec, fit, lambda_max, soft_threshold,
+                                support_penalty_weights)
 from oracles import enet_fit as oracle_fit
 
 
@@ -87,33 +87,12 @@ def test_per_feature_weights_match_grid_minimizer():
 
 
 class TestLambdaGrid:
-    def test_two_point_grid(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(15, 3))
-        y = rng.normal(size=15)
-        spec = ElasticNetSpec(alpha=1.0)
-        grid = lambda_grid(X, y, spec, 2)
-        lmax = lambda_max(X, y, 1.0)
-        assert grid[0] == pytest.approx(lmax)
-        assert grid[1] == pytest.approx(lmax * 1e-3)
-
-    def test_strictly_decreasing(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(15, 3))
-        y = rng.normal(size=15)
-        grid = lambda_grid(X, y, ElasticNetSpec(alpha=1.0), 10)
-        assert all(a > b for a, b in itertools.pairwise(grid))
-
-    def test_constant_y_degenerate(self):
-        X = np.random.default_rng(5).normal(size=(10, 2))
-        grid = lambda_grid(X, np.ones(10), ElasticNetSpec(alpha=1.0), 5)
-        assert grid == [0.0]
-
     def test_path_sparsity_monotone(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 6))
         y = X @ np.array([2.0, -1.0, 0.5, 0, 0, 0]) + 0.2 * rng.normal(size=40)
-        grid = lambda_grid(X, y, ElasticNetSpec(alpha=1.0), 8)
+        lmax = lambda_max(X, y, 1.0)
+        grid = np.geomspace(lmax, lmax * 1e-3, 8)
         nnz = [np.sum(fit(X, y, ElasticNetSpec(lam=l, alpha=1.0)).coefficients != 0)
                for l in grid]
         # grid is decreasing, so nonzero counts must be non-decreasing
@@ -245,8 +224,7 @@ def enet_cases(draw):
     if draw(st.booleans()):
         y = y - rng.normal() * 1e3
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    fit_intercept = draw(st.booleans())
-    lmax = lambda_max(X, y, alpha, fit_intercept)
+    lmax = lambda_max(X, y, alpha)
     lam = draw(st.sampled_from([0.0, 1e-12, 1e-3 * lmax, 0.1 * lmax,
                                 1.5 * lmax + 1.0]))
     weights = draw(st.sampled_from(["none", "ones", "with zeros"]))
@@ -257,8 +235,7 @@ def enet_cases(draw):
     else:
         max_iters, tol = 200, 1e-7
     spec = ElasticNetSpec(lam=float(lam), alpha=alpha, penalty_weights=c,
-                          fit_intercept=fit_intercept, max_iters=max_iters,
-                          tol=tol)
+                          max_iters=max_iters, tol=tol)
     layout = draw(st.sampled_from(["C", "F", "strided"]))
     return _layouts(X)[layout], y, spec
 

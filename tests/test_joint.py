@@ -189,6 +189,11 @@ class TestAucError:
     def test_ties_midrank(self):
         assert auc_error([0, 1], [0.5, 0.5]) == 0.5
 
+    @pytest.mark.parametrize("y", [[0, 0, 0], [1, 1, 1], [1]],
+                             ids=["negatives", "positives", "one row"])
+    def test_one_class_ties_every_ranking(self, y):
+        assert auc_error(y, np.arange(len(y), dtype=float)) == 0.5
+
 
 def test_limits_validation():
     with pytest.raises(ValueError):
