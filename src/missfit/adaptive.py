@@ -183,32 +183,28 @@ class AdaptiveModel:
 
 def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
                  spec: ElasticNetSpec) -> AdaptiveModel:
-    """Fit one model from the hierarchy by penalized least squares.
-
-    Unless the spec pins penalty_weights, per-column weights are derived from
-    the expanded design's support counts (sparser columns get penalized more).
-    """
+    """Fit one model from the hierarchy by penalized least squares, with the
+    support weights of _solve unless the spec pins penalty_weights."""
     if dataset.n < 1:
         raise ValueError("empty dataset")
     if mode.kind == "fully_adaptive":
-        pattern_fits = {pattern: _fit_design(dataset.subset(rows), STATIC, spec)[0]
+        Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
+        pattern_fits = {pattern: _solve(Z[rows], y[rows], spec)
                         for pattern, rows in unique_patterns(dataset.M)}
-        fallback, _ = _fit_design(dataset, STATIC, spec)
         return AdaptiveModel(mode, dataset.d, None, len(pattern_fits),
-                             pattern_fits, fallback)
-    lin, A = _fit_design(dataset, mode, spec)
-    return AdaptiveModel(mode, dataset.d, lin, A.shape[1])
-
-
-def _fit_design(dataset: MaskedDataset, mode: ExpansionMode,
-                spec: ElasticNetSpec) -> tuple[LinearFit, np.ndarray]:
-    """The elastic-net fit on the expanded design of dataset, and that design.
-    The penalty weights are the design's support weights unless the spec
-    pins them."""
+                             pattern_fits, _solve(Z, y, spec))
     A = expand_matrix(dataset.X, dataset.M, mode)
+    return AdaptiveModel(mode, dataset.d, _solve(A, dataset.y, spec),
+                         A.shape[1])
+
+
+def _solve(A, y, spec: ElasticNetSpec) -> LinearFit:
+    """The elastic-net fit of y on design A. Unless the spec pins
+    penalty_weights, they are A's support weights (sparser columns get
+    penalized more)."""
     if spec.penalty_weights is None:
         spec = replace(spec, penalty_weights=support_penalty_weights(A))
-    return enet_fit(A, dataset.y, spec), A
+    return enet_fit(A, y, spec)
 
 
 def extract_imputation(model: AdaptiveModel) -> tuple[np.ndarray, np.ndarray]:
@@ -296,25 +292,27 @@ class PartitionTree:
         return cls(TreeNode.from_dict(doc["root"]), doc["d"])
 
 
-def _static_fit_sse(sub: MaskedDataset, spec: ElasticNetSpec):
-    f, A = _fit_design(sub, STATIC, spec)
-    return f, float(np.sum((sub.y - f.predict(A)) ** 2))
-
-
 def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
                         max_depth: int = 4, min_leaf: int = 20,
                         min_gain: float = 1e-3) -> PartitionTree:
     """Greedy recursive partitioning of missingness-pattern space.
 
     Each candidate split tests one feature's missingness bit; both sides get
-    a freshly fitted static model and the feature with the lowest summed
-    in-sample squared error wins (lowest index on ties); its two fits become
-    the children's models without a refit. Splits stop at max_depth, when a
-    side would drop below min_leaf rows, or when the relative error
-    reduction falls below min_gain.
+    a static model fitted on their rows of the static design (expanded once)
+    and the feature with the lowest summed in-sample squared error wins
+    (lowest index on ties); its two fits become the children's models
+    without a refit. Splits stop at max_depth, when a side would drop below
+    min_leaf rows, or when the relative error reduction falls below min_gain.
     """
+    Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
+
+    def static_fit_sse(rows: np.ndarray):
+        A, yr = Z[rows], y[rows]
+        f = _solve(A, yr, spec)
+        return f, float(np.sum((yr - f.predict(A)) ** 2))
+
     def build(rows: np.ndarray, depth: int, fit_sse=None) -> TreeNode:
-        f, sse = fit_sse or _static_fit_sse(dataset.subset(rows), spec)
+        f, sse = fit_sse or static_fit_sse(rows)
         node = TreeNode(fit=f, n_rows=len(rows))
         if depth >= max_depth or len(rows) < 2 * min_leaf:
             return node
@@ -325,8 +323,8 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
             right = rows[Msub[:, j] == 1]
             if len(left) < min_leaf or len(right) < min_leaf:
                 continue
-            fl, sl = _static_fit_sse(dataset.subset(left), spec)
-            fr, sr = _static_fit_sse(dataset.subset(right), spec)
+            fl, sl = static_fit_sse(left)
+            fr, sr = static_fit_sse(right)
             if best is None or sl + sr < best[0]:
                 best = (sl + sr, j, left, right, fl, sl, fr, sr)
         if best is None:

@@ -230,6 +230,20 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
 # ---------------------------------------------------------------------------
 # Experiment configuration and runner
 
+# Each config field's JSON types, and how an error names them. A bool is
+# neither an integer nor a number here.
+_FIELD_TYPES = {"name": ((str,), "a string"),
+                "methods": ((list,), "a list of strings"),
+                "generator": ((dict, type(None)), "an object"),
+                "dataset_csv": ((str, type(None)), "a string"),
+                "target": ((str,), "a string"),
+                "replications": ((int,), "an integer"),
+                "test_fraction": ((int, float), "a number"),
+                "cv_folds": ((int,), "an integer"),
+                "grids": ((dict,), "an object of lists of objects"),
+                "seed_base": ((int,), "an integer")}
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -244,6 +258,15 @@ class ExperimentConfig:
     seed_base: int = 0
 
     def __post_init__(self):
+        for name, (types, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"$.{name}: must be {kind}, got {value!r}")
+        for method, grid in self.grids.items():
+            if not (isinstance(grid, list) and grid
+                    and all(isinstance(p, dict) for p in grid)):
+                raise ConfigError(f"$.grids.{method}: must be a non-empty "
+                                  f"list of objects, got {grid!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("$.test_fraction: must be in (0, 1)")
         if self.cv_folds < 2:
@@ -254,6 +277,9 @@ class ExperimentConfig:
             raise ConfigError(
                 "$: exactly one of generator / dataset_csv is required")
         for i, m in enumerate(self.methods):
+            if not isinstance(m, str):
+                raise ConfigError(
+                    f"$.methods[{i}]: must be a string, got {m!r}")
             if m not in METHODS and m not in BEST_VARIANTS:
                 raise ConfigError(f"$.methods[{i}]: unknown method {m!r}")
             if m == "oracle" and self.dataset_csv is not None:

@@ -104,11 +104,14 @@ def cmd_predict(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = bench.ExperimentConfig.from_json(fh.read())
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        raise bench.ConfigError(f"$: {args.config} is not UTF-8 text "
+                                f"({exc.reason})") from None
     if args.dry_run:
         print(f"experiment {config.name!r}")
         print(f"  replications: {config.replications}, "

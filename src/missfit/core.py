@@ -26,14 +26,16 @@ class MaskedDataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-        M = np.asarray(self.M)
+        # The dataset owns copies, frozen: the caller's arrays stay writable,
+        # and writing to them changes neither the dataset nor its validity.
+        object.__setattr__(self, "X", np.array(self.X, dtype=float))
+        M = np.array(self.M)
         if M.dtype != np.int8:  # refuse what the cast would change, e.g. 0.5
             with np.errstate(invalid="ignore"):
                 M, given = M.astype(np.int8), M
             binary_mask(np.where(M == given, 0, given))  # names a changed cell
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "y", np.array(self.y, dtype=float))
         self.X.setflags(write=False)
         self.M.setflags(write=False)
         self.y.setflags(write=False)
@@ -144,8 +146,12 @@ def read_csv(path, target: str) -> MaskedDataset:
     The header row is required; `target` names the y column. Missing targets,
     non-numeric fields and rows of another width than the header are refused.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path} is not UTF-8 text "
+                               f"({exc.reason})") from None
         header = next(reader, None)
         if header is None:
             raise DatasetError(f"{path} is empty: no header row")

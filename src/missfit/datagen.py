@@ -30,6 +30,11 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "d", "r", "k"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2 or self.r < 0:
             raise ValueError("need n >= 2 and r >= 0")
         if not (self.d >= self.k >= 1):

@@ -98,20 +98,20 @@ def mse_error(y, yhat) -> float:
     return float(np.mean((np.asarray(y) - np.asarray(yhat)) ** 2))
 
 
-def coordinate_step(mu, j, sigma_j, predictor, dataset: MaskedDataset,
-                    error_metric, current: float) -> tuple[int, float]:
+def coordinate_step(A, rows, j, mu_j, sigma_j, predictor, y, error_metric,
+                    current: float) -> tuple[int, float]:
     """Pick the best of mu_j + eps * sigma_j for eps in {-1, 0, +1}.
 
-    `current` must be the error of `predictor` at `mu` itself, which is the
-    eps = 0 candidate, so only eps = -1 and +1 are evaluated. Ties prefer 0,
-    then -1, so a flat error surface leaves mu unchanged.
+    A is the imputed matrix at mu. Each trial is written into A[rows, j], the
+    rows missing feature j, and mu_j is restored there on return. `current`
+    must be the error of `predictor` on A, the eps = 0 candidate. Ties prefer
+    0, then -1, so a flat error surface leaves mu unchanged.
     """
     errors = {0: current}
     for eps in (-1, 1):
-        trial = np.array(mu, dtype=float)
-        trial[j] += eps * sigma_j
-        errors[eps] = error_metric(dataset.y,
-                                   predictor.predict(impute_with(dataset, trial)))
+        A[rows, j] = mu_j + eps * sigma_j
+        errors[eps] = error_metric(y, predictor.predict(A))
+    A[rows, j] = mu_j
     best = min((0, -1, 1), key=lambda e: errors[e])
     return best, errors[best]
 
@@ -176,24 +176,25 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
     refit that would worsen training error is rolled back, so the recorded
     error trace is non-increasing.
     """
-    start = fit_mean_impute(dataset, contract, seed)
-    mu, predictor, n_refits = start.mu, start.predictor, start.n_refits
-    n, d = dataset.n, dataset.d
+    mu, A = mean_impute(dataset)  # A == impute_with(dataset, mu) throughout
+    # a factory may keep the matrix it is given, so each gets a copy of A
+    predictor, n_refits = contract.factory(A.copy(), dataset.y, seed), 1
     obs = dataset.M == 0
-    counts = obs.sum(axis=0)
-    sigma = np.empty(d)
-    for j in range(d):
+    sigma = np.empty(dataset.d)
+    for j in range(dataset.d):
         vals = dataset.X[obs[:, j], j]
         if len(vals) == 0:
             sigma[j] = 1.0  # feature never observed: unit step from mu = 0
         elif len(vals) == 1:
             sigma[j] = 0.0
         else:
-            sigma[j] = float(np.std(vals, ddof=1)) / np.sqrt(n)
+            sigma[j] = float(np.std(vals, ddof=1)) / np.sqrt(dataset.n)
 
-    has_missing = counts < n
-    current = error_metric(dataset.y, predictor.predict(impute_with(dataset, mu)))
-    if not has_missing.any():
+    # the features a step can move, with the rows that miss them
+    movable = [(j, np.flatnonzero(m)) for j, m in enumerate(dataset.M.T)
+               if sigma[j] != 0.0 and m.any()]
+    current = error_metric(dataset.y, predictor.predict(A))
+    if not dataset.M.any():
         # nothing to optimize: mu stays at the column means
         return JointModel(mu, sigma, predictor, contract.label, [current],
                           n_refits, [], "no_missing")
@@ -203,10 +204,9 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
 
     for outer in range(limits.max_outer):
         if outer > 0:
-            candidate = contract.factory(impute_with(dataset, mu), dataset.y, seed)
+            candidate = contract.factory(A.copy(), dataset.y, seed)
             n_refits += 1
-            cand_err = error_metric(dataset.y,
-                                    candidate.predict(impute_with(dataset, mu)))
+            cand_err = error_metric(dataset.y, candidate.predict(A))
             if cand_err <= current:
                 predictor = candidate
                 current = cand_err
@@ -216,13 +216,13 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
             cycles += 1
             cycle_start = current
             changed = False
-            for j in range(d):
-                if sigma[j] == 0.0 or not has_missing[j]:
-                    continue
-                eps, err = coordinate_step(mu, j, sigma[j], predictor, dataset,
-                                           error_metric, current)
+            for j, rows in movable:
+                eps, err = coordinate_step(A, rows, j, mu[j], sigma[j],
+                                           predictor, dataset.y, error_metric,
+                                           current)
                 if eps != 0 and err < current:
                     mu[j] += eps * sigma[j]
+                    A[rows, j] = mu[j]
                     current = err
                     changed = True
             if not changed:

@@ -1,9 +1,10 @@
-"""Reference forms of the array code in missfit.adaptive, missfit.core and
-missfit.elasticnet.
+"""Reference forms of the array code in missfit.adaptive, missfit.core,
+missfit.elasticnet and missfit.joint.
 
 These are the per-row and per-column loops the package used before its
-whole-array forms, and the coordinate-descent loop before its leaner one;
-tests compare the package against them bit for bit.
+whole-array forms, the coordinate-descent loop before its leaner one, and
+the joint fit that rebuilt its whole imputed matrix for every trial; tests
+compare the package against them bit for bit.
 """
 
 import itertools
@@ -11,6 +12,8 @@ import itertools
 import numpy as np
 
 from missfit.core import DatasetError
+from missfit.joint import JointModel, impute_with
+from missfit.learners import mean_impute
 
 
 def masked_dot(w, x, m) -> float:
@@ -141,3 +144,82 @@ def enet_fit(X, y, spec):
     coef = wt / s
     intercept = y_mean - float(np.dot(x_mean, coef))
     return LinearFit(intercept, coef, trace, converged)
+
+
+def _coordinate_step(mu, j, sigma_j, predictor, dataset, error_metric,
+                     current):
+    errors = {0: current}
+    for eps in (-1, 1):
+        trial = np.array(mu, dtype=float)
+        trial[j] += eps * sigma_j
+        errors[eps] = error_metric(dataset.y,
+                                   predictor.predict(impute_with(dataset, trial)))
+    best = min((0, -1, 1), key=lambda e: errors[e])
+    return best, errors[best]
+
+
+def joint_fit(dataset, contract, limits, error_metric, seed=0):
+    """missfit.joint.joint_fit with impute_with rebuilding the whole imputed
+    matrix for every refit, every error and every trial of mu."""
+    mu, imputed = mean_impute(dataset)
+    predictor, n_refits = contract.factory(imputed, dataset.y, seed), 1
+    n, d = dataset.n, dataset.d
+    obs = dataset.M == 0
+    counts = obs.sum(axis=0)
+    sigma = np.empty(d)
+    for j in range(d):
+        vals = dataset.X[obs[:, j], j]
+        if len(vals) == 0:
+            sigma[j] = 1.0
+        elif len(vals) == 1:
+            sigma[j] = 0.0
+        else:
+            sigma[j] = float(np.std(vals, ddof=1)) / np.sqrt(n)
+    has_missing = counts < n
+    current = error_metric(dataset.y, predictor.predict(impute_with(dataset, mu)))
+    if not has_missing.any():
+        return JointModel(mu, sigma, predictor, contract.label, [current],
+                          n_refits, [], "no_missing")
+    trace = [current]
+    cycles_per_iter = []
+    stop_reason = "max_outer"
+    for outer in range(limits.max_outer):
+        if outer > 0:
+            candidate = contract.factory(impute_with(dataset, mu), dataset.y,
+                                         seed)
+            n_refits += 1
+            cand_err = error_metric(dataset.y,
+                                    candidate.predict(impute_with(dataset, mu)))
+            if cand_err <= current:
+                predictor = candidate
+                current = cand_err
+        iter_start = current
+        cycles = 0
+        for _ in range(limits.max_cycles):
+            cycles += 1
+            cycle_start = current
+            changed = False
+            for j in range(d):
+                if sigma[j] == 0.0 or not has_missing[j]:
+                    continue
+                eps, err = _coordinate_step(mu, j, sigma[j], predictor, dataset,
+                                            error_metric, current)
+                if eps != 0 and err < current:
+                    mu[j] += eps * sigma[j]
+                    current = err
+                    changed = True
+            if not changed:
+                break
+            rel = ((cycle_start - current) / abs(cycle_start)
+                   if cycle_start != 0 else 0.0)
+            if rel < limits.min_rel_improve:
+                break
+        cycles_per_iter.append(cycles)
+        trace.append(current)
+        rel_outer = ((iter_start - current) / abs(iter_start)
+                     if iter_start != 0 else 0.0)
+        if outer > 0 and rel_outer < limits.min_rel_improve:
+            stop_reason = "min_rel_improve"
+            break
+    return JointModel(mu, sigma, predictor, contract.label, trace, n_refits,
+                      cycles_per_iter, stop_reason)

@@ -4,11 +4,11 @@ import pytest
 from missfit import adaptive
 from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
                               ExpansionMode, PartitionTree, TreeNode,
-                              _static_fit_sse, expand_matrix,
-                              expansion_size, extract_imputation, fit_adaptive,
+                              expand_matrix, expansion_size,
+                              extract_imputation, fit_adaptive,
                               fit_finite_adaptive, model_from_json,
                               model_to_json, tree_from_json, tree_to_json)
-from missfit.core import MaskedDataset
+from missfit.core import MaskedDataset, unique_patterns
 from missfit.elasticnet import (ElasticNetSpec, fit as enet_fit,
                                 support_penalty_weights)
 from oracles import masked_dot
@@ -118,6 +118,20 @@ class TestFitAdaptive:
         assert len(model.pattern_fits) == len(unique_patterns(ds.M))
         assert model.expansion_size == len(model.pattern_fits)
 
+    def test_fully_adaptive_pattern_fits_equal_subset_fits(self):
+        # each pattern's fit on its rows of one static design is the fit on
+        # that pattern's own dataset, bit for bit; the fallback likewise
+        ds = random_dataset(4, n=150, d=3, p_miss=0.4, mask_signal=True)
+        spec = ElasticNetSpec(lam=0.01)
+        model = fit_adaptive(ds, FULLY_ADAPTIVE, spec)
+        pairs = [(model.pattern_fits[p], ds.subset(rows))
+                 for p, rows in unique_patterns(ds.M)] + [(model.fallback, ds)]
+        for got, sub in pairs:
+            want = fit_adaptive(sub, STATIC, spec).fit
+            assert got.intercept == want.intercept
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            assert got.objective_trace == want.objective_trace
+
 
 class TestPredict:
     def test_zero_coefficients_give_intercept(self):
@@ -157,12 +171,19 @@ class TestPredict:
         assert np.isfinite(pred)
 
 
+def static_fit_sse(sub: MaskedDataset, spec):
+    """The static fit of a whole dataset and its in-sample squared error."""
+    f = fit_adaptive(sub, STATIC, spec).fit
+    A = expand_matrix(sub.X, sub.M, STATIC)
+    return f, float(np.sum((sub.y - f.predict(A)) ** 2))
+
+
 def oracle_fit_finite_adaptive(dataset, spec, max_depth, min_leaf,
                                min_gain=1e-3):
     """The greedy partition as first written: every node refits its own rows,
     so each child of a split is fitted twice (once as a candidate side)."""
     def build(rows, depth):
-        f, sse = _static_fit_sse(dataset.subset(rows), spec)
+        f, sse = static_fit_sse(dataset.subset(rows), spec)
         node = TreeNode(fit=f, n_rows=len(rows))
         if depth >= max_depth or len(rows) < 2 * min_leaf:
             return node
@@ -172,8 +193,8 @@ def oracle_fit_finite_adaptive(dataset, spec, max_depth, min_leaf,
             right = rows[dataset.M[rows, j] == 1]
             if len(left) < min_leaf or len(right) < min_leaf:
                 continue
-            sl = _static_fit_sse(dataset.subset(left), spec)[1]
-            sr = _static_fit_sse(dataset.subset(right), spec)[1]
+            sl = static_fit_sse(dataset.subset(left), spec)[1]
+            sr = static_fit_sse(dataset.subset(right), spec)[1]
             if best is None or sl + sr < best[0]:
                 best = (sl + sr, j, left, right)
         if best is None:

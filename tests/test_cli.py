@@ -200,6 +200,40 @@ class TestBench:
         assert "$.methods[0]: oracle" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("over, path", [
+        ({"generator": {"n": 50.5, "d": 3, "k": 2}}, "$.generator: n must"),
+        ({"generator": {"n": 50, "d": 3, "k": True}}, "$.generator: k must"),
+        ({"replications": 2.5}, "$.replications: must be an integer"),
+        ({"cv_folds": "5"}, "$.cv_folds: must be an integer"),
+        ({"test_fraction": "0.3"}, "$.test_fraction: must be a number"),
+        ({"methods": "static"}, "$.methods: must be a list of strings"),
+        ({"methods": [1]}, "$.methods[0]: must be a string"),
+        ({"grids": []}, "$.grids: must be an object of lists of objects"),
+        ({"grids": {"static": []}}, "$.grids.static: must be a non-empty"),
+        ({"grids": {"static": [0.01]}}, "$.grids.static: must be a non-empty")],
+        ids=["n-float", "k-bool", "replications-float", "cv_folds-str",
+             "test_fraction-str", "methods-str", "method-int", "grids-list",
+             "grid-empty", "grid-of-numbers"])
+    def test_ill_typed_field_is_usage_error(self, over, path, tmp_path,
+                                            capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc(**over)))
+        out = tmp_path / "o.csv"
+        code = main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff\xfe{"name": "x"}')
+        code = main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"error: $: {cfg} is not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["bench", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o.csv")])
@@ -280,6 +314,12 @@ class TestInspect:
         data.write_text(text)
         assert main(["inspect", str(data)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_dataset_not_utf8_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"x1,y\n\xff,1\n")
+        assert main(["inspect", str(data)]) == 2
+        assert f"error: {data} is not UTF-8 text" in capsys.readouterr().err
 
     def test_non_numeric_field_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

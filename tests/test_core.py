@@ -78,6 +78,16 @@ class TestConstruction:
             MaskedDataset(X, M, np.zeros(1))
 
 
+    def test_callers_arrays_stay_writable_and_apart(self):
+        X, M, y = np.zeros((3, 2)), np.zeros((3, 2), dtype=np.int8), np.zeros(3)
+        ds = MaskedDataset(X, M, y)
+        X[0, 0], M[1, 1], y[2] = np.nan, 2, np.inf  # each would be invalid
+        assert not ds.X.any() and not ds.M.any() and not ds.y.any()
+        validate(ds)
+        assert not (ds.X.flags.writeable or ds.M.flags.writeable
+                    or ds.y.flags.writeable)
+
+
 class TestMaskValues:
     @pytest.mark.parametrize("dtype, value", [
         (float, 0.5), (float, -0.5), (float, 0.999), (float, 256.0),

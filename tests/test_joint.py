@@ -9,6 +9,7 @@ from missfit.joint import (FitLimits, coordinate_step,
                            joint_model_from_json, joint_model_to_json,
                            linear_contract, mse_error, tree_contract)
 from missfit.learners import TreeParams, mean_impute
+import oracles
 
 
 def censored_dataset(seed=0, n=800, d=3, frac=0.4, noise=0.05):
@@ -52,11 +53,21 @@ class TestCoordinateStep:
                 return X @ np.array([1.5, -1.0, 0.5])
 
         mu, _ = mean_impute(ds)
-        mu = mu.copy()
-        current = mse_error(ds.y, Identity().predict(impute_with(ds, mu)))
-        eps, err = coordinate_step(mu, 0, 0.5, Identity(), ds, mse_error, current)
+        A = impute_with(ds, mu)
+        current = mse_error(ds.y, Identity().predict(A))
+        eps, err = coordinate_step(A, np.flatnonzero(ds.M[:, 0]), 0, mu[0], 0.5,
+                                   Identity(), ds.y, mse_error, current)
         assert eps == 1
         assert err < current
+
+    def test_leaves_the_matrix_as_found(self):
+        ds = censored_dataset(seed=3, n=100)
+        mu, A = mean_impute(ds)
+        before = A.copy()
+        fit = linear_contract().factory(A.copy(), ds.y, 0)
+        coordinate_step(A, np.flatnonzero(ds.M[:, 2]), 2, mu[2], 0.3, fit,
+                        ds.y, mse_error, mse_error(ds.y, fit.predict(A)))
+        assert A.tobytes() == before.tobytes()
 
     def test_flat_surface_keeps_zero(self):
         ds = censored_dataset(seed=2, n=100)
@@ -66,8 +77,9 @@ class TestCoordinateStep:
                 return np.zeros(len(X))
 
         current = mse_error(ds.y, np.zeros(ds.n))
-        eps, _ = coordinate_step(np.zeros(3), 1, 1.0, Constant(), ds, mse_error,
-                                 current)
+        A = impute_with(ds, np.zeros(3))
+        eps, _ = coordinate_step(A, np.flatnonzero(ds.M[:, 1]), 1, 0.0, 1.0,
+                                 Constant(), ds.y, mse_error, current)
         assert eps == 0
 
 
@@ -157,6 +169,60 @@ class TestJointFit:
         b = joint_fit(ds, contract, FitLimits(max_outer=3), seed=4)
         assert np.array_equal(a.mu, b.mu)
         assert a.error_trace == b.error_trace
+
+
+def degenerate_columns(ds: MaskedDataset) -> MaskedDataset:
+    """ds with two more columns: one never observed (sigma = 1) and one
+    observed in a single row (sigma = 0)."""
+    n = ds.n
+    extra = np.random.default_rng(0).normal(size=(n, 2))
+    M_extra = np.ones((n, 2), dtype=int)
+    M_extra[n // 2, 1] = 0
+    return MaskedDataset(np.hstack([ds.X, extra]), np.hstack([ds.M, M_extra]),
+                         ds.y)
+
+
+CONTRACTS = {"linear": linear_contract(ElasticNetSpec(lam=1e-4)),
+             "tree": tree_contract(TreeParams(max_depth=3)),
+             "forest": forest_contract(TreeParams(max_depth=3, n_trees=5))}
+
+
+def small_mcar_dataset(seed=13, n=40):
+    """Half the entries missing at random, and y shifted where x1 is."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    M = (rng.random((n, 3)) < 0.5).astype(int)
+    y = X[:, 0] - X[:, 1] + 2 * M[:, 0] + 0.3 * rng.normal(size=n)
+    return MaskedDataset(X, M, y)
+
+
+# Each contract takes coordinate steps that move mu on at least one of these.
+DATASETS = {"censored": lambda: censored_dataset(seed=14, n=200),
+            "small_mcar": small_mcar_dataset}
+
+
+@pytest.mark.parametrize("metric", [mse_error, auc_error],
+                         ids=["mse", "auc"])
+@pytest.mark.parametrize("label", sorted(CONTRACTS))
+@pytest.mark.parametrize("data", sorted(DATASETS))
+def test_matches_reference_loop_bit_for_bit(data, label, metric):
+    # joint_fit patches one imputed matrix in place; the reference rebuilds
+    # it with impute_with for every trial and every refit
+    ds = degenerate_columns(DATASETS[data]())
+    if metric is auc_error:
+        ds = MaskedDataset(ds.X, ds.M, (ds.y > np.median(ds.y)).astype(float))
+    limits = FitLimits(max_outer=4)
+    got = joint_fit(ds, CONTRACTS[label], limits, metric, seed=3)
+    want = oracles.joint_fit(ds, CONTRACTS[label], limits, metric, seed=3)
+    assert got.sigma[-2:].tolist() == [1.0, 0.0]
+    assert got.mu.tobytes() == want.mu.tobytes()
+    assert got.sigma.tobytes() == want.sigma.tobytes()
+    assert got.error_trace == want.error_trace
+    assert got.cycles_per_iter == want.cycles_per_iter
+    assert got.n_refits == want.n_refits
+    assert got.stop_reason == want.stop_reason
+    assert got.predict(ds.X, ds.M).tobytes() == \
+        want.predict(ds.X, ds.M).tobytes()
 
 
 class TestPredictAndSerialize:

@@ -137,13 +137,15 @@ def case_joint_fit():
 def case_coordinate_step():
     ds = tiny()
     fit = elasticnet.LinearFit(0.0, np.array([1.0, 0.0, 1.0]), [])
-    mu = np.zeros(3)
-    current = joint.mse_error(ds.y, fit.predict(joint.impute_with(ds, mu)))
-    moved = joint.coordinate_step(mu, 0, 1.0, fit, ds, joint.mse_error, current)
-    flat = joint.coordinate_step(mu, 1, 1.0, fit, ds, joint.mse_error, current)
+    A = joint.impute_with(ds, np.zeros(3))
+    current = joint.mse_error(ds.y, fit.predict(A))
+    args = [(A, np.flatnonzero(ds.M[:, j]), j, 0.0, 1.0, fit, ds.y,
+             joint.mse_error, current) for j in (0, 1)]
+    moved = joint.coordinate_step(*args[0])
+    flat = joint.coordinate_step(*args[1])
     assert moved[0] != 0 and flat[0] == 0  # feature 1 has weight 0
-    return [((mu, 0), moved, {"step_moves": 1}),
-            ((mu, 1), flat, {"step_moves": 0})]
+    return [(args[0], moved, {"step_moves": 1}),
+            (args[1], flat, {"step_moves": 0})]
 
 
 def case_cart():
