@@ -124,14 +124,14 @@ def expand_matrix(X, M, mode: ExpansionMode) -> np.ndarray:
 
 def _per_row_fits(M, fit_of) -> tuple[np.ndarray, np.ndarray]:
     """Per-row intercepts and coefficient rows, where fit_of(pattern) is the
-    LinearFit that serves the rows with that missingness pattern."""
-    b = np.empty(len(M))
-    W = np.empty(M.shape)
-    for pattern, rows in unique_patterns(M):
-        f = fit_of(pattern)
-        b[rows] = f.intercept
-        W[rows] = f.coefficients
-    return b, W
+    LinearFit that serves the rows with that missingness pattern; it is
+    called once per distinct pattern of the batch."""
+    keys = list(map(tuple, M.astype(np.int8, copy=False).tolist()))
+    fits = {p: fit_of(p) for p in dict.fromkeys(keys)}
+    per_row = [fits[p] for p in keys]
+    b = np.array([f.intercept for f in per_row], dtype=float)
+    W = np.array([f.coefficients for f in per_row], dtype=float)
+    return b, W.reshape(M.shape)
 
 
 @dataclass
@@ -260,7 +260,6 @@ class PartitionTree:
 
     def route(self, m) -> TreeNode:
         node = self.root
-        m = np.asarray(m)
         while node.split_feature is not None:
             node = node.left if m[node.split_feature] == 0 else node.right
         return node

@@ -146,8 +146,14 @@ def _fit_on_design(name, train, params, seed, task):
 @dataclass(frozen=True)
 class Method:
     fit: Callable      # (name, train, params, seed, task) -> model
+    params: tuple[str, ...]  # the grid parameters that fit reads
     grid: list[dict]   # default hyper-parameter grid for kfold_cv
     saves: bool = False  # `missfit fit` may save it (model.to_dict())
+
+
+_LINEAR = ("lam", "alpha")
+_FINITE = _LINEAR + ("max_depth", "min_leaf")
+_TREE = ("max_depth", "min_leaf", "n_trees", "mtry")
 
 
 def _lams(*lams):
@@ -159,22 +165,22 @@ def _depths(*depths, **fixed):
 
 
 METHODS = {
-    "static": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), True),
-    "affine_intercept": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), True),
-    "affine": Method(_fit_adaptive, _lams(0.1, 0.01, 0.001), True),
-    "polynomial2": Method(_fit_adaptive, _lams(0.1, 0.01), True),
-    "fully_adaptive": Method(_fit_adaptive, _lams(0.1, 0.01), True),
-    "finite": Method(_fit_finite, _depths(1, 2, 3), True),
-    "joint_linear": Method(_fit_imputed, _lams(0.01, 0.001), True),
-    "joint_tree": Method(_fit_imputed, _depths(3, 5), True),
-    "joint_forest": Method(_fit_imputed, _depths(6, n_trees=50), True),
-    "mean_impute_linear": Method(_fit_imputed, _lams(0.1, 0.01, 0.001), True),
-    "mean_impute_tree": Method(_fit_imputed, _depths(3, 5, 7), True),
-    "mean_impute_forest": Method(_fit_imputed, _depths(6, 9, n_trees=100), True),
-    "cart_mia": Method(_fit_mia, _depths(2, 4, 6, 8, 10), True),
-    "rf_mia": Method(_fit_mia, _depths(6, 9, n_trees=100), True),
-    "complete_features": Method(_fit_on_design, _lams(0.1, 0.01, 0.001)),
-    "oracle": Method(_fit_on_design, _lams(0.1, 0.01, 0.001)),
+    "static": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01, 0.001), True),
+    "affine_intercept": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01, 0.001), True),
+    "affine": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01, 0.001), True),
+    "polynomial2": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01), True),
+    "fully_adaptive": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01), True),
+    "finite": Method(_fit_finite, _FINITE, _depths(1, 2, 3), True),
+    "joint_linear": Method(_fit_imputed, _LINEAR, _lams(0.01, 0.001), True),
+    "joint_tree": Method(_fit_imputed, _TREE, _depths(3, 5), True),
+    "joint_forest": Method(_fit_imputed, _TREE, _depths(6, n_trees=50), True),
+    "mean_impute_linear": Method(_fit_imputed, _LINEAR, _lams(0.1, 0.01, 0.001), True),
+    "mean_impute_tree": Method(_fit_imputed, _TREE, _depths(3, 5, 7), True),
+    "mean_impute_forest": Method(_fit_imputed, _TREE, _depths(6, 9, n_trees=100), True),
+    "cart_mia": Method(_fit_mia, _TREE, _depths(2, 4, 6, 8, 10), True),
+    "rf_mia": Method(_fit_mia, _TREE, _depths(6, 9, n_trees=100), True),
+    "complete_features": Method(_fit_on_design, _LINEAR, _lams(0.1, 0.01, 0.001)),
+    "oracle": Method(_fit_on_design, _LINEAR, _lams(0.1, 0.01, 0.001)),
 }
 
 BEST_VARIANTS = {
@@ -243,6 +249,19 @@ _FIELD_TYPES = {"name": ((str,), "a string"),
                 "grids": ((dict,), "an object of lists of objects"),
                 "seed_base": ((int,), "an integer")}
 
+# The JSON types of each grid parameter that some Method reads.
+_PARAM_TYPES = {"lam": ((int, float), "a number"),
+                "alpha": ((int, float), "a number"),
+                "max_depth": ((int,), "an integer"),
+                "min_leaf": ((int,), "an integer"),
+                "n_trees": ((int,), "an integer"),
+                "mtry": ((int, type(None)), "an integer or null")}
+
+
+def _check_type(where: str, value, types, kind: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{where}: must be {kind}, got {value!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -259,20 +278,28 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, (types, kind) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"$.{name}: must be {kind}, got {value!r}")
+            _check_type(f"$.{name}", getattr(self, name), types, kind)
         for method, grid in self.grids.items():
+            if method not in METHODS:
+                raise ConfigError(f"$.grids.{method}: unknown method")
             if not (isinstance(grid, list) and grid
                     and all(isinstance(p, dict) for p in grid)):
                 raise ConfigError(f"$.grids.{method}: must be a non-empty "
                                   f"list of objects, got {grid!r}")
+            for i, point in enumerate(grid):
+                where = f"$.grids.{method}[{i}]"
+                for key, value in point.items():
+                    if key not in METHODS[method].params:
+                        raise ConfigError(f"{where}: unknown parameter {key!r}")
+                    _check_type(f"{where}.{key}", value, *_PARAM_TYPES[key])
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("$.test_fraction: must be in (0, 1)")
         if self.cv_folds < 2:
             raise ConfigError("$.cv_folds: must be >= 2")
         if self.replications < 1:
             raise ConfigError("$.replications: must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError("$.seed_base: must be >= 0")
         if (self.generator is None) == (self.dataset_csv is None):
             raise ConfigError(
                 "$: exactly one of generator / dataset_csv is required")
@@ -282,6 +309,8 @@ class ExperimentConfig:
                     f"$.methods[{i}]: must be a string, got {m!r}")
             if m not in METHODS and m not in BEST_VARIANTS:
                 raise ConfigError(f"$.methods[{i}]: unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ConfigError(f"$.methods[{i}]: duplicate method {m!r}")
             if m == "oracle" and self.dataset_csv is not None:
                 raise ConfigError(f"$.methods[{i}]: oracle needs the fully "
                                   "observed design, which a CSV cannot give")
@@ -441,14 +470,14 @@ def write_results_csv(table: ResultsTable, path, timings_path=None) -> None:
     Keeping timings out of the main file makes reruns byte-identical.
     """
     recs = table.sorted_records()
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in recs:
             writer.writerow([r.dataset, r.method, r.setting, r.replication,
                              r.metric, repr(r.value)])
     if timings_path is not None:
-        with open(timings_path, "w", newline="") as fh:
+        with open(timings_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "method", "replication", "seconds"])
             for r in recs:
@@ -461,12 +490,12 @@ def read_results_csv(path, timings_path=None) -> ResultsTable:
     `timings_path` names an existing file, and are 0.0 otherwise."""
     seconds = {}
     if timings_path is not None and os.path.exists(timings_path):
-        with open(timings_path, newline="") as fh:
+        with open(timings_path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 key = (row["dataset"], row["method"], int(row["replication"]))
                 seconds[key] = float(row["seconds"])
     records = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             rep = int(row["replication"])

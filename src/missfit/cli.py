@@ -31,9 +31,13 @@ class UsageError(Exception):
 def _seed(args) -> int:
     env = os.environ.get("MISSFIT_SEED")
     try:
-        return int(env) if env is not None else args.seed
+        seed = int(env) if env is not None else args.seed
     except ValueError:
         raise UsageError(f"MISSFIT_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        source = "--seed" if env is None else "MISSFIT_SEED"
+        raise UsageError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _sig6(x: float) -> str:
@@ -129,7 +133,11 @@ def cmd_bench(args) -> int:
     prior = bench.ResultsTable([])
     timings = args.out + ".timings.csv"
     if args.resume and os.path.exists(args.out):
-        prior = bench.read_results_csv(args.out, timings)
+        try:  # a header without a column, a field that is no number
+            prior = bench.read_results_csv(args.out, timings)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed results file {args.out}: {exc!r}") \
+                from None
         skip = {(r.dataset, r.method, r.replication) for r in prior.records}
         print(f"resuming: {len(skip)} completed cells found")
     table = bench.run_experiment(config, jobs=args.jobs, skip=skip)

@@ -112,21 +112,15 @@ def unique_patterns(M) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Group the row indices of mask matrix M by missingness pattern.
 
     Returns (pattern, rows) pairs in order of first appearance; rows ascend.
-    Each row is compared as one opaque byte string (a void-dtype view):
-    np.unique(axis=0) alone takes about three times as long on 16-row batches.
+    One dict pass over the rows as tuples: 11 us on a 16x10 mask, where a
+    sort-based grouping (np.unique on a void-dtype view, then argsorts) took
+    27 us; 0.29 ms on 700 rows, where the sort took 0.17 ms (best of 7,
+    2-CPU Intel Xeon, Python 3.11, numpy 2.4).
     """
-    M = np.ascontiguousarray(M, dtype=np.int8)
-    if M.shape[1] == 0:  # a zero-width void dtype does not exist
-        keys = np.zeros(len(M), dtype=np.int8)
-    else:
-        keys = M.view(np.dtype((np.void, M.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # group ids in order of first appearance
-    label = np.argsort(order)[inverse]
-    rows = np.argsort(label, kind="stable")
-    ends = np.cumsum(np.bincount(label, minlength=len(first))).tolist()
-    patterns = map(tuple, M[first[order]].tolist())
-    return [(p, rows[a:b]) for p, a, b in zip(patterns, [0] + ends, ends)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(np.asarray(M, dtype=np.int8).tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    return [(p, np.array(rows)) for p, rows in groups.items()]
 
 
 MISSING_TOKENS = ("", "NA")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
                               fit_finite_adaptive, model_from_json,
                               model_to_json, tree_from_json, tree_to_json)
 from missfit.core import MaskedDataset, unique_patterns
-from missfit.elasticnet import (ElasticNetSpec, fit as enet_fit,
+from missfit.elasticnet import (ElasticNetSpec, LinearFit, fit as enet_fit,
                                 support_penalty_weights)
 from oracles import masked_dot
 
@@ -170,6 +172,39 @@ class TestPredict:
         pred = model.predict(np.ones((1, 3)), np.ones((1, 3), dtype=int))
         assert np.isfinite(pred)
 
+    def test_per_row_fits_asks_once_per_distinct_pattern(self):
+        fits = {(0, 1): LinearFit(1.0, np.array([1.0, 2.0]), []),
+                (1, 1): LinearFit(2.0, np.array([3.0, 4.0]), [])}
+        fallback = LinearFit(9.0, np.array([5.0, 6.0]), [])
+        asked = []
+
+        def fit_of(pattern):
+            asked.append(pattern)
+            return fits.get(pattern, fallback)
+
+        M = np.array([[0, 1], [1, 0], [0, 1], [1, 1], [1, 0], [0, 1]])
+        b, W = adaptive._per_row_fits(M, fit_of)
+        assert asked == [(0, 1), (1, 0), (1, 1)]
+        assert b.tolist() == [1.0, 9.0, 1.0, 2.0, 9.0, 1.0]
+        assert W.tolist() == [[1, 2], [5, 6], [1, 2], [3, 4], [5, 6], [1, 2]]
+
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_adaptive(ds, FULLY_ADAPTIVE, ElasticNetSpec(lam=0.01)),
+        lambda ds: fit_finite_adaptive(ds, ElasticNetSpec(lam=0.01),
+                                       max_depth=2, min_leaf=5)],
+        ids=["fully_adaptive", "finite"])
+    def test_empty_batch_and_zero_width_model(self, fit):
+        model = fit(random_dataset(9, n=60, d=3))
+        pred = model.predict(np.empty((0, 3)), np.empty((0, 3), dtype=int))
+        assert pred.shape == (0,)
+        y = np.arange(40.0)
+        zero = fit(MaskedDataset(np.empty((40, 0)), np.empty((40, 0)), y))
+        for n in (0, 5):
+            pred = zero.predict(np.empty((n, 0)), np.empty((n, 0), dtype=int))
+            assert pred.shape == (n,)
+            assert np.all(pred == zero.predict(np.empty((1, 0)),
+                                               np.empty((1, 0)))[0])
+
 
 def static_fit_sse(sub: MaskedDataset, spec):
     """The static fit of a whole dataset and its in-sample squared error."""
@@ -293,6 +328,14 @@ class TestFiniteAdaptive:
             m = rng.integers(0, 2, size=4)
             leaf = tree.route(m)
             assert leaf.split_feature is None
+
+    def test_route_takes_a_tuple_or_an_array_row(self):
+        ds = random_dataset(12, n=300, d=4, p_miss=0.4, mask_signal=True)
+        tree = fit_finite_adaptive(ds, ElasticNetSpec(lam=0.01), max_depth=3,
+                                   min_leaf=10)
+        assert tree.root.split_feature is not None
+        for m in itertools.product((0, 1), repeat=4):
+            assert tree.route(m) is tree.route(np.array(m, dtype=np.int8))
 
     def test_min_leaf_respected(self):
         ds = random_dataset(13, n=200, d=4, p_miss=0.4, mask_signal=True)

@@ -1,5 +1,5 @@
-"""The whole-array forms of missfit.core.unique_patterns, expand_matrix and
-the adaptive predicts equal the loops in tests/oracles.py bit for bit."""
+"""missfit.core.unique_patterns, expand_matrix and the adaptive predicts
+equal the reference loops in tests/oracles.py bit for bit."""
 
 import numpy as np
 import pytest

@@ -100,6 +100,24 @@ class TestFitMethod:
         with pytest.raises(ValueError, match="unknown method"):
             fit_method("mystery", small_dataset(), {}, 0, "regression")
 
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_params_list_what_the_fit_reads(self, name):
+        class Reads(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        params = {**METHODS[name].grid[0]}
+        if "n_trees" in params:
+            params["n_trees"] = 3
+        fit_method(name, small_dataset(n=60), Reads(params), 0, "regression")
+        assert read == set(METHODS[name].params)
+
     def test_oracle_requires_full_design(self):
         # only a generator config has the fully observed design
         doc = {"name": "x", "methods": ["static", "oracle"],
@@ -180,6 +198,12 @@ class TestConfig:
     def test_unknown_field_path(self):
         with pytest.raises(ConfigError, match=r"\$\.extra"):
             ExperimentConfig.from_json(json.dumps(self.base(extra=1)))
+
+    def test_every_default_grid_passes(self):
+        grids = {m: spec.grid for m, spec in METHODS.items()}
+        assert ExperimentConfig(**self.base(grids=grids)).grids == grids
+        mtry = {"rf_mia": [{"mtry": None}, {"mtry": 2, "n_trees": 5}]}
+        assert ExperimentConfig(**self.base(grids=mtry)).grids == mtry
 
     def test_unknown_method_path(self):
         with pytest.raises(ConfigError, match=r"\$\.methods\[1\]"):

@@ -78,6 +78,22 @@ class TestGenerate:
         assert "MISSFIT_SEED must be an integer, got 'abc'" in \
             capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--n", "30", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_negative_seed_env_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("MISSFIT_SEED", "-3")
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--n", "30", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: MISSFIT_SEED must be >= 0, got -3\n"
+        assert not out.exists()
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
         args = ["generate", "--n", "30", "--d", "3", "--k", "2", "--r", "2"]
@@ -106,6 +122,15 @@ class TestFitPredict:
         lines = preds.read_text().splitlines()
         assert lines[0] == "prediction"
         assert len(lines) == 81
+
+    @pytest.mark.parametrize("method", ["rf_mia", "joint_forest", "cart_mia"])
+    def test_negative_seed_is_usage_error(self, method, dataset_csv, tmp_path,
+                                          capsys):
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(dataset_csv), "--method", method,
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_unknown_method(self, dataset_csv, tmp_path, capsys):
         code = main(["fit", "--data", str(dataset_csv), "--method", "magic",
@@ -226,6 +251,43 @@ class TestBench:
         assert err.startswith(f"error: {path}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("over, message", [
+        ({"seed_base": -5}, "$.seed_base: must be >= 0"),
+        ({"methods": ["static", "static"]},
+         "$.methods[1]: duplicate method 'static'"),
+        ({"grids": {"bogus": [{"lam": 0.1}]}}, "$.grids.bogus: unknown method"),
+        ({"grids": {"adaptive_best": [{"lam": 0.1}]}},
+         "$.grids.adaptive_best: unknown method"),
+        ({"grids": {"static": [{"lamda": 5.0}, {"lamda": 1e-4}]}},
+         "$.grids.static[0]: unknown parameter 'lamda'"),
+        ({"grids": {"static": [{"lam": 0.1}, {"max_depth": 3}]}},
+         "$.grids.static[1]: unknown parameter 'max_depth'"),
+        ({"grids": {"static": [{"lam": "0.1"}]}},
+         "$.grids.static[0].lam: must be a number, got '0.1'"),
+        ({"grids": {"static": [{"alpha": True}]}},
+         "$.grids.static[0].alpha: must be a number, got True"),
+        ({"grids": {"finite": [{"max_depth": 2.0}]}},
+         "$.grids.finite[0].max_depth: must be an integer, got 2.0"),
+        ({"grids": {"cart_mia": [{"min_leaf": False}]}},
+         "$.grids.cart_mia[0].min_leaf: must be an integer, got False"),
+        ({"grids": {"rf_mia": [{"n_trees": None}]}},
+         "$.grids.rf_mia[0].n_trees: must be an integer, got None"),
+        ({"grids": {"rf_mia": [{"mtry": 0.5}]}},
+         "$.grids.rf_mia[0].mtry: must be an integer or null, got 0.5")],
+        ids=["seed_base-negative", "methods-duplicate", "grids-bogus",
+             "grids-variant", "grid-key-typo", "grid-key-of-another-method",
+             "lam-str", "alpha-bool", "max_depth-float", "min_leaf-bool",
+             "n_trees-null", "mtry-float"])
+    def test_unusable_method_or_grid_is_usage_error(self, over, message,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc(**over)))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'\xff\xfe{"name": "x"}')
@@ -264,6 +326,29 @@ class TestBench:
         resumed = (tmp_path / "partial.csv.timings.csv").read_text().splitlines()
         assert [l for l in resumed if ",cart_mia," not in l] == kept_timings
         assert len(resumed) == len(full_timings)
+
+    @pytest.mark.parametrize("data", [
+        b"dataset,method,setting,metric,value\ncli,static,s,r2,0.5\n",
+        b"dataset,method,setting,replication,metric,value\n"
+        b"cli,static,s,one,r2,0.5\n",
+        b"dataset,method,setting,replication,metric,value\ncli,static\n",
+        b"dataset,method,setting,replication,metric,value\n"
+        b"cli,static,\xff,0,r2,0.5\n"],
+        ids=["no-replication-column", "replication-not-int", "short-row",
+             "not-utf8"])
+    def test_resume_from_malformed_results_is_usage_error(self, data,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc()))
+        out = tmp_path / "out.csv"
+        out.write_bytes(data)
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--resume", "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed results file {out}: ")
+        assert err.count("\n") == 1
+        assert out.read_bytes() == data
+        assert not (tmp_path / "out.csv.timings.csv").exists()
 
     def test_parallel_matches_serial_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
