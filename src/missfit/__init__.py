@@ -7,7 +7,7 @@ from .adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
                        AdaptiveModel, ExpansionMode, PartitionTree,
                        extract_imputation, fit_adaptive, fit_finite_adaptive)
 from .joint import (FitLimits, JointModel, RegressorContract, coordinate_step,
-                    fit_mean_impute, forest_contract, impute_with, joint_fit,
+                    fit_mean_impute, forest_contract, joint_fit,
                     linear_contract, tree_contract)
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)

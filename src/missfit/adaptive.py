@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, batch, unique_patterns
+from .core import MaskedDataset, batch, check_int, check_real, unique_patterns
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit, support_penalty_weights
 
 
@@ -291,6 +291,14 @@ class PartitionTree:
         return cls(TreeNode.from_dict(doc["root"]), doc["d"])
 
 
+def finite_limits(max_depth, min_leaf, min_gain=1e-3) -> dict:
+    """The stopping limits of fit_finite_adaptive as its keywords, checked."""
+    check_int("max_depth", max_depth, 0)
+    check_int("min_leaf", min_leaf, 1)
+    check_real("min_gain", min_gain, 0)
+    return {"max_depth": max_depth, "min_leaf": min_leaf, "min_gain": min_gain}
+
+
 def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
                         max_depth: int = 4, min_leaf: int = 20,
                         min_gain: float = 1e-3) -> PartitionTree:
@@ -303,6 +311,7 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
     without a refit. Splits stop at max_depth, when a side would drop below
     min_leaf rows, or when the relative error reduction falls below min_gain.
     """
+    finite_limits(max_depth, min_leaf, min_gain)
     Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
 
     def static_fit_sse(rows: np.ndarray):

@@ -11,24 +11,22 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch, read_csv
+from .core import MaskedDataset, batch, check_int, check_real, read_csv
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
-from .adaptive import ExpansionMode, fit_adaptive, fit_finite_adaptive
+from .adaptive import (ExpansionMode, fit_adaptive, fit_finite_adaptive,
+                       finite_limits)
 from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
                     mse_error, tree_contract, forest_contract)
 from .learners import TreeParams, fit_cart_mia, fit_forest
 from .datagen import GeneratorSpec, generate
-
-log = logging.getLogger("missfit.bench")
 
 
 class ConfigError(ValueError):
@@ -75,38 +73,42 @@ def _is_binary(y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Methods. Every fit returns a model with predict(X, M) -> predictions.
+# Methods. spec(params) builds the checked spec its fit reads; tree fits set
+# seed and task with dataclasses.replace. Fits return a model with predict.
 
 def _enet_spec(params) -> ElasticNetSpec:
     return ElasticNetSpec(lam=params.get("lam", 0.01),
                           alpha=params.get("alpha", 0.5))
 
 
-def _tree_params(params, seed, task) -> TreeParams:
+def _finite_spec(params) -> tuple[ElasticNetSpec, dict]:
+    return _enet_spec(params), finite_limits(params.get("max_depth", 3),
+                                             params.get("min_leaf", 20))
+
+
+def _tree_params(params) -> TreeParams:
     return TreeParams(max_depth=params.get("max_depth", 6),
                       min_leaf=params.get("min_leaf", 5),
                       n_trees=params.get("n_trees", 100),
-                      mtry=params.get("mtry"), seed=seed, task=task)
+                      mtry=params.get("mtry"))
 
 
-def _fit_adaptive(name, train, params, seed, task):
-    return fit_adaptive(train, ExpansionMode.parse(name), _enet_spec(params))
+def _fit_adaptive(name, train, spec, seed, task):
+    return fit_adaptive(train, ExpansionMode.parse(name), spec)
 
 
-def _fit_finite(name, train, params, seed, task):
-    return fit_finite_adaptive(train, _enet_spec(params),
-                               max_depth=params.get("max_depth", 3),
-                               min_leaf=params.get("min_leaf", 20))
+def _fit_finite(name, train, spec, seed, task):
+    return fit_finite_adaptive(train, spec[0], **spec[1])
 
 
-def _fit_imputed(name, train, params, seed, task):
+def _fit_imputed(name, train, spec, seed, task):
     """joint_* and mean_impute_*: an imputation vector mu, then the regressor
     that the name's suffix names. Only joint_* searches mu."""
     kind = name.rsplit("_", 1)[1]
     if kind == "linear":
-        contract = linear_contract(_enet_spec(params))
+        contract = linear_contract(spec)
     else:
-        tp = _tree_params(params, seed, task)
+        tp = replace(spec, seed=seed, task=task)
         contract = tree_contract(tp) if kind == "tree" else forest_contract(tp)
     if name.startswith("mean_impute_"):
         return fit_mean_impute(train, contract, seed)
@@ -114,9 +116,9 @@ def _fit_imputed(name, train, params, seed, task):
     return joint_fit(train, contract, FitLimits(), metric, seed)
 
 
-def _fit_mia(name, train, params, seed, task):
+def _fit_mia(name, train, spec, seed, task):
     fit = fit_cart_mia if name == "cart_mia" else fit_forest
-    return fit(train, _tree_params(params, seed, task))
+    return fit(train, replace(spec, seed=seed, task=task))
 
 
 @dataclass(frozen=True)
@@ -132,28 +134,28 @@ class LinearOnDesign:
         return self.fit.predict(self.design(*batch(X, M, self.d)))
 
 
-def _fit_on_design(name, train, params, seed, task):
+def _fit_on_design(name, train, spec, seed, task):
     if name == "oracle":  # train.X is fully observed; see run_replication
         design = lambda X, M: np.column_stack([X, M])
     else:  # complete_features: the columns observed in every training row
         cols = np.flatnonzero(train.M.sum(axis=0) == 0)
         design = lambda X, M: np.where(M == 1, 0.0, X)[:, cols]
     A = design(train.X, train.M)
-    return LinearOnDesign(enet_fit(A, train.y, _enet_spec(params)), design,
-                          train.d)
+    return LinearOnDesign(enet_fit(A, train.y, spec), design, train.d)
 
 
 @dataclass(frozen=True)
 class Method:
-    fit: Callable      # (name, train, params, seed, task) -> model
-    params: tuple[str, ...]  # the grid parameters that fit reads
+    spec: Callable     # (params) -> the checked spec that fit reads
+    params: tuple[str, ...]  # the grid parameters that spec reads
+    fit: Callable      # (name, train, spec, seed, task) -> model
     grid: list[dict]   # default hyper-parameter grid for kfold_cv
     saves: bool = False  # `missfit fit` may save it (model.to_dict())
 
 
-_LINEAR = ("lam", "alpha")
-_FINITE = _LINEAR + ("max_depth", "min_leaf")
-_TREE = ("max_depth", "min_leaf", "n_trees", "mtry")
+_LINEAR = (_enet_spec, ("lam", "alpha"))
+_FINITE = (_finite_spec, ("lam", "alpha", "max_depth", "min_leaf"))
+_TREE = (_tree_params, ("max_depth", "min_leaf", "n_trees", "mtry"))
 
 
 def _lams(*lams):
@@ -165,22 +167,22 @@ def _depths(*depths, **fixed):
 
 
 METHODS = {
-    "static": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01, 0.001), True),
-    "affine_intercept": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01, 0.001), True),
-    "affine": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01, 0.001), True),
-    "polynomial2": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01), True),
-    "fully_adaptive": Method(_fit_adaptive, _LINEAR, _lams(0.1, 0.01), True),
-    "finite": Method(_fit_finite, _FINITE, _depths(1, 2, 3), True),
-    "joint_linear": Method(_fit_imputed, _LINEAR, _lams(0.01, 0.001), True),
-    "joint_tree": Method(_fit_imputed, _TREE, _depths(3, 5), True),
-    "joint_forest": Method(_fit_imputed, _TREE, _depths(6, n_trees=50), True),
-    "mean_impute_linear": Method(_fit_imputed, _LINEAR, _lams(0.1, 0.01, 0.001), True),
-    "mean_impute_tree": Method(_fit_imputed, _TREE, _depths(3, 5, 7), True),
-    "mean_impute_forest": Method(_fit_imputed, _TREE, _depths(6, 9, n_trees=100), True),
-    "cart_mia": Method(_fit_mia, _TREE, _depths(2, 4, 6, 8, 10), True),
-    "rf_mia": Method(_fit_mia, _TREE, _depths(6, 9, n_trees=100), True),
-    "complete_features": Method(_fit_on_design, _LINEAR, _lams(0.1, 0.01, 0.001)),
-    "oracle": Method(_fit_on_design, _LINEAR, _lams(0.1, 0.01, 0.001)),
+    "static": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01, 0.001), True),
+    "affine_intercept": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01, 0.001), True),
+    "affine": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01, 0.001), True),
+    "polynomial2": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01), True),
+    "fully_adaptive": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01), True),
+    "finite": Method(*_FINITE, _fit_finite, _depths(1, 2, 3), True),
+    "joint_linear": Method(*_LINEAR, _fit_imputed, _lams(0.01, 0.001), True),
+    "joint_tree": Method(*_TREE, _fit_imputed, _depths(3, 5), True),
+    "joint_forest": Method(*_TREE, _fit_imputed, _depths(6, n_trees=50), True),
+    "mean_impute_linear": Method(*_LINEAR, _fit_imputed, _lams(0.1, 0.01, 0.001), True),
+    "mean_impute_tree": Method(*_TREE, _fit_imputed, _depths(3, 5, 7), True),
+    "mean_impute_forest": Method(*_TREE, _fit_imputed, _depths(6, 9, n_trees=100), True),
+    "cart_mia": Method(*_TREE, _fit_mia, _depths(2, 4, 6, 8, 10), True),
+    "rf_mia": Method(*_TREE, _fit_mia, _depths(6, 9, n_trees=100), True),
+    "complete_features": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
+    "oracle": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
 }
 
 BEST_VARIANTS = {
@@ -196,7 +198,8 @@ def fit_method(name: str, train: MaskedDataset, params: dict, seed: int,
     """Fit one named method; returns a model with predict(X, M) -> scores."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
-    return METHODS[name].fit(name, train, params, seed, task)
+    method = METHODS[name]
+    return method.fit(name, train, method.spec(params), seed, task)
 
 
 def _score(y, yhat, task) -> float:
@@ -236,31 +239,13 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
 # ---------------------------------------------------------------------------
 # Experiment configuration and runner
 
-# Each config field's JSON types, and how an error names them. A bool is
-# neither an integer nor a number here.
+# The JSON type of each config field that is not a number, as errors name it.
 _FIELD_TYPES = {"name": ((str,), "a string"),
                 "methods": ((list,), "a list of strings"),
                 "generator": ((dict, type(None)), "an object"),
                 "dataset_csv": ((str, type(None)), "a string"),
                 "target": ((str,), "a string"),
-                "replications": ((int,), "an integer"),
-                "test_fraction": ((int, float), "a number"),
-                "cv_folds": ((int,), "an integer"),
-                "grids": ((dict,), "an object of lists of objects"),
-                "seed_base": ((int,), "an integer")}
-
-# The JSON types of each grid parameter that some Method reads.
-_PARAM_TYPES = {"lam": ((int, float), "a number"),
-                "alpha": ((int, float), "a number"),
-                "max_depth": ((int,), "an integer"),
-                "min_leaf": ((int,), "an integer"),
-                "n_trees": ((int,), "an integer"),
-                "mtry": ((int, type(None)), "an integer or null")}
-
-
-def _check_type(where: str, value, types, kind: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{where}: must be {kind}, got {value!r}")
+                "grids": ((dict,), "an object of lists of objects")}
 
 
 @dataclass
@@ -278,7 +263,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, (types, kind) in _FIELD_TYPES.items():
-            _check_type(f"$.{name}", getattr(self, name), types, kind)
+            if not isinstance(value := getattr(self, name), types):
+                raise ConfigError(f"$.{name}: must be {kind}, got {value!r}")
+        try:
+            check_int("replications", self.replications, 1)
+            check_real("test_fraction", self.test_fraction, 0, 1, strict=True)
+            check_int("cv_folds", self.cv_folds, 2)
+            check_int("seed_base", self.seed_base, 0)
+        except ValueError as exc:
+            raise ConfigError(f"$.{exc}") from None
         for method, grid in self.grids.items():
             if method not in METHODS:
                 raise ConfigError(f"$.grids.{method}: unknown method")
@@ -288,18 +281,13 @@ class ExperimentConfig:
                                   f"list of objects, got {grid!r}")
             for i, point in enumerate(grid):
                 where = f"$.grids.{method}[{i}]"
-                for key, value in point.items():
+                for key in point:
                     if key not in METHODS[method].params:
                         raise ConfigError(f"{where}: unknown parameter {key!r}")
-                    _check_type(f"{where}.{key}", value, *_PARAM_TYPES[key])
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("$.test_fraction: must be in (0, 1)")
-        if self.cv_folds < 2:
-            raise ConfigError("$.cv_folds: must be >= 2")
-        if self.replications < 1:
-            raise ConfigError("$.replications: must be >= 1")
-        if self.seed_base < 0:
-            raise ConfigError("$.seed_base: must be >= 0")
+                try:
+                    METHODS[method].spec(point)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}.{exc}") from None
         if (self.generator is None) == (self.dataset_csv is None):
             raise ConfigError(
                 "$: exactly one of generator / dataset_csv is required")
@@ -429,9 +417,7 @@ def run_replication(config: ExperimentConfig, rep: int,
                                   metric_name, value,
                                   time.perf_counter() - t0))
         except Exception as exc:  # failure of one cell must not abort the run
-            msg = f"{config.name}/{method}/rep{rep}: {exc!r}"
-            log.warning("method failed: %s", msg)
-            errors.append(msg)
+            errors.append(f"{config.name}/{method}/rep{rep}: {exc!r}")
     return records, errors
 
 

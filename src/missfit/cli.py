@@ -66,13 +66,17 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     method = bench.METHODS.get(args.method)
     if method is None or not method.saves:
-        valid = [m for m, spec in bench.METHODS.items() if spec.saves]
+        valid = [m for m, entry in bench.METHODS.items() if entry.saves]
         raise UsageError(
             f"unknown method {args.method!r}; valid: {', '.join(valid)}")
-    dataset = read_csv(args.data, args.target)
     params = {"lam": args.lam, "alpha": args.alpha, "max_depth": args.max_depth}
-    model = bench.fit_method(args.method, dataset, params, _seed(args),
-                             "regression")
+    try:  # the checks a benchmark config gets, before the data is read
+        method.spec(params)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    seed = _seed(args)
+    dataset = read_csv(args.data, args.target)
+    model = bench.fit_method(args.method, dataset, params, seed, "regression")
     yhat = model.predict(dataset.X, dataset.M)
     with open(args.out, "w") as fh:
         fh.write(json.dumps(model.to_dict(), indent=1))
@@ -107,6 +111,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = bench.ExperimentConfig.from_json(fh.read())

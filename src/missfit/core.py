@@ -7,6 +7,7 @@ whatever number is stored there (no NaN sentinel); all semantics flow from M.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,29 @@ import numpy as np
 
 class DatasetError(ValueError):
     """Raised when a dataset violates its structural contract."""
+
+
+def check_int(field: str, value, low: int, null: bool = False) -> None:
+    """A hyper-parameter check: an integer >= low (or None, where null). A
+    bool is no integer. Both checks raise "<field>: must be ..." errors."""
+    if null and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        kind = "an integer or null" if null else "an integer"
+        raise ValueError(f"{field}: must be {kind}, got {value!r}")
+    if value < low:
+        raise ValueError(f"{field}: must be >= {low}")
+
+
+def check_real(field: str, value, low, high=np.inf, strict=False) -> None:
+    """The other check: a finite number in [low, high], or in (low, high)
+    where strict. A bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field}: must be a number, got {value!r}")
+    if not ((low < value < high if strict else low <= value <= high)
+            and abs(value) < np.inf):  # NaN is never inside
+        a, b = "(" if strict else "[", ")" if strict or high == np.inf else "]"
+        raise ValueError(f"{field}: must be in {a}{low:g}, {high:g}{b}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_int, check_real
+
 
 @dataclass(frozen=True)
 class ElasticNetSpec:
@@ -31,13 +33,10 @@ class ElasticNetSpec:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        for name in ("lam", "tol"):  # NaN passes "< 0", and json reads NaN
-            if not (np.isfinite(v := getattr(self, name)) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1: {self.max_iters}")
+        check_real("lam", self.lam, 0)
+        check_real("alpha", self.alpha, 0, 1)
+        check_real("tol", self.tol, 0)
+        check_int("max_iters", self.max_iters, 1)
         if self.penalty_weights is not None:
             w = np.asarray(self.penalty_weights, dtype=float)
             if np.any(~np.isfinite(w)) or np.any(w < 0):

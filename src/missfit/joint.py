@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch
+from .core import MaskedDataset, batch, check_int, check_real
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
@@ -27,8 +27,9 @@ class FitLimits:
     min_rel_improve: float = 1e-4
 
     def __post_init__(self):
-        if self.max_outer < 1 or self.max_cycles < 1 or self.min_rel_improve < 0:
-            raise ValueError("limits must be positive")
+        check_int("max_outer", self.max_outer, 1)
+        check_int("max_cycles", self.max_cycles, 1)
+        check_real("min_rel_improve", self.min_rel_improve, 0)
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,6 @@ class _FullyObservedWrapper:
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(X)
         return self.model.predict(X, np.zeros_like(X, dtype=np.int8))
-
-
-def impute_with(dataset: MaskedDataset, mu) -> np.ndarray:
-    """Fill missing entries of X with the per-feature constants mu."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (dataset.d,):
-        raise ValueError(f"mu length {mu.shape} != d={dataset.d}")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("non-finite imputation values")
-    return np.where(dataset.M == 1, mu, dataset.X)
 
 
 def mse_error(y, yhat) -> float:
@@ -176,7 +167,7 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
     refit that would worsen training error is rolled back, so the recorded
     error trace is non-increasing.
     """
-    mu, A = mean_impute(dataset)  # A == impute_with(dataset, mu) throughout
+    mu, A = mean_impute(dataset)  # A: X with mu in the missing slots
     # a factory may keep the matrix it is given, so each gets a copy of A
     predictor, n_refits = contract.factory(A.copy(), dataset.y, seed), 1
     obs = dataset.M == 0

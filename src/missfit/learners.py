@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, batch
+from .core import MaskedDataset, batch, check_int
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,9 @@ class TreeParams:
     task: str = "regression"  # or "classification" (binary y, Gini impurity)
 
     def __post_init__(self):
-        if self.max_depth < 1 or self.min_leaf < 1 or self.n_trees < 1:
-            raise ValueError("tree parameters must be positive")
+        for name in ("max_depth", "min_leaf", "n_trees", "mtry"):
+            check_int(name, getattr(self, name), 1, null=name == "mtry")
+        check_int("seed", self.seed, 0)
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
 

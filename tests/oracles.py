@@ -3,8 +3,8 @@ missfit.elasticnet and missfit.joint.
 
 These are the per-row and per-column loops the package used before its
 whole-array forms, the coordinate-descent loop before its leaner one, and
-the joint fit that rebuilt its whole imputed matrix for every trial; tests
-compare the package against them bit for bit.
+the joint fit that rebuilt its whole imputed matrix (impute_with) for every
+trial; tests compare the package against them bit for bit.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from missfit.core import DatasetError
-from missfit.joint import JointModel, impute_with
+from missfit.joint import JointModel
 from missfit.learners import mean_impute
 
 
@@ -144,6 +144,16 @@ def enet_fit(X, y, spec):
     coef = wt / s
     intercept = y_mean - float(np.dot(x_mean, coef))
     return LinearFit(intercept, coef, trace, converged)
+
+
+def impute_with(dataset, mu) -> np.ndarray:
+    """Fill missing entries of X with the per-feature constants mu."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (dataset.d,):
+        raise ValueError(f"mu length {mu.shape} != d={dataset.d}")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("non-finite imputation values")
+    return np.where(dataset.M == 1, mu, dataset.X)
 
 
 def _coordinate_step(mu, j, sigma_j, predictor, dataset, error_metric,

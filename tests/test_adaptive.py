@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -336,6 +337,15 @@ class TestFiniteAdaptive:
         assert tree.root.split_feature is not None
         for m in itertools.product((0, 1), repeat=4):
             assert tree.route(m) is tree.route(np.array(m, dtype=np.int8))
+
+    @pytest.mark.parametrize("limits, message", [
+        ({"max_depth": -1}, "max_depth: must be >= 0"),
+        ({"min_leaf": 0}, "min_leaf: must be >= 1"),
+        ({"min_gain": np.nan}, "min_gain: must be in [0, inf)")])
+    def test_rejects_limits_that_cannot_stop(self, limits, message):
+        ds = random_dataset(13, n=50, d=2, p_miss=0.4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_finite_adaptive(ds, LAM0, **limits)
 
     def test_min_leaf_respected(self):
         ds = random_dataset(13, n=200, d=4, p_miss=0.4, mask_signal=True)

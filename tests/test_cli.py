@@ -132,6 +132,20 @@ class TestFitPredict:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, flags, message", [
+        ("static", ["--lam", "-1"], "lam: must be in [0, inf)"),
+        ("static", ["--alpha", "2"], "alpha: must be in [0, 1]"),
+        ("cart_mia", ["--max-depth", "0"], "max_depth: must be >= 1"),
+        ("rf_mia", ["--max-depth", "0"], "max_depth: must be >= 1"),
+        ("finite", ["--max-depth", "-2"], "max_depth: must be >= 0")])
+    def test_flag_out_of_range_is_usage_error(self, method, flags, message,
+                                              dataset_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(dataset_csv), "--method", method,
+                     *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_method(self, dataset_csv, tmp_path, capsys):
         code = main(["fit", "--data", str(dataset_csv), "--method", "magic",
                      "--out", str(tmp_path / "m.json")])
@@ -273,11 +287,29 @@ class TestBench:
         ({"grids": {"rf_mia": [{"n_trees": None}]}},
          "$.grids.rf_mia[0].n_trees: must be an integer, got None"),
         ({"grids": {"rf_mia": [{"mtry": 0.5}]}},
-         "$.grids.rf_mia[0].mtry: must be an integer or null, got 0.5")],
+         "$.grids.rf_mia[0].mtry: must be an integer or null, got 0.5"),
+        ({"grids": {"static": [{"lam": -1.0}]}},
+         "$.grids.static[0].lam: must be in [0, inf)"),
+        ({"grids": {"static": [{"alpha": 2}]}},
+         "$.grids.static[0].alpha: must be in [0, 1]"),
+        ({"grids": {"cart_mia": [{"max_depth": 0}]}},
+         "$.grids.cart_mia[0].max_depth: must be >= 1"),
+        ({"grids": {"rf_mia": [{"n_trees": 0}]}},
+         "$.grids.rf_mia[0].n_trees: must be >= 1"),
+        ({"grids": {"rf_mia": [{"mtry": 0}]}},
+         "$.grids.rf_mia[0].mtry: must be >= 1"),
+        ({"grids": {"joint_tree": [{"min_leaf": 0}]}},
+         "$.grids.joint_tree[0].min_leaf: must be >= 1"),
+        ({"grids": {"finite": [{"max_depth": -1}]}},
+         "$.grids.finite[0].max_depth: must be >= 0"),
+        ({"grids": {"finite": [{"max_depth": 2, "min_leaf": 0}]}},
+         "$.grids.finite[0].min_leaf: must be >= 1")],
         ids=["seed_base-negative", "methods-duplicate", "grids-bogus",
              "grids-variant", "grid-key-typo", "grid-key-of-another-method",
              "lam-str", "alpha-bool", "max_depth-float", "min_leaf-bool",
-             "n_trees-null", "mtry-float"])
+             "n_trees-null", "mtry-float", "lam-negative", "alpha-above-1",
+             "cart-max_depth-0", "n_trees-0", "mtry-0", "joint-min_leaf-0",
+             "finite-max_depth-negative", "finite-min_leaf-0"])
     def test_unusable_method_or_grid_is_usage_error(self, over, message,
                                                     tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -287,6 +319,36 @@ class TestBench:
                      "--jobs", "1"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc()))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_each_failed_cell_is_one_warning(self, tmp_path):
+        # min_leaf 1000 passes the config and fails each cart_mia fit. A
+        # fresh interpreter: pytest would capture what logging printed.
+        cfg = tmp_path / "cfg.json"
+        grids = {"static": [{"lam": 0.01}], "cart_mia": [{"min_leaf": 1000}]}
+        cfg.write_text(json.dumps(config_doc(methods=["static", "cart_mia"],
+                                             grids=grids)))
+        src = str(Path(missfit.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "missfit.cli", "bench", "--config", str(cfg),
+             "--out", str(tmp_path / "o.csv"), "--jobs", "1"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0
+        lines = run.stderr.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["warning"] * 2
+        assert "cli/cart_mia/rep0" in lines[0]
+        assert "cli/cart_mia/rep1" in lines[1]
 
     def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -167,7 +167,8 @@ def test_alpha_bounds():
     ("alpha", float("nan")),
     ("lam", float("nan")), ("lam", float("inf")), ("lam", -1e-9),
     ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.0), ("max_iters", 2.5),
-    ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf"))])
+    ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("lam", True), ("alpha", "0.5"), ("max_iters", True)])
 def test_spec_rejects(field, value):
     with pytest.raises(ValueError, match=field):
         ElasticNetSpec(**{field: value})

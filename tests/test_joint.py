@@ -5,7 +5,7 @@ from missfit.bench import auc_error
 from missfit.core import MaskedDataset
 from missfit.elasticnet import ElasticNetSpec
 from missfit.joint import (FitLimits, coordinate_step,
-                           forest_contract, impute_with, joint_fit,
+                           forest_contract, joint_fit,
                            joint_model_from_json, joint_model_to_json,
                            linear_contract, mse_error, tree_contract)
 from missfit.learners import TreeParams, mean_impute
@@ -28,18 +28,18 @@ class TestImputeWith:
     def test_fills_only_missing_slots(self):
         ds = MaskedDataset(np.array([[1.0, 0.0], [3.0, 4.0]]),
                            np.array([[0, 1], [0, 0]]), np.zeros(2))
-        out = impute_with(ds, [10.0, 20.0])
+        out = oracles.impute_with(ds, [10.0, 20.0])
         assert out.tolist() == [[1.0, 20.0], [3.0, 4.0]]
 
     def test_wrong_length(self):
         ds = censored_dataset(n=10)
         with pytest.raises(ValueError):
-            impute_with(ds, [0.0])
+            oracles.impute_with(ds, [0.0])
 
     def test_non_finite_mu(self):
         ds = censored_dataset(n=10)
         with pytest.raises(ValueError):
-            impute_with(ds, [np.nan, 0.0, 0.0])
+            oracles.impute_with(ds, [np.nan, 0.0, 0.0])
 
 
 class TestCoordinateStep:
@@ -53,7 +53,7 @@ class TestCoordinateStep:
                 return X @ np.array([1.5, -1.0, 0.5])
 
         mu, _ = mean_impute(ds)
-        A = impute_with(ds, mu)
+        A = oracles.impute_with(ds, mu)
         current = mse_error(ds.y, Identity().predict(A))
         eps, err = coordinate_step(A, np.flatnonzero(ds.M[:, 0]), 0, mu[0], 0.5,
                                    Identity(), ds.y, mse_error, current)
@@ -77,7 +77,7 @@ class TestCoordinateStep:
                 return np.zeros(len(X))
 
         current = mse_error(ds.y, np.zeros(ds.n))
-        A = impute_with(ds, np.zeros(3))
+        A = oracles.impute_with(ds, np.zeros(3))
         eps, _ = coordinate_step(A, np.flatnonzero(ds.M[:, 1]), 1, 0.0, 1.0,
                                  Constant(), ds.y, mse_error, current)
         assert eps == 0
@@ -229,7 +229,7 @@ class TestPredictAndSerialize:
     def test_predict_matrix_form(self):
         ds = censored_dataset(seed=12, n=150)
         model = joint_fit(ds, linear_contract(), FitLimits(max_outer=2))
-        via_ds = model.predictor.predict(impute_with(ds, model.mu))
+        via_ds = model.predictor.predict(oracles.impute_with(ds, model.mu))
         via_xm = model.predict(ds.X, ds.M)
         assert np.allclose(via_ds, via_xm)
 
@@ -264,3 +264,5 @@ class TestAucError:
 def test_limits_validation():
     with pytest.raises(ValueError):
         FitLimits(max_outer=0)
+    with pytest.raises(ValueError, match="^max_outer: must be an integer"):
+        FitLimits(max_outer=2.5)

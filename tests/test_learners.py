@@ -136,9 +136,15 @@ class TestParams:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            TreeParams(max_depth=0)
-        with pytest.raises(ValueError):
             TreeParams(task="ranking")
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", 0), ("max_depth", 2.5), ("max_depth", True),
+        ("n_trees", 0), ("mtry", 0), ("mtry", -1), ("mtry", 0.5),
+        ("seed", -1)])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
+            TreeParams(**{field: value})
 
 
 class TestCart:
