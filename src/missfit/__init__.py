@@ -11,9 +11,8 @@ from .joint import (FitLimits, JointModel, RegressorContract, coordinate_step,
                     linear_contract, tree_contract)
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
-from .datagen import (GeneratorSpec, SemiSyntheticSpec, adversarial_permute,
-                      apply_censoring, apply_mcar, gen_design, gen_semisynthetic,
-                      gen_signal, generate)
+from .datagen import (GeneratorSpec, adversarial_permute, apply_censoring,
+                      apply_mcar, gen_design, generate)
 from .bench import (ExperimentConfig, ResultsTable, kfold_cv, r_squared,
                     run_experiment, scaled_auc)
 

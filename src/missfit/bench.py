@@ -88,9 +88,12 @@ def _finite_spec(params) -> tuple[ElasticNetSpec, dict]:
 
 def _tree_params(params) -> TreeParams:
     return TreeParams(max_depth=params.get("max_depth", 6),
-                      min_leaf=params.get("min_leaf", 5),
-                      n_trees=params.get("n_trees", 100),
-                      mtry=params.get("mtry"))
+                      min_leaf=params.get("min_leaf", 5))
+
+
+def _forest_params(params) -> TreeParams:
+    return replace(_tree_params(params), n_trees=params.get("n_trees", 100),
+                   mtry=params.get("mtry"))
 
 
 def _fit_adaptive(name, train, spec, seed, task):
@@ -155,7 +158,8 @@ class Method:
 
 _LINEAR = (_enet_spec, ("lam", "alpha"))
 _FINITE = (_finite_spec, ("lam", "alpha", "max_depth", "min_leaf"))
-_TREE = (_tree_params, ("max_depth", "min_leaf", "n_trees", "mtry"))
+_TREE = (_tree_params, ("max_depth", "min_leaf"))
+_FOREST = (_forest_params, ("max_depth", "min_leaf", "n_trees", "mtry"))
 
 
 def _lams(*lams):
@@ -175,12 +179,12 @@ METHODS = {
     "finite": Method(*_FINITE, _fit_finite, _depths(1, 2, 3), True),
     "joint_linear": Method(*_LINEAR, _fit_imputed, _lams(0.01, 0.001), True),
     "joint_tree": Method(*_TREE, _fit_imputed, _depths(3, 5), True),
-    "joint_forest": Method(*_TREE, _fit_imputed, _depths(6, n_trees=50), True),
+    "joint_forest": Method(*_FOREST, _fit_imputed, _depths(6, n_trees=50), True),
     "mean_impute_linear": Method(*_LINEAR, _fit_imputed, _lams(0.1, 0.01, 0.001), True),
     "mean_impute_tree": Method(*_TREE, _fit_imputed, _depths(3, 5, 7), True),
-    "mean_impute_forest": Method(*_TREE, _fit_imputed, _depths(6, 9, n_trees=100), True),
+    "mean_impute_forest": Method(*_FOREST, _fit_imputed, _depths(6, 9, n_trees=100), True),
     "cart_mia": Method(*_TREE, _fit_mia, _depths(2, 4, 6, 8, 10), True),
-    "rf_mia": Method(*_TREE, _fit_mia, _depths(6, 9, n_trees=100), True),
+    "rf_mia": Method(*_FOREST, _fit_mia, _depths(6, 9, n_trees=100), True),
     "complete_features": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
     "oracle": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
 }
@@ -303,10 +307,16 @@ class ExperimentConfig:
                 raise ConfigError(f"$.methods[{i}]: oracle needs the fully "
                                   "observed design, which a CSV cannot give")
         if self.generator is not None:
+            for key in self.generator:
+                if key == "seed":
+                    raise ConfigError(
+                        "$.generator.seed: set per replication from seed_base")
+                if key not in GeneratorSpec.__dataclass_fields__:
+                    raise ConfigError(f"$.generator.{key}: unknown field")
             try:
-                GeneratorSpec(**{**self.generator, "seed": 0})
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"$.generator: {exc}") from exc
+                GeneratorSpec(**self.generator)
+            except ValueError as exc:
+                raise ConfigError(f"$.generator.{exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -371,7 +381,8 @@ def _replication_setting(config: ExperimentConfig) -> str:
     if config.generator:
         g = config.generator
         return (f"{g.get('mechanism', 'mcar')}_p{g.get('p', 0.3)}"
-                f"_{g.get('signal', 'linear')}")
+                f"_{g.get('signal', 'linear')}"
+                + (f"_{g['setting']}" if "setting" in g else ""))
     return "csv"
 
 

@@ -1,9 +1,10 @@
-"""Synthetic and semi-synthetic instance generators.
+"""Synthetic instance generator.
 
-Gaussian designs with low-rank-plus-ridge covariance, linear or small-network
-signals calibrated to a target signal-to-noise ratio, MCAR and censoring
-masks, and the semi-synthetic signal constructions (MAR / NMAR / adversarial
-reassignment of missingness patterns).
+Gaussian designs with low-rank-plus-ridge covariance, MCAR and censoring
+masks over a leading block of columns, and linear or small-network signals
+calibrated to a target signal-to-noise ratio. The signal ignores the mask
+(MAR), reads the mask bits of its masked support columns (NMAR), or is drawn
+before the mask rows are reassigned adversarially (AM).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import MaskedDataset, write_csv
+from .core import MaskedDataset, check_int, check_real, write_csv
 
 
 @dataclass(frozen=True)
@@ -28,41 +29,37 @@ class GeneratorSpec:
     mechanism: str = "mcar"  # mcar | censoring
     p: float = 0.3
     seed: int = 0
+    setting: str = "mar"  # mar | nmar | am
+    d_missing: int | None = None  # the mask covers columns [0, d_missing)
+    k_missing: int | None = None  # support columns drawn from those
 
     def __post_init__(self):
-        for name in ("n", "d", "r", "k"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 2 or self.r < 0:
-            raise ValueError("need n >= 2 and r >= 0")
-        if not (self.d >= self.k >= 1):
-            raise ValueError("need d >= k >= 1")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must be in (0, 1)")
-        if self.snr <= 0 or self.eps <= 0:
-            raise ValueError("snr and eps must be positive")
-        if self.signal not in ("linear", "nn"):
-            raise ValueError(f"unknown signal {self.signal!r}")
-        if self.mechanism not in ("mcar", "censoring"):
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
+        check_int("n", self.n, 2)
+        check_int("d", self.d, 1)
+        check_int("r", self.r, 0)
+        check_int("k", self.k, 1)
+        check_real("eps", self.eps, 0, strict=True)
+        check_real("snr", self.snr, 0, strict=True)
+        check_real("p", self.p, 0, 1, strict=True)
+        check_int("seed", self.seed, 0)
+        check_int("d_missing", self.d_missing, 1, null=True)
+        check_int("k_missing", self.k_missing, 0, null=True)
+        for name, kinds in (("signal", ("linear", "nn")),
+                            ("mechanism", ("mcar", "censoring")),
+                            ("setting", ("mar", "nmar", "am"))):
+            if (value := getattr(self, name)) not in kinds:
+                raise ValueError(f"{name}: must be one of {', '.join(kinds)}"
+                                 f", got {value!r}")
+        d_miss, k_miss = self.masked_counts()
+        check_real("k", self.k, 1, self.d)
+        check_real("d_missing", d_miss, 1, self.d)
+        check_real("k_missing", k_miss, max(0, self.k - self.d + d_miss),
+                   min(self.k, d_miss))
 
-
-@dataclass(frozen=True)
-class SemiSyntheticSpec:
-    setting: str  # mar | nmar | am
-    k: int
-    k_missing: int
-    signal: str = "linear"
-    snr: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.setting not in ("mar", "nmar", "am"):
-            raise ValueError(f"unknown setting {self.setting!r}")
-        if not 0 <= self.k_missing <= self.k:
-            raise ValueError("need 0 <= k_missing <= k")
+    def masked_counts(self) -> tuple[int, int]:
+        """(d_missing, k_missing) with None read as all d and all k."""
+        return (self.d if self.d_missing is None else self.d_missing,
+                self.k if self.k_missing is None else self.k_missing)
 
 
 class GroundTruth:
@@ -72,7 +69,7 @@ class GroundTruth:
         self.support = np.asarray(support)
         self.kind = kind
         self.params = params
-        self.scale_mean, self.scale_std = 0.0, 1.0  # set by _noisy_signal
+        self.scale_mean, self.scale_std = 0.0, 1.0  # set by generate
 
     def raw(self, X, M=None) -> np.ndarray:
         """The signal before standardization."""
@@ -96,35 +93,6 @@ def gen_design(spec: GeneratorSpec) -> np.ndarray:
     cov = B @ B.T + spec.eps * np.eye(spec.d)
     L = np.linalg.cholesky(cov)
     return rng.normal(size=(spec.n, spec.d)) @ L.T
-
-
-def _noisy_signal(X, M, support, mask_cols, kind, snr, rng):
-    """Draw a linear or small-network signal over X[:, support] (and the
-    mask_cols of M), standardize it to unit empirical variance, and add
-    noise of standard deviation 1/sqrt(snr). Returns (y, truth)."""
-    k_in = len(support) + (0 if mask_cols is None else len(mask_cols))
-    if kind == "linear":
-        params = {"b": float(rng.normal()),
-                  "w": rng.uniform(-1.0, 1.0, size=k_in)}
-    else:
-        hidden = 10
-        params = {"W1": rng.normal(size=(hidden, k_in)),
-                  "c": rng.normal(size=hidden), "v": rng.normal(size=hidden)}
-    params["mask_cols"] = mask_cols
-    truth = GroundTruth(support, kind, params)
-    raw = truth.raw(X, M)
-    if np.var(raw) <= 1e-12:
-        raise ValueError("degenerate signal: zero empirical variance")
-    truth.scale_mean, truth.scale_std = float(np.mean(raw)), float(np.std(raw))
-    f = (raw - truth.scale_mean) / truth.scale_std
-    return f + rng.normal(scale=1.0 / np.sqrt(snr), size=len(f)), truth
-
-
-def gen_signal(X, spec: GeneratorSpec) -> tuple[np.ndarray, GroundTruth]:
-    """Signal over k random support features plus SNR-calibrated noise."""
-    rng = np.random.default_rng(spec.seed + 1)
-    support = np.sort(rng.choice(spec.d, spec.k, replace=False))
-    return _noisy_signal(X, None, support, None, spec.signal, spec.snr, rng)
 
 
 def apply_mcar(n: int, d: int, p: float, seed: int) -> np.ndarray:
@@ -155,13 +123,46 @@ def censoring_thresholds(X, p: float) -> np.ndarray:
 
 
 def generate(spec: GeneratorSpec) -> tuple[MaskedDataset, np.ndarray, GroundTruth]:
-    """Full synthetic instance: returns (dataset, X_full, ground truth)."""
+    """Full synthetic instance: returns (dataset, X_full, ground truth).
+
+    The mask covers the first d_missing columns. The signal is a linear or
+    small-network function of k support columns, k_missing of them drawn
+    from the masked columns and the rest from the others, standardized to
+    unit empirical variance, plus noise of standard deviation 1/sqrt(snr).
+    nmar adds the mask bits of the k_missing columns to the signal's inputs;
+    am reassigns the mask rows with adversarial_permute after y is drawn.
+    """
     X = gen_design(spec)
-    y, truth = gen_signal(X, spec)
+    d_miss, k_miss = spec.masked_counts()
     if spec.mechanism == "mcar":
-        M = apply_mcar(spec.n, spec.d, spec.p, spec.seed + 2)
+        M = apply_mcar(spec.n, d_miss, spec.p, spec.seed + 2)
     else:
-        M = apply_censoring(X, spec.p)
+        M = apply_censoring(X[:, :d_miss], spec.p)
+    M = np.pad(M, ((0, 0), (0, spec.d - d_miss)))
+
+    rng = np.random.default_rng(spec.seed + 1)
+    masked = rng.choice(d_miss, k_miss, replace=False)
+    rest = d_miss + rng.choice(spec.d - d_miss, spec.k - k_miss, replace=False)
+    mask_cols = np.sort(masked) if spec.setting == "nmar" else None
+    k_in = spec.k + (0 if mask_cols is None else k_miss)
+    if spec.signal == "linear":
+        params = {"b": float(rng.normal()),
+                  "w": rng.uniform(-1.0, 1.0, size=k_in)}
+    else:
+        hidden = 10
+        params = {"W1": rng.normal(size=(hidden, k_in)),
+                  "c": rng.normal(size=hidden), "v": rng.normal(size=hidden)}
+    params["mask_cols"] = mask_cols
+    truth = GroundTruth(np.sort(np.concatenate([masked, rest])), spec.signal,
+                        params)
+    raw = truth.raw(X, M)
+    if np.var(raw) <= 1e-12:
+        raise ValueError("degenerate signal: zero empirical variance")
+    truth.scale_mean, truth.scale_std = float(np.mean(raw)), float(np.std(raw))
+    y = (raw - truth.scale_mean) / truth.scale_std \
+        + rng.normal(scale=1.0 / np.sqrt(spec.snr), size=spec.n)
+    if spec.setting == "am":
+        M = M[adversarial_permute(X, M)[0]]
     return MaskedDataset(X, M, y), X, truth
 
 
@@ -188,50 +189,13 @@ def adversarial_permute(X_full, M, exact_limit: int = 2000):
         sigma = np.full(n, -1, dtype=int)
         taken = np.zeros(n, dtype=bool)
         order = np.argsort(-scores.max(axis=1), kind="stable")
-        masked = scores.copy()
         for i in order:
-            row = np.where(taken, -np.inf, masked[i])
+            row = np.where(taken, -np.inf, scores[i])
             pick = int(np.argmax(row))
             sigma[i] = pick
             taken[pick] = True
     objective = float(scores[np.arange(n), sigma].sum())
     return sigma, objective
-
-
-def gen_semisynthetic(X_full, M, spec: SemiSyntheticSpec):
-    """Semi-synthetic signal over a real (imputed) design matrix.
-
-    mar:  y depends on k columns of X_full, k_missing of them drawn from
-          columns that actually have missing entries.
-    nmar: the k_missing mask columns additionally enter the signal.
-    am:   mar signal, then mask rows reassigned adversarially.
-
-    Returns (y, M_out, truth); M_out differs from M only in the am setting.
-    """
-    X_full = np.asarray(X_full, dtype=float)
-    M = np.asarray(M)
-    rng = np.random.default_rng(spec.seed)
-    missing_cols = np.flatnonzero(M.sum(axis=0) > 0)
-    clean_cols = np.flatnonzero(M.sum(axis=0) == 0)
-    if spec.k_missing > len(missing_cols):
-        raise ValueError(
-            f"k_missing={spec.k_missing} exceeds the {len(missing_cols)} "
-            "columns with missing entries")
-    if spec.k - spec.k_missing > len(clean_cols):
-        raise ValueError("not enough fully observed columns for the support")
-    sup_miss = rng.choice(missing_cols, spec.k_missing, replace=False)
-    sup_clean = rng.choice(clean_cols, spec.k - spec.k_missing, replace=False)
-    support = np.sort(np.concatenate([sup_miss, sup_clean]).astype(int))
-
-    mask_cols = None
-    if spec.setting == "nmar" and spec.k_missing > 0:
-        mask_cols = np.sort(sup_miss.astype(int))
-    y, truth = _noisy_signal(X_full, M, support, mask_cols, spec.signal,
-                             spec.snr, rng)
-    if spec.setting == "am":
-        sigma, _ = adversarial_permute(X_full, M)
-        return y, np.asarray(M)[sigma], truth
-    return y, M, truth
 
 
 def save_dataset(dataset: MaskedDataset, csv_path, sidecar_path, spec) -> None:

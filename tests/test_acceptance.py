@@ -58,6 +58,18 @@ class TestCriterion2:
                 diff < 0.03, f"|diff| = {diff:.4f}")
 
 
+class TestCriterion11:
+    def test_nmar_gap(self):
+        # recorded over 10 replications: +0.030 (affine_intercept) and +0.028
+        # (joint_linear); the same config with setting mar ties at 0.585
+        means = _run_config(CONFIG_DIR / "nmar_linear.json")
+        gap_joint = means["joint_linear"] - means["mean_impute_linear"]
+        gap_adaptive = means["affine_intercept"] - means["mean_impute_linear"]
+        _report("criterion 11: NMAR R2 gap > 0.015 for joint and adaptive",
+                gap_joint > 0.015 and gap_adaptive > 0.015,
+                f"joint +{gap_joint:.3f}, adaptive +{gap_adaptive:.3f}")
+
+
 class TestCriterion3:
     def test_imputation_semantics(self):
         rng = np.random.default_rng(0)

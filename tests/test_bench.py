@@ -232,7 +232,7 @@ class TestConfig:
                 json.dumps(self.base(generator={"d": 2, "k": 5})))
 
     def test_empty_generator_is_rejected(self):
-        with pytest.raises(ConfigError, match=r"\$\.generator: need n >= 2"):
+        with pytest.raises(ConfigError, match=r"^\$\.generator\.n: must be >= 2$"):
             ExperimentConfig.from_json(
                 json.dumps(self.base(generator={"n": 0, "d": 4, "k": 2})))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import missfit
+from missfit.bench import ExperimentConfig
 from missfit.cli import LOADERS, main
 from missfit.core import MaskedDataset, write_csv
 
@@ -197,6 +198,19 @@ class TestFitPredict:
                 assert "malformed model file" in capsys.readouterr().err
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_loads_and_dry_runs(path, tmp_path):
+    # a bad key in a shipped config fails here, not in the acceptance run
+    ExperimentConfig.from_json(path.read_text(encoding="utf-8"))
+    out = tmp_path / "out.csv"
+    assert main(["bench", "--config", str(path), "--out", str(out),
+                 "--dry-run"]) == 0
+    assert not out.exists()
+
+
 class TestBench:
     def test_dry_run_lists_plan(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -240,8 +254,12 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("over, path", [
-        ({"generator": {"n": 50.5, "d": 3, "k": 2}}, "$.generator: n must"),
-        ({"generator": {"n": 50, "d": 3, "k": True}}, "$.generator: k must"),
+        ({"generator": {"n": 50.5, "d": 3, "k": 2}},
+         "$.generator.n: must be an integer, got 50.5"),
+        ({"generator": {"n": 50, "d": 3, "k": True}},
+         "$.generator.k: must be an integer, got True"),
+        ({"generator": {"n": 50, "d": 3, "k": 2, "snr": True}},
+         "$.generator.snr: must be a number, got True"),
         ({"replications": 2.5}, "$.replications: must be an integer"),
         ({"cv_folds": "5"}, "$.cv_folds: must be an integer"),
         ({"test_fraction": "0.3"}, "$.test_fraction: must be a number"),
@@ -250,7 +268,7 @@ class TestBench:
         ({"grids": []}, "$.grids: must be an object of lists of objects"),
         ({"grids": {"static": []}}, "$.grids.static: must be a non-empty"),
         ({"grids": {"static": [0.01]}}, "$.grids.static: must be a non-empty")],
-        ids=["n-float", "k-bool", "replications-float", "cv_folds-str",
+        ids=["n-float", "k-bool", "snr-bool", "replications-float", "cv_folds-str",
              "test_fraction-str", "methods-str", "method-int", "grids-list",
              "grid-empty", "grid-of-numbers"])
     def test_ill_typed_field_is_usage_error(self, over, path, tmp_path,
@@ -303,13 +321,31 @@ class TestBench:
         ({"grids": {"finite": [{"max_depth": -1}]}},
          "$.grids.finite[0].max_depth: must be >= 0"),
         ({"grids": {"finite": [{"max_depth": 2, "min_leaf": 0}]}},
-         "$.grids.finite[0].min_leaf: must be >= 1")],
+         "$.grids.finite[0].min_leaf: must be >= 1"),
+        ({"grids": {"cart_mia": [{"n_trees": 10}]}},
+         "$.grids.cart_mia[0]: unknown parameter 'n_trees'"),
+        ({"grids": {"joint_tree": [{"max_depth": 3, "mtry": 2}]}},
+         "$.grids.joint_tree[0]: unknown parameter 'mtry'"),
+        ({"grids": {"mean_impute_tree": [{"n_trees": 5}]}},
+         "$.grids.mean_impute_tree[0]: unknown parameter 'n_trees'"),
+        ({"generator": {"n": 100, "d": 3, "k": 2, "seed": 123}},
+         "$.generator.seed: set per replication from seed_base"),
+        ({"generator": {"n": 100, "d": 3, "k": 2, "rank": 2}},
+         "$.generator.rank: unknown field"),
+        ({"generator": {"n": 100, "d": 3, "k": 2, "setting": "mnar"}},
+         "$.generator.setting: must be one of mar, nmar, am, got 'mnar'"),
+        ({"generator": {"n": 100, "d": 3, "k": 2, "d_missing": 2,
+                        "k_missing": 0}},
+         "$.generator.k_missing: must be in [1, 2]")],
         ids=["seed_base-negative", "methods-duplicate", "grids-bogus",
              "grids-variant", "grid-key-typo", "grid-key-of-another-method",
              "lam-str", "alpha-bool", "max_depth-float", "min_leaf-bool",
              "n_trees-null", "mtry-float", "lam-negative", "alpha-above-1",
              "cart-max_depth-0", "n_trees-0", "mtry-0", "joint-min_leaf-0",
-             "finite-max_depth-negative", "finite-min_leaf-0"])
+             "finite-max_depth-negative", "finite-min_leaf-0",
+             "cart-n_trees", "joint_tree-mtry", "mean_impute_tree-n_trees",
+             "generator-seed", "generator-unknown-key", "generator-setting",
+             "generator-support-block"])
     def test_unusable_method_or_grid_is_usage_error(self, over, message,
                                                     tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,13 +1,13 @@
+import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from missfit.datagen import (GeneratorSpec, SemiSyntheticSpec,
-                             adversarial_permute, apply_censoring, apply_mcar,
-                             censoring_thresholds, gen_design, gen_semisynthetic,
-                             gen_signal, generate, save_dataset)
+from missfit.datagen import (GeneratorSpec, adversarial_permute,
+                             apply_censoring, apply_mcar, censoring_thresholds,
+                             gen_design, generate, save_dataset)
 
 
 class TestSpecs:
@@ -19,15 +19,51 @@ class TestSpecs:
         with pytest.raises(ValueError):
             GeneratorSpec(p=1.0)
 
-    @pytest.mark.parametrize("field", [{"n": 0}, {"n": 1}, {"r": -1}],
-                             ids=["n=0", "n=1", "r=-1"])
-    def test_no_dataset_to_make(self, field):
-        with pytest.raises(ValueError, match="need n >= 2 and r >= 0"):
+    @pytest.mark.parametrize("field, message", [
+        ({"n": 0}, "n: must be >= 2"), ({"n": 1}, "n: must be >= 2"),
+        ({"r": -1}, "r: must be >= 0")], ids=["n=0", "n=1", "r=-1"])
+    def test_no_dataset_to_make(self, field, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             GeneratorSpec(**field)
 
     def test_bad_setting(self):
-        with pytest.raises(ValueError):
-            SemiSyntheticSpec(setting="mnar", k=3, k_missing=1)
+        with pytest.raises(ValueError, match="^setting: must be one of "
+                           "mar, nmar, am, got 'mnar'$"):
+            GeneratorSpec(setting="mnar")
+
+    @pytest.mark.parametrize("field, message", [
+        ({"snr": True}, "snr: must be a number, got True"),
+        ({"eps": True}, "eps: must be a number, got True"),
+        ({"p": "0.3"}, "p: must be a number, got '0.3'"),
+        ({"eps": 0.0}, "eps: must be in (0, inf)"),
+        ({"seed": -1}, "seed: must be >= 0"),
+        ({"d_missing": 2.0}, "d_missing: must be an integer or null, got 2.0"),
+        ({"d": 3, "k": 4}, "k: must be in [1, 3]"),
+        ({"d_missing": 11}, "d_missing: must be in [1, 10]"),
+        ({"d_missing": 3}, "k_missing: must be in [0, 3]"),
+        ({"d_missing": 8, "k_missing": 2}, "k_missing: must be in [3, 5]")],
+        ids=["snr-bool", "eps-bool", "p-str", "eps-0", "seed-negative",
+             "d_missing-float", "k-above-d", "d_missing-above-d",
+             "k_missing-default-above", "k_missing-below"])
+    def test_each_message_names_its_field(self, field, message):
+        with pytest.raises(ValueError) as err:
+            GeneratorSpec(**field)
+        assert str(err.value) == message
+
+    def test_default_draws_keep_their_bytes(self):
+        # sha256 of X, M and y recorded before the MAR/NMAR/AM settings
+        # joined this generator (numpy 2.4, x86-64); a moved default draw
+        # moves every shipped results CSV
+        X = "f86bfbc071bf0b98d78b9ae2f108f38d5c660920ab93e71177c938e57b123a33"
+        y = "1c027a250c08eac4d0842ee44f565aaed9966d3d6473eb83caa57eacbd132d0a"
+        masks = {
+            "mcar": "41cc6fe6110d31ba5f9da96823d7d0e67cbb238fe391f0ca84e82ba568912a7c",
+            "censoring": "eccd3fee9028585f5bc11224e47579ed8d18ba7645b2cd1230cfc44b139da6ce"}
+        for mechanism, M in masks.items():
+            ds, _, _ = generate(GeneratorSpec(n=200, d=6, r=3, k=3, p=0.4,
+                                              mechanism=mechanism, seed=5))
+            assert [hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (ds.X, ds.M, ds.y)] == [X, M, y]
 
 
 class TestDesign:
@@ -57,25 +93,20 @@ class TestSignal:
         for signal in ("linear", "nn"):
             spec = GeneratorSpec(n=40_000, d=8, k=4, snr=2.0, signal=signal,
                                  seed=7)
-            X = gen_design(spec)
-            y, truth = gen_signal(X, spec)
-            f = truth(X)
+            ds, X, truth = generate(spec)
+            y, f = ds.y, truth(X)
             assert np.var(f) == pytest.approx(1.0, abs=1e-8)
             noise_var = np.var(y - f)
             assert 1.8 <= 1.0 / noise_var <= 2.2  # empirical SNR near 2
 
     def test_support_size_and_range(self):
-        spec = GeneratorSpec(n=100, d=10, k=5, seed=9)
-        X = gen_design(spec)
-        _, truth = gen_signal(X, spec)
+        _, _, truth = generate(GeneratorSpec(n=100, d=10, k=5, seed=9))
         assert len(truth.support) == 5
         assert len(set(truth.support.tolist())) == 5
         assert truth.support.min() >= 0 and truth.support.max() < 10
 
     def test_off_support_features_ignored(self):
-        spec = GeneratorSpec(n=200, d=6, k=2, seed=13)
-        X = gen_design(spec)
-        _, truth = gen_signal(X, spec)
+        _, X, truth = generate(GeneratorSpec(n=200, d=6, k=2, seed=13))
         X2 = X.copy()
         off = [j for j in range(6) if j not in truth.support]
         X2[:, off] = 1e6
@@ -155,61 +186,57 @@ class TestAdversarial:
 
 
 class TestSemiSynthetic:
-    def design(self, seed=8, n=400, d=8):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(n, d))
-        M = np.zeros((n, d), dtype=int)
-        M[:, :4] = (rng.random((n, 4)) < 0.3).astype(int)  # 4 missing cols
-        return X, M
+    def instance(self, setting, **over):
+        """4 of 8 columns masked (MCAR 0.3); 2 of the 4 support columns
+        drawn from them."""
+        spec = GeneratorSpec(**{"n": 400, "d": 8, "r": 3, "k": 4,
+                                "setting": setting, "d_missing": 4,
+                                "k_missing": 2, **over})
+        return generate(spec)
 
     def test_mar_support_column_counts(self):
-        X, M = self.design()
-        spec = SemiSyntheticSpec("mar", k=4, k_missing=2, seed=1)
-        _, M_out, truth = gen_semisynthetic(X, M, spec)
-        assert np.array_equal(M_out, M)
-        miss_cols = set(range(4))
-        chosen_miss = [j for j in truth.support if j in miss_cols]
+        _, _, truth = self.instance("mar", seed=1)
+        chosen_miss = [j for j in truth.support if j < 4]
         assert len(chosen_miss) == 2
         assert len(truth.support) == 4
 
+    @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
+    def test_mask_covers_first_d_missing_columns(self, mechanism):
+        ds, _, _ = self.instance("mar", mechanism=mechanism, seed=6)
+        assert ds.M[:, 4:].sum() == 0
+        assert ds.M[:, :4].min(axis=0).tolist() == [0] * 4
+        assert ds.M[:, :4].max(axis=0).tolist() == [1] * 4
+
     def test_nmar_depends_on_mask(self):
-        X, M = self.design()
-        spec = SemiSyntheticSpec("nmar", k=4, k_missing=2, seed=2)
-        _, _, truth = gen_semisynthetic(X, M, spec)
-        flipped = M.copy()
+        ds, X, truth = self.instance("nmar", seed=2)
+        flipped = ds.M.copy()
         cols = truth.params["mask_cols"]
+        assert set(cols.tolist()) == {j for j in truth.support if j < 4}
         flipped[:, cols] = 1 - flipped[:, cols]
-        assert not np.allclose(truth(X, M), truth(X, flipped))
+        assert not np.allclose(truth(X, ds.M), truth(X, flipped))
 
     def test_mar_ignores_mask(self):
-        X, M = self.design()
-        spec = SemiSyntheticSpec("mar", k=4, k_missing=2, seed=3)
-        _, _, truth = gen_semisynthetic(X, M, spec)
-        assert np.allclose(truth(X, M), truth(X, 1 - M))
+        ds, X, truth = self.instance("mar", seed=3)
+        assert np.allclose(truth(X, ds.M), truth(X, 1 - ds.M))
 
     def test_am_permutes_mask_rows_only(self):
-        X, M = self.design()
-        mar = SemiSyntheticSpec("mar", k=4, k_missing=2, seed=4)
-        am = SemiSyntheticSpec("am", k=4, k_missing=2, seed=4)
-        y_mar, _, _ = gen_semisynthetic(X, M, mar)
-        y_am, M_am, _ = gen_semisynthetic(X, M, am)
-        assert np.allclose(y_mar, y_am)  # signal unchanged; only masks move
-        rows = {tuple(r) for r in M.tolist()}
-        assert {tuple(r) for r in M_am.tolist()} == rows
-        assert float(np.sum(X * M_am)) >= float(np.sum(X * M)) - 1e-9
+        mar, X, _ = self.instance("mar", seed=4)
+        am, X_am, _ = self.instance("am", seed=4)
+        assert np.array_equal(X, X_am)
+        assert np.array_equal(mar.y, am.y)  # signal unchanged; only masks move
+        assert sorted(map(tuple, am.M.tolist())) == \
+            sorted(map(tuple, mar.M.tolist()))
+        assert float(np.sum(X * am.M)) > float(np.sum(X * mar.M))
 
     def test_k_missing_exceeds_available(self):
-        X, M = self.design()
-        with pytest.raises(ValueError):
-            gen_semisynthetic(X, M, SemiSyntheticSpec("mar", k=6, k_missing=5))
+        with pytest.raises(ValueError, match="^k_missing: must be in"):
+            GeneratorSpec(d=8, k=6, d_missing=4, k_missing=5)
 
     def test_signal_standardized(self):
-        X, M = self.design(n=5000)
-        spec = SemiSyntheticSpec("nmar", k=4, k_missing=2, snr=4.0, seed=5)
-        y, _, truth = gen_semisynthetic(X, M, spec)
-        f = truth(X, M)
+        ds, X, truth = self.instance("nmar", n=5000, snr=4.0, seed=5)
+        f = truth(X, ds.M)
         assert np.var(f) == pytest.approx(1.0, abs=1e-8)
-        assert np.var(y - f) == pytest.approx(0.25, abs=0.05)
+        assert np.var(ds.y - f) == pytest.approx(0.25, abs=0.05)
 
 
 def test_save_dataset_sidecar(tmp_path):
