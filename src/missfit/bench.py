@@ -378,12 +378,11 @@ class ResultsTable:
 
 
 def _replication_setting(config: ExperimentConfig) -> str:
-    if config.generator:
-        g = config.generator
-        return (f"{g.get('mechanism', 'mcar')}_p{g.get('p', 0.3)}"
-                f"_{g.get('signal', 'linear')}"
-                + (f"_{g['setting']}" if "setting" in g else ""))
-    return "csv"
+    if (g := config.generator) is None:
+        return "csv"
+    return (f"{g.get('mechanism', 'mcar')}_p{g.get('p', 0.3)}"
+            f"_{g.get('signal', 'linear')}"
+            + (f"_{g['setting']}" if "setting" in g else ""))
 
 
 def run_replication(config: ExperimentConfig, rep: int,

@@ -81,7 +81,6 @@ class _FullyObservedWrapper:
         self.model = model
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(X)
         return self.model.predict(X, np.zeros_like(X, dtype=np.int8))
 
 

@@ -4,11 +4,13 @@ Every internal node tests one feature and routes missing values to a fixed
 side, so rows with any missingness pattern (seen or not) always reach a leaf.
 Candidate splits per node and feature: the pure missing-vs-observed split,
 then thresholds at midpoints of consecutive distinct observed values, each
-with both choices of side for the missing rows.
+with both choices of side for the missing rows. Prediction sends every row
+through every tree of a model together, one level per step (_Routing).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -67,28 +69,60 @@ class MiaNode:
         return node
 
 
+class _Routing:
+    """MIA trees as parallel slot arrays, breadth-first over all the trees, so
+    tree t's root is node t. Node k's two slots, 2k and 2k + 1, both hold its
+    column, threshold and value; child[2k + 1] and child[2k] are the first
+    slots of its left and right child (a leaf's are its own). A row at slot s
+    moves to child[s + (z[col[s]] <= thr[s])], where z is [x, masked slots -inf
+    | x, masked slots NaN | 1 - m]: missing-left, missing-right and pure splits
+    (at 0.5) test blocks 0, 1 and 2."""
+
+    GROUP_SLOTS = 65_536  # trees x rows routed together; caps the working arrays
+
+    def __init__(self, roots: list[MiaNode], d: int):
+        nodes, depth, slots = list(roots), [0] * len(roots), []
+        for k, node in enumerate(nodes):  # nodes grows as children are queued
+            if node.is_leaf():
+                slots += [(0, 0.0, node.prediction, 2 * k)] * 2
+                continue
+            if not 0 <= node.feature < d:
+                raise ValueError(f"node feature {node.feature} outside [0, {d})")
+            block = 2 if node.threshold is None else int(node.missing_side != "left")
+            thr = 0.5 if node.threshold is None else node.threshold
+            test = (block * d + node.feature, thr, node.prediction)
+            slots += [test + (2 * len(nodes) + 2,), test + (2 * len(nodes),)]
+            nodes += (node.left, node.right)
+            depth += (depth[k] + 1,) * 2
+        self.col, self.thr, self.value, self.child = map(np.array, zip(*slots))
+        self.d, self.trees, self.depth = d, len(roots), max(depth)
+
+    def route(self, X, M) -> np.ndarray:
+        """Check a batch; its leaf values, (trees, rows), in every tree."""
+        X, M = batch(X, M, self.d)
+        n, m = len(X), M == 1
+        Z = np.concatenate([np.where(m, -np.inf, X), np.where(m, np.nan, X), 1.0 - m], 1)
+        Z, base = Z.ravel(), np.arange(n) * (3 * self.d)
+        out, group = np.empty((self.trees, n)), max(1, self.GROUP_SLOTS // max(n, 1))
+        for t in range(0, self.trees, group):
+            s = 2 * np.arange(t, min(t + group, self.trees))[:, None].repeat(n, 1)
+            for _ in range(self.depth):  # one tree level per step
+                s = self.child[s + (Z[base + self.col[s]] <= self.thr[s])]
+            out[t:t + group] = self.value[s]
+        return out
+
+
 @dataclass
 class MiaTree:
     root: MiaNode
     d: int
 
-    def predict_row(self, x, m) -> float:
-        node = self.root
-        while not node.is_leaf():
-            j = node.feature
-            if node.threshold is None:  # pure split: missing left, observed right
-                node = node.left if m[j] == 1 else node.right
-            elif m[j] == 1:
-                node = node.left if node.missing_side == "left" else node.right
-            else:
-                node = node.left if x[j] <= node.threshold else node.right
-        return node.prediction
+    @functools.cached_property
+    def _routing(self) -> _Routing:
+        return _Routing([self.root], self.d)
 
     def predict(self, X, M) -> np.ndarray:
-        X, M = batch(X, M, self.d)
-        # rows as lists: a node test on a list is faster than on an array row
-        return np.array([self.predict_row(x, m)
-                         for x, m in zip(X.tolist(), M.tolist())])
+        return self._routing.route(X, M)[0]
 
     def to_dict(self) -> dict:
         return {"type": "mia_tree", "d": self.d, "root": self.root.to_dict()}
@@ -285,9 +319,12 @@ class Forest:
     params: TreeParams
     d: int
 
+    @functools.cached_property
+    def _routing(self) -> _Routing:
+        return _Routing([t.root for t in self.trees], self.d)
+
     def predict(self, X, M) -> np.ndarray:
-        preds = np.stack([t.predict(X, M) for t in self.trees])
-        return preds.mean(axis=0)
+        return self._routing.route(X, M).mean(axis=0)
 
     def to_dict(self) -> dict:
         return {"type": "mia_forest", "d": self.d, "params": asdict(self.params),

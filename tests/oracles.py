@@ -1,10 +1,11 @@
 """Reference forms of the array code in missfit.adaptive, missfit.core,
-missfit.elasticnet and missfit.joint.
+missfit.elasticnet, missfit.joint and missfit.learners.
 
 These are the per-row and per-column loops the package used before its
-whole-array forms, the coordinate-descent loop before its leaner one, and
-the joint fit that rebuilt its whole imputed matrix (impute_with) for every
-trial; tests compare the package against them bit for bit.
+whole-array forms, the per-node walk of an MIA tree before its flat routing,
+the coordinate-descent loop before its leaner one, and the joint fit that
+rebuilt its whole imputed matrix (impute_with) for every trial; tests
+compare the package against them bit for bit.
 """
 
 import itertools
@@ -87,6 +88,26 @@ def partition_tree_predict(tree, X, M) -> np.ndarray:
         leaf = tree.route(m)
         out.append(leaf.fit.intercept + masked_dot(leaf.fit.coefficients, x, m))
     return np.array(out)
+
+
+def mia_predict_row(root, x, m) -> float:
+    """Walk one row down an MIA tree from its root MiaNode to a leaf."""
+    node = root
+    while not node.is_leaf():
+        j = node.feature
+        if node.threshold is None:  # pure split: missing left, observed right
+            node = node.left if m[j] == 1 else node.right
+        elif m[j] == 1:
+            node = node.left if node.missing_side == "left" else node.right
+        else:
+            node = node.left if x[j] <= node.threshold else node.right
+    return node.prediction
+
+
+def mia_tree_predict(tree, X, M) -> np.ndarray:
+    """One per-node walk per row."""
+    return np.array([mia_predict_row(tree.root, x, m)
+                     for x, m in zip(X.tolist(), M.tolist())], dtype=float)
 
 
 def _np_soft_threshold(z, gamma):

@@ -236,6 +236,10 @@ class TestConfig:
             ExperimentConfig.from_json(
                 json.dumps(self.base(generator={"n": 0, "d": 4, "k": 2})))
 
+    def test_all_default_generator_labels_its_setting(self):
+        config = ExperimentConfig(**self.base(generator={}))
+        assert bench._replication_setting(config) == "mcar_p0.3_linear"
+
 
 def tiny_config(**over):
     doc = {"name": "tiny", "methods": ["static", "cart_mia"],

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from missfit import learners
 from missfit.core import MaskedDataset
+from missfit.joint import joint_fit, tree_contract
 from missfit.learners import (Forest, MiaTree, TreeParams, fit_cart_mia,
                               fit_forest, forest_from_json, forest_to_json,
                               mean_impute, tree_from_json, tree_to_json)
@@ -293,6 +295,125 @@ class TestForest:
         err1 = np.mean((test.y - single.predict(test.X, test.M)) ** 2)
         err40 = np.mean((test.y - many.predict(test.X, test.M)) ** 2)
         assert err40 < err1
+
+
+def routing_dataset(seed, n, d, depth, all_missing, task):
+    """Rows whose targets reward every split kind: column 0 with its missing
+    rows high (missing right), column 1 with them low (missing left), column 2
+    by its mask alone (pure). Depth 0 is a constant target: a lone leaf."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    M = (rng.random((n, d)) < 0.3).astype(np.int8)
+    if all_missing:
+        M[:, -1] = 1
+    signal = (np.where(M[:, 0] == 1, 2.0, X[:, 0])
+              + np.where(M[:, 1] == 1, -2.0, X[:, 1]) + 1.5 * M[:, 2])
+    y = signal + 0.3 * rng.normal(size=n)
+    if task == "classification":
+        y = (y > 0).astype(float)
+    if depth == 0:
+        y = np.full(n, y[0])
+    return MaskedDataset(X, M, y)
+
+
+def routing_batch(rng, rows, d):
+    """A batch with NaN, +-inf and 1e300 at masked slots, and NaN and +-inf
+    at a few observed ones."""
+    X = rng.normal(size=(rows, d))
+    M = rng.random((rows, d)) < 0.4
+    X[M] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=int(M.sum()))
+    odd = ~M & (rng.random((rows, d)) < 0.05)
+    X[odd] = rng.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
+    return X, M.astype(rng.choice([np.int8, bool, float]))
+
+
+def split_kinds(root):
+    stack, kinds = [root], set()
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf():
+            kinds.add("pure" if node.threshold is None else node.missing_side)
+            stack += (node.left, node.right)
+    return kinds
+
+
+def forest_oracle(forest, X, M):
+    return np.stack([oracles.mia_tree_predict(t, X, M)
+                     for t in forest.trees]).mean(axis=0)
+
+
+class TestRouting:
+    """Flat routing against the per-node walk of tests/oracles.py."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 10),
+           min_leaf=st.integers(1, 5), all_missing=st.booleans(),
+           task=st.sampled_from(["regression", "classification"]),
+           n_trees=st.sampled_from([None, 1, 3]),
+           rows=st.sampled_from([0, 1, 16, 500]))
+    def test_matches_per_node_walk(self, seed, depth, min_leaf, all_missing,
+                                   task, n_trees, rows):
+        ds = routing_dataset(seed, 120, 4, depth, all_missing, task)
+        params = TreeParams(max_depth=max(depth, 1), min_leaf=min_leaf,
+                            n_trees=n_trees or 1, seed=seed % 1000, task=task)
+        X, M = routing_batch(np.random.default_rng(seed), rows, 4)
+        if n_trees is None:
+            tree = fit_cart_mia(ds, params)
+            got, want = tree.predict(X, M), oracles.mia_tree_predict(tree, X, M)
+        else:
+            forest = fit_forest(ds, params)
+            got, want = forest.predict(X, M), forest_oracle(forest, X, M)
+        assert got.shape == (rows,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_cases_reach_every_split_kind(self):
+        ds = routing_dataset(0, 120, 4, 6, True, "regression")
+        tree = fit_cart_mia(ds, TreeParams(max_depth=6, min_leaf=2))
+        assert split_kinds(tree.root) == {"pure", "left", "right"}
+        assert tree._routing.depth == 6
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097])
+    def test_group_cap_keeps_bytes(self, rows, monkeypatch):
+        """16 trees x 4096 rows fill one group exactly; one more row makes
+        two groups."""
+        assert 16 * 4096 == learners._Routing.GROUP_SLOTS
+        forest = fit_forest(random_dataset(20, n=100), TreeParams(n_trees=16,
+                                                                  max_depth=4))
+        X, M = routing_batch(np.random.default_rng(rows), rows, 4)
+        got = forest.predict(X, M)
+        monkeypatch.setattr(learners._Routing, "GROUP_SLOTS", 16 * rows)
+        assert got.tobytes() == forest.predict(X, M).tobytes()
+
+    def test_forest_of_single_leaf_trees(self):
+        ds = MaskedDataset(np.ones((20, 3)), np.zeros((20, 3)), np.full(20, 2.5))
+        forest = fit_forest(ds, TreeParams(n_trees=5))
+        assert all(t.root.is_leaf() for t in forest.trees)
+        X, M = routing_batch(np.random.default_rng(0), 7, 3)
+        assert forest.predict(X, M).tolist() == [2.5] * 7
+
+    def test_forest_routes_its_trees_without_their_own_copy(self):
+        forest = fit_forest(random_dataset(21, n=80), TreeParams(n_trees=3))
+        forest.predict(np.zeros((2, 4)), np.zeros((2, 4)))
+        assert not any("_routing" in vars(t) for t in forest.trees)
+
+    def test_zero_rows(self):
+        ds = random_dataset(22, n=80)
+        X, M = np.empty((0, 4)), np.empty((0, 4), dtype=np.int8)
+        models = (fit_cart_mia(ds, TreeParams(max_depth=3)),
+                  fit_forest(ds, TreeParams(n_trees=3, max_depth=3)),
+                  joint_fit(ds, tree_contract(TreeParams(max_depth=3))))
+        for model in models:
+            pred = model.predict(X, M)
+            assert pred.shape == (0,) and pred.dtype == float
+
+    def test_feature_outside_d_refused(self):
+        doc = {"type": "mia_tree", "d": 2,
+               "root": {"prediction": 0.0, "n_rows": 2, "feature": 2,
+                        "threshold": 0.0, "missing_side": "left",
+                        "left": {"prediction": -1.0, "n_rows": 1},
+                        "right": {"prediction": 1.0, "n_rows": 1}}}
+        with pytest.raises(ValueError, match="feature 2 outside"):
+            MiaTree.from_dict(doc).predict(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 class TestMeanImpute:
