@@ -4,7 +4,7 @@ impute-then-regress, MIA trees and forests, and a benchmark harness."""
 from .core import MaskedDataset, unique_patterns, validate
 from .elasticnet import ElasticNetSpec, LinearFit, fit as elasticnet_fit
 from .adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
-                       AdaptiveModel, ExpansionMode, PartitionTree,
+                       AdaptiveModel, PartitionTree,
                        extract_imputation, fit_adaptive, fit_finite_adaptive)
 from .joint import (FitLimits, JointModel, RegressorContract, coordinate_step,
                     fit_mean_impute, forest_contract, joint_fit,

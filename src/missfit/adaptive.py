@@ -1,12 +1,13 @@
 """Adaptive linear regression: coefficients that react to the missingness pattern.
 
-The model hierarchy, from least to most expressive:
+The model hierarchy, from least to most expressive. A mode is its name, a
+plain string, which the method table and the saved documents spell the same:
 
-  Static          z_j = (1-m_j) x_j only                           (d columns)
-  AffineIntercept z ++ m                                           (2d columns)
-  Affine          z ++ m ++ {m_k z_j : k != j}                     (d + d^2 columns)
-  Polynomial(t)   z ++ mask monomials ++ z times mask monomials
-  FullyAdaptive   one static model per observed pattern
+  static            z_j = (1-m_j) x_j only                         (d columns)
+  affine_intercept  z ++ m                                         (2d columns)
+  affine            z ++ m ++ {m_k z_j : k != j}                   (d + d^2 columns)
+  polynomial<t>     z ++ mask monomials ++ z times mask monomials  (t >= 1)
+  fully_adaptive    one static model per observed pattern
 
 The intercept is treated as a constant, never-missing pseudo-feature, so the
 affine expansion carries the raw mask indicators (its identically-zero
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,40 +30,20 @@ from .core import MaskedDataset, batch, check_int, check_real, unique_patterns
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit, support_penalty_weights
 
 
-@dataclass(frozen=True)
-class ExpansionMode:
-    kind: str  # static | affine_intercept | affine | polynomial | fully_adaptive
-    degree: int | None = None
-
-    _KINDS = ("static", "affine_intercept", "affine", "polynomial", "fully_adaptive")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown expansion kind {self.kind!r}")
-        if self.kind == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise ValueError("polynomial mode needs degree >= 1")
-
-    @classmethod
-    def parse(cls, name: str) -> "ExpansionMode":
-        if name.startswith("polynomial"):
-            return cls("polynomial", int(name[len("polynomial"):] or 1))
-        return cls(name)
-
-    @property
-    def name(self) -> str:
-        if self.kind == "polynomial":
-            return f"polynomial{self.degree}"
-        return self.kind
-
-    def __str__(self) -> str:
-        return self.name
+STATIC = "static"
+AFFINE_INTERCEPT = "affine_intercept"
+AFFINE = "affine"
+FULLY_ADAPTIVE = "fully_adaptive"
 
 
-STATIC = ExpansionMode("static")
-AFFINE_INTERCEPT = ExpansionMode("affine_intercept")
-AFFINE = ExpansionMode("affine")
-FULLY_ADAPTIVE = ExpansionMode("fully_adaptive")
+def _degree(mode, d: int) -> int:
+    """The monomial degree t <= d of mode "affine" (1) or "polynomial<t>"."""
+    name = isinstance(mode, str) and re.fullmatch("affine|polynomial([1-9][0-9]*)", mode)
+    if not name:
+        raise ValueError(f"unknown expansion mode {mode!r}")
+    if (t := int(name[1] or 1)) > d:
+        raise ValueError(f"polynomial degree {t} exceeds d={d}")
+    return t
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,19 +61,15 @@ def _terms(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return jp, J
 
 
-def expansion_size(d: int, mode: ExpansionMode) -> int:
-    if mode.kind == "static":
+def expansion_size(d: int, mode: str) -> int:
+    if mode == STATIC:
         return d
-    if mode.kind == "affine_intercept":
+    if mode == AFFINE_INTERCEPT:
         return 2 * d
-    if mode.kind == "affine":
-        return d + d * d
-    if mode.kind == "polynomial":
-        return d + len(_terms(d, min(mode.degree, d))[0])
-    raise ValueError(f"no fixed expansion size for {mode.kind}")
+    return d + len(_terms(d, _degree(mode, d))[0])
 
 
-def expand_matrix(X, M, mode: ExpansionMode) -> np.ndarray:
+def expand_matrix(X, M, mode: str) -> np.ndarray:
     """Expanded design of the rows of X with mask M: the z block (x with
     masked slots zeroed), then the columns listed by _terms."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -100,18 +78,11 @@ def expand_matrix(X, M, mode: ExpansionMode) -> np.ndarray:
         raise ValueError(f"X shape {X.shape} != M shape {M.shape}")
     d = X.shape[1]
     Z = np.where(M == 1, 0.0, X)  # kill stored values at missing slots
-    if mode.kind == "static":
+    if mode == STATIC:
         return Z
-    if mode.kind == "affine_intercept":
+    if mode == AFFINE_INTERCEPT:
         return np.column_stack([Z, M])
-    if mode.kind == "affine":
-        t = 1
-    elif mode.kind == "polynomial":
-        if mode.degree > d:
-            raise ValueError(f"polynomial degree {mode.degree} exceeds d={d}")
-        t = mode.degree
-    else:
-        raise ValueError(f"cannot expand mode {mode.kind}")
+    t = _degree(mode, d)
     jp, J = _terms(d, t)
     one = np.ones((len(X), 1))
     M1 = np.hstack([M, one])
@@ -136,16 +107,22 @@ def _per_row_fits(M, fit_of) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class AdaptiveModel:
-    mode: ExpansionMode
+    mode: str
     d: int
     fit: LinearFit | None  # None for fully adaptive
-    expansion_size: int
     pattern_fits: dict[tuple[int, ...], LinearFit] | None = None
     fallback: LinearFit | None = None  # static model for unseen patterns
 
+    @property
+    def expansion_size(self) -> int:
+        """Columns of the design; for fully adaptive, the number of pattern fits."""
+        if self.mode == FULLY_ADAPTIVE:
+            return len(self.pattern_fits)
+        return len(self.fit.coefficients)
+
     def predict_matrix(self, X, M) -> np.ndarray:
         X, M = batch(X, M, self.d)
-        if self.mode.kind == "fully_adaptive":
+        if self.mode == FULLY_ADAPTIVE:
             b, W = _per_row_fits(
                 M, lambda p: self.pattern_fits.get(p, self.fallback))
             Z = np.where(M == 1, 0.0, X)
@@ -159,9 +136,9 @@ class AdaptiveModel:
         return self.predict_matrix(X, M)
 
     def to_dict(self) -> dict:
-        doc = {"type": "adaptive", "mode": self.mode.name, "d": self.d,
+        doc = {"type": "adaptive", "mode": self.mode, "d": self.d,
                "expansion_size": self.expansion_size}
-        if self.mode.kind == "fully_adaptive":
+        if self.mode == FULLY_ADAPTIVE:
             doc["patterns"] = [{"bits": list(k), "fit": v.to_dict()}
                                for k, v in self.pattern_fits.items()]
             doc["fallback"] = self.fallback.to_dict()
@@ -171,31 +148,34 @@ class AdaptiveModel:
 
     @classmethod
     def from_dict(cls, doc) -> AdaptiveModel:
-        mode = ExpansionMode.parse(doc["mode"])
-        if mode.kind == "fully_adaptive":
+        mode, d = doc["mode"], doc["d"]
+        if mode == FULLY_ADAPTIVE:
             pats = {tuple(p["bits"]): LinearFit.from_dict(p["fit"])
                     for p in doc["patterns"]}
-            return cls(mode, doc["d"], None, doc["expansion_size"], pats,
-                       LinearFit.from_dict(doc["fallback"]))
-        return cls(mode, doc["d"], LinearFit.from_dict(doc["fit"]),
-                   doc["expansion_size"])
+            model = cls(mode, d, None, pats, LinearFit.from_dict(doc["fallback"]))
+            fits, size = [model.fallback, *pats.values()], d
+        else:
+            model = cls(mode, d, LinearFit.from_dict(doc["fit"]))
+            fits, size = [model.fit], expansion_size(d, mode)
+        if any(len(f.coefficients) != size for f in fits):
+            raise ValueError(f"{mode} fit without {size} coefficients")
+        return model
 
 
-def fit_adaptive(dataset: MaskedDataset, mode: ExpansionMode,
+def fit_adaptive(dataset: MaskedDataset, mode: str,
                  spec: ElasticNetSpec) -> AdaptiveModel:
     """Fit one model from the hierarchy by penalized least squares, with the
     support weights of _solve unless the spec pins penalty_weights."""
     if dataset.n < 1:
         raise ValueError("empty dataset")
-    if mode.kind == "fully_adaptive":
+    if mode == FULLY_ADAPTIVE:
         Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
         pattern_fits = {pattern: _solve(Z[rows], y[rows], spec)
                         for pattern, rows in unique_patterns(dataset.M)}
-        return AdaptiveModel(mode, dataset.d, None, len(pattern_fits),
-                             pattern_fits, _solve(Z, y, spec))
+        return AdaptiveModel(mode, dataset.d, None, pattern_fits,
+                             _solve(Z, y, spec))
     A = expand_matrix(dataset.X, dataset.M, mode)
-    return AdaptiveModel(mode, dataset.d, _solve(A, dataset.y, spec),
-                         A.shape[1])
+    return AdaptiveModel(mode, dataset.d, _solve(A, dataset.y, spec))
 
 
 def _solve(A, y, spec: ElasticNetSpec) -> LinearFit:
@@ -214,7 +194,7 @@ def extract_imputation(model: AdaptiveModel) -> tuple[np.ndarray, np.ndarray]:
     coefficient is (numerically) zero are flagged invalid: there the model
     uses the missingness indicator directly, not an imputed value.
     """
-    if model.mode.kind != "affine_intercept":
+    if model.mode != AFFINE_INTERCEPT:
         raise ValueError("imputation extraction requires an affine_intercept model")
     d = model.d
     w = model.fit.coefficients[:d]

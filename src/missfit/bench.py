@@ -21,8 +21,7 @@ import numpy as np
 
 from .core import MaskedDataset, batch, check_int, check_real, read_csv
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
-from .adaptive import (ExpansionMode, fit_adaptive, fit_finite_adaptive,
-                       finite_limits)
+from .adaptive import fit_adaptive, fit_finite_adaptive, finite_limits
 from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
                     mse_error, tree_contract, forest_contract)
 from .learners import TreeParams, fit_cart_mia, fit_forest
@@ -97,7 +96,7 @@ def _forest_params(params) -> TreeParams:
 
 
 def _fit_adaptive(name, train, spec, seed, task):
-    return fit_adaptive(train, ExpansionMode.parse(name), spec)
+    return fit_adaptive(train, name, spec)
 
 
 def _fit_finite(name, train, spec, seed, task):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
-                              ExpansionMode, expansion_size, extract_imputation,
+                              expansion_size, extract_imputation,
                               fit_adaptive, fit_finite_adaptive)
 from missfit.bench import (ExperimentConfig, run_experiment, write_results_csv)
 from missfit.core import MaskedDataset, unique_patterns
@@ -220,7 +220,7 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_nesting(self):
-        modes = [STATIC, AFFINE_INTERCEPT, AFFINE, ExpansionMode.parse("polynomial2")]
+        modes = [STATIC, AFFINE_INTERCEPT, AFFINE, "polynomial2"]
         spec = ElasticNetSpec(lam=0.0, tol=1e-10, max_iters=50_000)
         ok = True
         for seed in range(10):

@@ -1,12 +1,13 @@
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
 
-from missfit import adaptive
+from missfit import adaptive, bench
 from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
-                              ExpansionMode, PartitionTree, TreeNode,
+                              AdaptiveModel, PartitionTree, TreeNode,
                               expand_matrix, expansion_size,
                               extract_imputation, fit_adaptive,
                               fit_finite_adaptive, model_from_json,
@@ -16,8 +17,8 @@ from missfit.elasticnet import (ElasticNetSpec, LinearFit, fit as enet_fit,
                                 support_penalty_weights)
 from oracles import masked_dot
 
-POLY1 = ExpansionMode.parse("polynomial1")
-POLY2 = ExpansionMode.parse("polynomial2")
+POLY1 = "polynomial1"
+POLY2 = "polynomial2"
 LAM0 = ElasticNetSpec(lam=0.0, tol=1e-10, max_iters=50_000)
 
 
@@ -56,13 +57,77 @@ class TestExpand:
 
     def test_polynomial_degree_too_large(self):
         with pytest.raises(ValueError):
-            expand_matrix([1.0, 2.0], [0, 0], ExpansionMode.parse("polynomial3"))[0]
+            expand_matrix([1.0, 2.0], [0, 0], "polynomial3")[0]
 
     def test_missing_values_never_leak(self):
         x = np.array([np.nan, 2.0])
         m = np.array([1, 0])
         for mode in (STATIC, AFFINE_INTERCEPT, AFFINE, POLY2):
             assert np.all(np.isfinite(expand_matrix(x, m, mode)[0]))
+
+
+# values that are no mode name; "polynomial" meant degree 1 before modes
+# became their names, but no method name or saved document spells it so
+NOT_MODES = ["polynomial0", "polynomial", "polynomial1x", "Affine", 3, None]
+
+
+class TestModeNames:
+    NAMES = [name for name, method in bench.METHODS.items()
+             if method.fit is bench._fit_adaptive] + ["polynomial1", "polynomial3"]
+
+    def test_every_adaptive_method_name_is_listed(self):
+        assert self.NAMES == [STATIC, AFFINE_INTERCEPT, AFFINE, "polynomial2",
+                              FULLY_ADAPTIVE, "polynomial1", "polynomial3"]
+
+    @pytest.mark.parametrize("mode", NAMES)
+    def test_fits_and_round_trips(self, mode):
+        ds = random_dataset(24, n=100, d=4, p_miss=0.3)
+        model = fit_adaptive(ds, mode, ElasticNetSpec(lam=0.01))
+        doc = json.loads(json.dumps(model.to_dict()))
+        assert model.mode == doc["mode"] == mode
+        back = AdaptiveModel.from_dict(doc)
+        assert back.expansion_size == model.expansion_size == doc["expansion_size"]
+        if mode != FULLY_ADAPTIVE:
+            assert model.expansion_size == expansion_size(4, mode)
+        assert (back.predict(ds.X, ds.M).tobytes()
+                == model.predict(ds.X, ds.M).tobytes())
+
+    @pytest.mark.parametrize("mode", NOT_MODES, ids=repr)
+    def test_other_values_refused(self, mode):
+        ds = random_dataset(25, n=30, d=4)
+        calls = (lambda: fit_adaptive(ds, mode, ElasticNetSpec(lam=0.01)),
+                 lambda: expand_matrix(ds.X, ds.M, mode),
+                 lambda: expansion_size(4, mode))
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown expansion mode"):
+                call()
+
+    def test_fully_adaptive_has_no_design(self):
+        for call in (lambda: expand_matrix(np.ones((1, 2)), np.zeros((1, 2)),
+                                           FULLY_ADAPTIVE),
+                     lambda: expansion_size(2, FULLY_ADAPTIVE)):
+            with pytest.raises(ValueError, match="unknown expansion mode"):
+                call()
+
+    def test_degree_above_d_refused(self):
+        assert expansion_size(3, "polynomial3") == 3 + 7 + 3 * 3
+        with pytest.raises(ValueError, match="degree 4 exceeds d=3"):
+            expansion_size(3, "polynomial4")
+
+    def test_expansion_size_is_read_from_the_fits(self):
+        model = fit_adaptive(random_dataset(26, d=3), AFFINE, ElasticNetSpec(lam=0.01))
+        assert model.expansion_size == 12
+        with pytest.raises(AttributeError):
+            model.expansion_size = 5
+
+    @pytest.mark.parametrize("mode", [STATIC, AFFINE, "polynomial2", FULLY_ADAPTIVE])
+    def test_document_with_other_coefficient_count_refused(self, mode):
+        model = fit_adaptive(random_dataset(27, d=3), mode, ElasticNetSpec(lam=0.01))
+        doc = json.loads(json.dumps(model.to_dict()))
+        fit = doc["fallback"] if mode == FULLY_ADAPTIVE else doc["fit"]
+        fit["coefficients"].append(0.0)
+        with pytest.raises(ValueError, match="coefficients"):
+            AdaptiveModel.from_dict(doc)
 
 
 class TestFitAdaptive:
@@ -91,7 +156,7 @@ class TestFitAdaptive:
 
     def test_expansion_sizes_d10(self):
         ds = random_dataset(2, n=60, d=10)
-        sizes = {mode.name: fit_adaptive(ds, mode, ElasticNetSpec(lam=0.01)).expansion_size
+        sizes = {mode: fit_adaptive(ds, mode, ElasticNetSpec(lam=0.01)).expansion_size
                  for mode in (STATIC, AFFINE_INTERCEPT, AFFINE)}
         assert sizes == {"static": 10, "affine_intercept": 20, "affine": 110}
 
@@ -103,14 +168,14 @@ class TestFitAdaptive:
     @pytest.mark.parametrize("mode", [AFFINE_INTERCEPT, FULLY_ADAPTIVE])
     def test_pinned_penalty_weights_are_kept(self, mode):
         ds = random_dataset(5, n=100, d=3, p_miss=0.4, mask_signal=True)
-        design = STATIC if mode is FULLY_ADAPTIVE else mode
+        design = STATIC if mode == FULLY_ADAPTIVE else mode
         A = expand_matrix(ds.X, ds.M, design)
         coefs = lambda c: enet_fit(A, ds.y, ElasticNetSpec(
             lam=0.05, penalty_weights=c)).coefficients
         pinned = np.linspace(0, 2, A.shape[1])
         model = fit_adaptive(ds, mode, ElasticNetSpec(lam=0.05,
                                                       penalty_weights=pinned))
-        got = (model.fallback if mode is FULLY_ADAPTIVE else model.fit).coefficients
+        got = (model.fallback if mode == FULLY_ADAPTIVE else model.fit).coefficients
         assert got.tobytes() == coefs(pinned).tobytes()
         assert not np.array_equal(got, coefs(support_penalty_weights(A)))
 

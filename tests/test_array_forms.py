@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from missfit.adaptive import (FULLY_ADAPTIVE, AdaptiveModel, ExpansionMode,
-                              PartitionTree, TreeNode, expand_matrix)
+from missfit.adaptive import (FULLY_ADAPTIVE, AdaptiveModel, PartitionTree,
+                              TreeNode, expand_matrix)
 from missfit.core import unique_patterns
 from missfit.elasticnet import LinearFit
 
@@ -46,18 +46,23 @@ def test_unique_patterns_matches_dict_grouping(seed, n, d, p_miss):
     assert all(type(v) is int for p, _ in got for v in p)
 
 
+# each mode name as the oracle's (kind, degree)
+ORACLE_FORMS = {"static": ("static", 1),
+                "affine_intercept": ("affine_intercept", 1),
+                "affine": ("monomials", 1), "polynomial1": ("monomials", 1),
+                "polynomial2": ("monomials", 2), "polynomial3": ("monomials", 3)}
+
+
 @settings(max_examples=150, deadline=None)
-@given(mode=st.sampled_from(["static", "affine_intercept", "affine",
-                             "polynomial1", "polynomial2", "polynomial3"]),
+@given(mode=st.sampled_from(list(ORACLE_FORMS)),
        seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
        d=st.integers(1, 9), p_miss=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
 def test_expand_matrix_matches_per_column_loop(mode, seed, n, d, p_miss):
-    mode = ExpansionMode.parse(mode)
-    if mode.degree is not None and mode.degree > d:
+    kind, degree = ORACLE_FORMS[mode]
+    if degree > d:
         return
     X, M, _ = batch(seed, n, d, p_miss)
-    kind = mode.kind if mode.kind in ("static", "affine_intercept") else "monomials"
-    want = oracles.expand_matrix(X, M, kind, mode.degree or 1)
+    want = oracles.expand_matrix(X, M, kind, degree)
     assert same_bits(expand_matrix(X, M, mode), want)
 
 
@@ -70,8 +75,7 @@ def test_fully_adaptive_predict_matches_per_row_loop(seed, n, d, p_miss):
     seen = [p for p, _ in unique_patterns(M) if rng.random() < 0.5]
     unseen = [tuple(rng.integers(0, 2, size=d).tolist()) for _ in range(3)]
     fits = {p: random_fit(rng, d) for p in seen + unseen}
-    model = AdaptiveModel(FULLY_ADAPTIVE, d, None, len(fits), fits,
-                          random_fit(rng, d))
+    model = AdaptiveModel(FULLY_ADAPTIVE, d, None, fits, random_fit(rng, d))
     want = oracles.fully_adaptive_predict(model, X, M)
     assert same_bits(model.predict_matrix(X, M), want)
 
@@ -97,7 +101,7 @@ def test_partition_tree_predict_matches_route_and_masked_dot(seed, n, d,
 
 def test_predicts_reject_mask_of_another_shape():
     X, M, rng = batch(0, 5, 3, 0.5)
-    model = AdaptiveModel(FULLY_ADAPTIVE, 3, None, 0, {}, random_fit(rng, 3))
+    model = AdaptiveModel(FULLY_ADAPTIVE, 3, None, {}, random_fit(rng, 3))
     tree = PartitionTree(random_tree(rng, 3, 2), 3)
     for predict in (model.predict, tree.predict):
         for bad in (M[:4], M[:, :2], M[0]):
