@@ -36,6 +36,7 @@ AFFINE = "affine"
 FULLY_ADAPTIVE = "fully_adaptive"
 
 
+@functools.lru_cache(maxsize=None)  # holds valid (mode, d) pairs only
 def _degree(mode, d: int) -> int:
     """The monomial degree t <= d of mode "affine" (1) or "polynomial<t>"."""
     name = isinstance(mode, str) and re.fullmatch("affine|polynomial([1-9][0-9]*)", mode)
@@ -152,6 +153,8 @@ class AdaptiveModel:
         if mode == FULLY_ADAPTIVE:
             pats = {tuple(p["bits"]): LinearFit.from_dict(p["fit"])
                     for p in doc["patterns"]}
+            if any(len(k) != d or not set(k) <= {0, 1} for k in pats):
+                raise ValueError(f"pattern bits are not {d} zeros and ones")
             model = cls(mode, d, None, pats, LinearFit.from_dict(doc["fallback"]))
             fits, size = [model.fallback, *pats.values()], d
         else:
@@ -224,12 +227,19 @@ class TreeNode:
         return doc
 
     @classmethod
-    def from_dict(cls, doc) -> TreeNode:
+    def from_dict(cls, doc, d: int) -> TreeNode:
+        """A node of a model file: a fit of d coefficients, a split in [0, d)."""
         node = cls(LinearFit.from_dict(doc["fit"]), doc["n_rows"])
+        if len(node.fit.coefficients) != d:
+            raise ValueError(f"partition fit without {d} coefficients")
         if "split_feature" in doc:
-            node.split_feature = doc["split_feature"]
-            node.left = cls.from_dict(doc["left"])
-            node.right = cls.from_dict(doc["right"])
+            j = doc["split_feature"]
+            check_int("split_feature", j, 0)
+            if j >= d:
+                raise ValueError(f"split_feature {j} outside [0, {d})")
+            node.split_feature = j
+            node.left = cls.from_dict(doc["left"], d)
+            node.right = cls.from_dict(doc["right"], d)
         return node
 
 
@@ -268,7 +278,7 @@ class PartitionTree:
 
     @classmethod
     def from_dict(cls, doc) -> PartitionTree:
-        return cls(TreeNode.from_dict(doc["root"]), doc["d"])
+        return cls(TreeNode.from_dict(doc["root"], doc["d"]), doc["d"])
 
 
 def finite_limits(max_depth, min_leaf, min_gain=1e-3) -> dict:

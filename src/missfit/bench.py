@@ -379,9 +379,9 @@ class ResultsTable:
 def _replication_setting(config: ExperimentConfig) -> str:
     if (g := config.generator) is None:
         return "csv"
-    return (f"{g.get('mechanism', 'mcar')}_p{g.get('p', 0.3)}"
-            f"_{g.get('signal', 'linear')}"
-            + (f"_{g['setting']}" if "setting" in g else ""))
+    spec = GeneratorSpec(**g)  # the defaults of the fields that g leaves out
+    return (f"{spec.mechanism}_p{spec.p}_{spec.signal}"
+            + (f"_{spec.setting}" if "setting" in g else ""))
 
 
 def run_replication(config: ExperimentConfig, rep: int,
@@ -443,17 +443,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     table = ResultsTable([])
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_replication_star, tasks))
+            results = list(pool.map(run_replication, *zip(*tasks)))
     else:
         results = [run_replication(*t) for t in tasks]
     for recs, errs in results:
         table.records.extend(recs)
         table.errors.extend(errs)
     return table
-
-
-def _run_replication_star(args):
-    return run_replication(*args)
 
 
 RESULT_COLUMNS = ("dataset", "method", "setting", "replication", "metric", "value")

@@ -127,7 +127,7 @@ def cmd_bench(args) -> int:
         print(f"  replications: {config.replications}, "
               f"test fraction: {config.test_fraction}, "
               f"cv folds: {config.cv_folds}, seed base: {config.seed_base}")
-        src = (f"generator {config.generator}" if config.generator
+        src = (f"generator {config.generator}" if config.generator is not None
                else f"dataset {config.dataset_csv}")
         print(f"  data: {src}")
         for m in config.methods:
@@ -135,6 +135,8 @@ def cmd_bench(args) -> int:
             note = f" grid={grid}" if grid else ""
             print(f"  method {m}{note}")
         return 0
+    if not os.path.isdir(out_dir := os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(f"--out {args.out}: no directory {out_dir}")
     skip = set()
     prior = bench.ResultsTable([])
     timings = args.out + ".timings.csv"

@@ -61,8 +61,8 @@ class LinearFit:
 
     @classmethod
     def from_dict(cls, doc) -> LinearFit:
-        return cls(doc["intercept"], np.array(doc["coefficients"]), [],
-                   doc.get("converged", True))
+        return cls(float(doc["intercept"]), np.array(doc["coefficients"], dtype=float),
+                   [], doc.get("converged", True))
 
 
 def soft_threshold(z: float, gamma: float) -> float:

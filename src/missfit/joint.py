@@ -141,8 +141,12 @@ class JointModel:
         else:
             model = MiaTree if p["type"] == "mia_tree" else Forest
             predictor = _FullyObservedWrapper(model.from_dict(p))
-        return cls(np.array(doc["mu"]), np.array(doc["sigma"]), predictor,
-                   doc["contract"], [], stop_reason=doc.get("stop_reason", ""))
+        mu, sigma = (np.array(doc[k], dtype=float) for k in ("mu", "sigma"))
+        d = p["d"] if p["type"] != "linear" else len(predictor.coefficients)
+        if not len(mu) == len(sigma) == d:
+            raise ValueError(f"mu and sigma are not {d} long, as the predictor")
+        return cls(mu, sigma, predictor, doc["contract"], [],
+                   stop_reason=doc.get("stop_reason", ""))
 
 
 def fit_mean_impute(dataset: MaskedDataset, contract: RegressorContract,

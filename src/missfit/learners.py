@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -58,14 +59,22 @@ class MiaNode:
         return doc
 
     @classmethod
-    def from_dict(cls, doc) -> MiaNode:
-        node = cls(doc["prediction"], doc["n_rows"])
+    def from_dict(cls, doc, d: int) -> MiaNode:
+        """A node of a model file: a split tests a feature in [0, d) at a number,
+        or at null (a pure split), and sends missing rows left or right."""
+        node = cls(float(doc["prediction"]), doc["n_rows"])
         if "feature" in doc:
-            node.feature = doc["feature"]
-            node.threshold = doc["threshold"]
-            node.missing_side = doc["missing_side"]
-            node.left = cls.from_dict(doc["left"])
-            node.right = cls.from_dict(doc["right"])
+            j, thr, side = doc["feature"], doc["threshold"], doc["missing_side"]
+            check_int("feature", j, 0)
+            if j >= d:
+                raise ValueError(f"node feature {j} outside [0, {d})")
+            if isinstance(thr, bool) or not isinstance(thr, (numbers.Real, type(None))):
+                raise ValueError(f"threshold: must be a number or null, got {thr!r}")
+            if side not in ("left", "right"):
+                raise ValueError(f"missing_side: must be left or right, got {side!r}")
+            node.feature, node.threshold, node.missing_side = j, thr, side
+            node.left = cls.from_dict(doc["left"], d)
+            node.right = cls.from_dict(doc["right"], d)
         return node
 
 
@@ -86,8 +95,6 @@ class _Routing:
             if node.is_leaf():
                 slots += [(0, 0.0, node.prediction, 2 * k)] * 2
                 continue
-            if not 0 <= node.feature < d:
-                raise ValueError(f"node feature {node.feature} outside [0, {d})")
             block = 2 if node.threshold is None else int(node.missing_side != "left")
             thr = 0.5 if node.threshold is None else node.threshold
             test = (block * d + node.feature, thr, node.prediction)
@@ -129,7 +136,7 @@ class MiaTree:
 
     @classmethod
     def from_dict(cls, doc) -> MiaTree:
-        return cls(MiaNode.from_dict(doc["root"]), doc["d"])
+        return cls(MiaNode.from_dict(doc["root"], doc["d"]), doc["d"])
 
 
 def _impurity_sums(y: np.ndarray, task: str) -> float:
@@ -332,8 +339,9 @@ class Forest:
 
     @classmethod
     def from_dict(cls, doc) -> Forest:
-        trees = [MiaTree(MiaNode.from_dict(t), doc["d"]) for t in doc["trees"]]
-        return cls(trees, TreeParams(**doc["params"]), doc["d"])
+        d = doc["d"]
+        trees = [MiaTree(MiaNode.from_dict(t, d), d) for t in doc["trees"]]
+        return cls(trees, TreeParams(**doc["params"]), d)
 
 
 def fit_forest(dataset: MaskedDataset, params: TreeParams) -> Forest:

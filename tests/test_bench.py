@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,20 @@ class TestConfig:
     def test_all_default_generator_labels_its_setting(self):
         config = ExperimentConfig(**self.base(generator={}))
         assert bench._replication_setting(config) == "mcar_p0.3_linear"
+
+    def test_shipped_configs_keep_their_labels(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        labels = {path.stem: bench._replication_setting(ExperimentConfig.from_json(
+                      path.read_text(encoding="utf-8")))
+                  for path in configs.glob("*.json")}
+        assert labels == {"censoring_linear": "censoring_p0.5_linear",
+                          "mcar_linear": "mcar_p0.5_linear",
+                          "nmar_linear": "mcar_p0.3_linear_nmar"}
+
+    def test_label_reads_the_fields_it_is_given(self):
+        config = ExperimentConfig(**self.base(generator={
+            "mechanism": "censoring", "p": 0.25, "signal": "nn", "setting": "mar"}))
+        assert bench._replication_setting(config) == "censoring_p0.25_nn_mar"
 
 
 def tiny_config(**over):

@@ -107,6 +107,42 @@ class TestGenerate:
         assert a.read_bytes() != c.read_bytes()
 
 
+# per saved model type, documents whose fields are well typed but do not fit
+# together, or hold a string where a number belongs; d = 3, as the data
+FIT = {"intercept": 0.0, "coefficients": [1.0, 2.0, 3.0]}
+LEAF = {"prediction": 0.0, "n_rows": 1}
+SPLIT = {"prediction": 0.0, "n_rows": 2, "feature": 0, "threshold": 0.5,
+         "missing_side": "left", "left": LEAF, "right": LEAF}
+PART = {"fit": FIT, "n_rows": 2, "split_feature": 0,
+        "left": {"fit": FIT, "n_rows": 1}, "right": {"fit": FIT, "n_rows": 1}}
+INVALID_MODELS = {
+    "adaptive": [
+        {"mode": "fully_adaptive", "d": 3, "expansion_size": 1,
+         "patterns": [{"bits": [0, 1], "fit": FIT}], "fallback": FIT},
+        {"mode": "fully_adaptive", "d": 3, "expansion_size": 1,
+         "patterns": [{"bits": [0, 1, 2], "fit": FIT}], "fallback": FIT},
+        {"mode": "affine_intercept", "d": 3, "expansion_size": 6, "fit": FIT},
+        {"mode": "static", "d": 3, "expansion_size": 3,
+         "fit": {**FIT, "coefficients": ["x", 2.0, 3.0]}},
+        {"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "intercept": "x"}}],
+    "partition_tree": [{"d": 3, "root": {**PART, "split_feature": 3}},
+                       {"d": 3, "root": {**PART, "split_feature": -1}},
+                       {"d": 3, "root": {**PART, "fit": {**FIT, "coefficients": [1.0]}}}],
+    "joint": [
+        {"contract": "linear", "mu": [0.0, 0.0], "sigma": [1.0, 1.0],
+         "predictor": {"type": "linear", **FIT}},
+        {"contract": "tree", "mu": [0.0] * 3, "sigma": [1.0] * 3,
+         "predictor": {"type": "mia_tree", "d": 4, "root": SPLIT}},
+        {"contract": "linear", "mu": ["x", 0.0, 0.0], "sigma": [1.0] * 3,
+         "predictor": {"type": "linear", **FIT}}],
+    "mia_tree": [{"d": 3, "root": {**SPLIT, **bad}}
+                 for bad in ({"missing_side": "up"}, {"threshold": "x"},
+                             {"threshold": True}, {"feature": 1.5},
+                             {"feature": 7}, {"feature": -1}, {"prediction": "x"})],
+    "mia_forest": [{"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "feature": 3}]}],
+}
+
+
 class TestFitPredict:
     @pytest.mark.parametrize("method", ["static", "affine_intercept", "finite",
                                         "joint_linear", "cart_mia"])
@@ -189,13 +225,28 @@ class TestFitPredict:
     def test_malformed_model_is_usage_error(self, kind, dataset_csv, tmp_path,
                                             capsys):
         bad = tmp_path / "bad.json"
-        for doc in ({"type": kind}, {"type": kind, **self.ILL_TYPED[kind]}):
+        for doc in ({"type": kind}, {"type": kind, **self.ILL_TYPED[kind]},
+                    *({"type": kind, **doc} for doc in INVALID_MODELS[kind])):
             bad.write_text(json.dumps(doc))
             for argv in (["predict", "--model", str(bad), "--data",
                           str(dataset_csv), "--out", str(tmp_path / "p.csv")],
                          ["inspect", str(bad)]):
                 assert main(argv) == 2
                 assert "malformed model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["polynomial0", "polynomial", "polynomial1x",
+                                      "Affine", 3, None], ids=repr)
+    def test_unknown_mode_is_usage_error(self, mode, dataset_csv, tmp_path,
+                                         capsys):
+        model = tmp_path / "model.json"
+        main(["fit", "--data", str(dataset_csv), "--method", "affine",
+              "--out", str(model)])
+        model.write_text(json.dumps({**json.loads(model.read_text()), "mode": mode}))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data",
+                     str(dataset_csv), "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed model file" in err and "unknown expansion mode" in err
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -221,6 +272,28 @@ class TestBench:
         text = capsys.readouterr().out
         assert "method static" in text
         assert not (tmp_path / "out.csv").exists()
+
+    def test_dry_run_names_an_all_default_generator(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc(generator={})))
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "out.csv"), "--dry-run"]) == 0
+        assert "\n  data: generator {}\n" in capsys.readouterr().out
+
+    def test_out_in_missing_directory_fails_before_any_fit(self, tmp_path,
+                                                           monkeypatch, capsys):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(missfit.bench, "run_experiment", run_experiment)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc()))
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"--out {out}: no directory {out.parent}" in err
+        assert not out.parent.exists()
 
     def test_full_run_writes_results(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
