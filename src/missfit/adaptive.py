@@ -150,6 +150,7 @@ class AdaptiveModel:
     @classmethod
     def from_dict(cls, doc) -> AdaptiveModel:
         mode, d = doc["mode"], doc["d"]
+        check_int("d", d, 1)
         if mode == FULLY_ADAPTIVE:
             pats = {tuple(p["bits"]): LinearFit.from_dict(p["fit"])
                     for p in doc["patterns"]}
@@ -278,6 +279,7 @@ class PartitionTree:
 
     @classmethod
     def from_dict(cls, doc) -> PartitionTree:
+        check_int("d", doc["d"], 1)
         return cls(TreeNode.from_dict(doc["root"], doc["d"]), doc["d"])
 
 

@@ -110,7 +110,7 @@ def _fit_imputed(name, train, spec, seed, task):
     if kind == "linear":
         contract = linear_contract(spec)
     else:
-        tp = replace(spec, seed=seed, task=task)
+        tp = replace(spec, task=task)
         contract = tree_contract(tp) if kind == "tree" else forest_contract(tp)
     if name.startswith("mean_impute_"):
         return fit_mean_impute(train, contract, seed)
@@ -323,6 +323,8 @@ class ExperimentConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"$: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise ConfigError("$: invalid JSON (nested too deeply)") from None
         if not isinstance(doc, dict):
             raise ConfigError("$: top-level value must be an object")
         known = {f for f in cls.__dataclass_fields__}

@@ -94,7 +94,8 @@ def _load_model(path):
         if cls is None:
             raise UsageError(f"unrecognized model file {path}")
         return cls.from_dict(doc)
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            RecursionError) as exc:
         raise UsageError(f"malformed model file {path}: {exc!r}") from exc
 
 
@@ -137,6 +138,8 @@ def cmd_bench(args) -> int:
         return 0
     if not os.path.isdir(out_dir := os.path.dirname(args.out) or "."):
         raise FileNotFoundError(f"--out {args.out}: no directory {out_dir}")
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out}: is a directory")
     skip = set()
     prior = bench.ResultsTable([])
     timings = args.out + ".timings.csv"

@@ -32,46 +32,30 @@ class FitLimits:
         check_real("min_rel_improve", self.min_rel_improve, 0)
 
 
-@dataclass(frozen=True)
-class RegressorContract:
-    """Factory for the downstream predictor.
-
-    factory(X, y, seed) must return an object with predict(X) -> predictions,
-    and must be deterministic given identical inputs and seed.
-    """
-
-    label: str  # linear | tree | forest
-    factory: Callable[[np.ndarray, np.ndarray, int], object]
+# A contract is the downstream fit: contract(X, y, seed) returns an object
+# with predict(X) -> predictions, and is deterministic given its inputs.
+Contract = Callable[[np.ndarray, np.ndarray, int], object]
 
 
-def linear_contract(spec: ElasticNetSpec | None = None) -> RegressorContract:
+def linear_contract(spec: ElasticNetSpec | None = None) -> Contract:
     spec = spec or ElasticNetSpec(lam=1e-4)
-
-    def factory(X, y, seed):
-        return enet_fit(X, y, spec)
-
-    return RegressorContract("linear", factory)
+    return lambda X, y, seed: enet_fit(X, y, spec)
 
 
-def tree_contract(params: TreeParams | None = None) -> RegressorContract:
-    params = params or TreeParams(max_depth=4)
+def tree_contract(params: TreeParams | None = None) -> Contract:
+    return _mia_contract(fit_cart_mia, params or TreeParams(max_depth=4))
 
-    def factory(X, y, seed):
+
+def forest_contract(params: TreeParams | None = None) -> Contract:
+    return _mia_contract(fit_forest, params or TreeParams(max_depth=6, n_trees=50))
+
+
+def _mia_contract(fit, params: TreeParams) -> Contract:
+    def contract(X, y, seed):
         ds = MaskedDataset(X, np.zeros_like(X, dtype=np.int8), y)
-        tree = fit_cart_mia(ds, params)
-        return _FullyObservedWrapper(tree)
+        return _FullyObservedWrapper(fit(ds, replace(params, seed=seed)))
 
-    return RegressorContract("tree", factory)
-
-
-def forest_contract(params: TreeParams | None = None) -> RegressorContract:
-    base = params or TreeParams(max_depth=6, n_trees=50)
-
-    def factory(X, y, seed):
-        ds = MaskedDataset(X, np.zeros_like(X, dtype=np.int8), y)
-        return _FullyObservedWrapper(fit_forest(ds, replace(base, seed=seed)))
-
-    return RegressorContract("forest", factory)
+    return contract
 
 
 class _FullyObservedWrapper:
@@ -111,24 +95,33 @@ class JointModel:
     mu: np.ndarray
     sigma: np.ndarray
     predictor: object
-    contract_label: str
     error_trace: list[float]
     n_refits: int = 0
     cycles_per_iter: list[int] | None = None
     stop_reason: str = ""
+
+    @property
+    def contract_label(self) -> str:
+        """The predictor's kind: linear, tree or forest."""
+        pred = self.predictor
+        if isinstance(pred, LinearFit):
+            return "linear"
+        if isinstance(pred, _FullyObservedWrapper):
+            return "tree" if isinstance(pred.model, MiaTree) else "forest"
+        raise TypeError(f"no contract label for a {type(pred).__name__} predictor")
 
     def predict(self, X, M) -> np.ndarray:
         X, M = batch(X, M, len(self.mu))
         return self.predictor.predict(np.where(M == 1, self.mu, X))
 
     def to_dict(self) -> dict:
-        pred = self.predictor
-        if isinstance(pred, _FullyObservedWrapper):
-            predictor = pred.model.to_dict()
-        else:  # its own document, with a type and no converged flag
+        pred, label = self.predictor, self.contract_label
+        if label == "linear":  # its own document, with a type and no converged flag
             predictor = {"type": "linear", "intercept": float(pred.intercept),
                          "coefficients": list(map(float, pred.coefficients))}
-        return {"type": "joint", "contract": self.contract_label,
+        else:
+            predictor = pred.model.to_dict()
+        return {"type": "joint", "contract": label,
                 "mu": list(map(float, self.mu)),
                 "sigma": list(map(float, self.sigma)),
                 "stop_reason": self.stop_reason, "predictor": predictor}
@@ -145,22 +138,25 @@ class JointModel:
         d = p["d"] if p["type"] != "linear" else len(predictor.coefficients)
         if not len(mu) == len(sigma) == d:
             raise ValueError(f"mu and sigma are not {d} long, as the predictor")
-        return cls(mu, sigma, predictor, doc["contract"], [],
-                   stop_reason=doc.get("stop_reason", ""))
+        joint = cls(mu, sigma, predictor, [], stop_reason=doc.get("stop_reason", ""))
+        if doc["contract"] != joint.contract_label:
+            raise ValueError(f"contract {doc['contract']!r} is not the "
+                             f"predictor's kind, {joint.contract_label}")
+        return joint
 
 
-def fit_mean_impute(dataset: MaskedDataset, contract: RegressorContract,
+def fit_mean_impute(dataset: MaskedDataset, contract: Contract,
                     seed: int = 0) -> JointModel:
     """Mean impute-then-regress: mu is the observed column means (see
     learners.mean_impute), and the predictor is fitted once on the imputed
     matrix. No coordinate search, so sigma is zero and the trace empty."""
     mu, imputed = mean_impute(dataset)
-    predictor = contract.factory(imputed, dataset.y, seed)
-    return JointModel(mu, np.zeros(dataset.d), predictor, contract.label, [],
+    predictor = contract(imputed, dataset.y, seed)
+    return JointModel(mu, np.zeros(dataset.d), predictor, [],
                       n_refits=1, stop_reason="mean_impute")
 
 
-def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
+def joint_fit(dataset: MaskedDataset, contract: Contract,
               limits: FitLimits = FitLimits(), error_metric=mse_error,
               seed: int = 0) -> JointModel:
     """Alternating heuristic for the joint imputation/regression problem.
@@ -171,8 +167,8 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
     error trace is non-increasing.
     """
     mu, A = mean_impute(dataset)  # A: X with mu in the missing slots
-    # a factory may keep the matrix it is given, so each gets a copy of A
-    predictor, n_refits = contract.factory(A.copy(), dataset.y, seed), 1
+    # a contract may keep the matrix it is given, so each gets a copy of A
+    predictor, n_refits = contract(A.copy(), dataset.y, seed), 1
     obs = dataset.M == 0
     sigma = np.empty(dataset.d)
     for j in range(dataset.d):
@@ -190,7 +186,7 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
     current = error_metric(dataset.y, predictor.predict(A))
     if not dataset.M.any():
         # nothing to optimize: mu stays at the column means
-        return JointModel(mu, sigma, predictor, contract.label, [current],
+        return JointModel(mu, sigma, predictor, [current],
                           n_refits, [], "no_missing")
     trace = [current]
     cycles_per_iter: list[int] = []
@@ -198,7 +194,7 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
 
     for outer in range(limits.max_outer):
         if outer > 0:
-            candidate = contract.factory(A.copy(), dataset.y, seed)
+            candidate = contract(A.copy(), dataset.y, seed)
             n_refits += 1
             cand_err = error_metric(dataset.y, candidate.predict(A))
             if cand_err <= current:
@@ -232,7 +228,7 @@ def joint_fit(dataset: MaskedDataset, contract: RegressorContract,
         if outer > 0 and rel_outer < limits.min_rel_improve:
             stop_reason = "min_rel_improve"
             break
-    return JointModel(mu, sigma, predictor, contract.label, trace, n_refits,
+    return JointModel(mu, sigma, predictor, trace, n_refits,
                       cycles_per_iter, stop_reason)
 
 

@@ -136,6 +136,7 @@ class MiaTree:
 
     @classmethod
     def from_dict(cls, doc) -> MiaTree:
+        check_int("d", doc["d"], 1)
         return cls(MiaNode.from_dict(doc["root"], doc["d"]), doc["d"])
 
 
@@ -340,7 +341,10 @@ class Forest:
     @classmethod
     def from_dict(cls, doc) -> Forest:
         d = doc["d"]
+        check_int("d", d, 1)
         trees = [MiaTree(MiaNode.from_dict(t, d), d) for t in doc["trees"]]
+        if not trees:
+            raise ValueError("trees: must hold at least one tree")
         return cls(trees, TreeParams(**doc["params"]), d)
 
 

@@ -193,7 +193,7 @@ def joint_fit(dataset, contract, limits, error_metric, seed=0):
     """missfit.joint.joint_fit with impute_with rebuilding the whole imputed
     matrix for every refit, every error and every trial of mu."""
     mu, imputed = mean_impute(dataset)
-    predictor, n_refits = contract.factory(imputed, dataset.y, seed), 1
+    predictor, n_refits = contract(imputed, dataset.y, seed), 1
     n, d = dataset.n, dataset.d
     obs = dataset.M == 0
     counts = obs.sum(axis=0)
@@ -209,15 +209,14 @@ def joint_fit(dataset, contract, limits, error_metric, seed=0):
     has_missing = counts < n
     current = error_metric(dataset.y, predictor.predict(impute_with(dataset, mu)))
     if not has_missing.any():
-        return JointModel(mu, sigma, predictor, contract.label, [current],
+        return JointModel(mu, sigma, predictor, [current],
                           n_refits, [], "no_missing")
     trace = [current]
     cycles_per_iter = []
     stop_reason = "max_outer"
     for outer in range(limits.max_outer):
         if outer > 0:
-            candidate = contract.factory(impute_with(dataset, mu), dataset.y,
-                                         seed)
+            candidate = contract(impute_with(dataset, mu), dataset.y, seed)
             n_refits += 1
             cand_err = error_metric(dataset.y,
                                     candidate.predict(impute_with(dataset, mu)))
@@ -252,5 +251,5 @@ def joint_fit(dataset, contract, limits, error_metric, seed=0):
         if outer > 0 and rel_outer < limits.min_rel_improve:
             stop_reason = "min_rel_improve"
             break
-    return JointModel(mu, sigma, predictor, contract.label, trace, n_refits,
+    return JointModel(mu, sigma, predictor, trace, n_refits,
                       cycles_per_iter, stop_reason)

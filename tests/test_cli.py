@@ -124,22 +124,34 @@ INVALID_MODELS = {
         {"mode": "affine_intercept", "d": 3, "expansion_size": 6, "fit": FIT},
         {"mode": "static", "d": 3, "expansion_size": 3,
          "fit": {**FIT, "coefficients": ["x", 2.0, 3.0]}},
-        {"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "intercept": "x"}}],
+        {"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "intercept": "x"}},
+        {"mode": "static", "d": True, "expansion_size": 1,
+         "fit": {**FIT, "coefficients": [1.0]}}],
     "partition_tree": [{"d": 3, "root": {**PART, "split_feature": 3}},
                        {"d": 3, "root": {**PART, "split_feature": -1}},
-                       {"d": 3, "root": {**PART, "fit": {**FIT, "coefficients": [1.0]}}}],
+                       {"d": 3, "root": {**PART, "fit": {**FIT, "coefficients": [1.0]}}},
+                       {"d": True, "root": {"fit": {**FIT, "coefficients": [1.0]},
+                                            "n_rows": 1}}],
     "joint": [
         {"contract": "linear", "mu": [0.0, 0.0], "sigma": [1.0, 1.0],
          "predictor": {"type": "linear", **FIT}},
         {"contract": "tree", "mu": [0.0] * 3, "sigma": [1.0] * 3,
          "predictor": {"type": "mia_tree", "d": 4, "root": SPLIT}},
         {"contract": "linear", "mu": ["x", 0.0, 0.0], "sigma": [1.0] * 3,
-         "predictor": {"type": "linear", **FIT}}],
-    "mia_tree": [{"d": 3, "root": {**SPLIT, **bad}}
-                 for bad in ({"missing_side": "up"}, {"threshold": "x"},
-                             {"threshold": True}, {"feature": 1.5},
-                             {"feature": 7}, {"feature": -1}, {"prediction": "x"})],
-    "mia_forest": [{"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "feature": 3}]}],
+         "predictor": {"type": "linear", **FIT}},
+        # the contract is the predictor's kind
+        {"contract": "forest", "mu": [0.0] * 3, "sigma": [1.0] * 3,
+         "predictor": {"type": "linear", **FIT}},
+        {"contract": "linear", "mu": [0.0] * 3, "sigma": [1.0] * 3,
+         "predictor": {"type": "mia_tree", "d": 3, "root": SPLIT}}],
+    "mia_tree": [*({"d": 3, "root": {**SPLIT, **bad}}
+                   for bad in ({"missing_side": "up"}, {"threshold": "x"},
+                               {"threshold": True}, {"feature": 1.5},
+                               {"feature": 7}, {"feature": -1}, {"prediction": "x"})),
+                 {"d": 2.5, "root": SPLIT}, {"d": True, "root": LEAF}],
+    "mia_forest": [{"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "feature": 3}]},
+                   {"d": 2.5, "params": {}, "trees": [SPLIT]},
+                   {"d": 3, "params": {}, "trees": []}],
 }
 
 
@@ -234,6 +246,19 @@ class TestFitPredict:
                 assert main(argv) == 2
                 assert "malformed model file" in capsys.readouterr().err
 
+    def test_model_nested_too_deeply_is_usage_error(self, dataset_csv,
+                                                    tmp_path, capsys):
+        # past the recursion limit: json.dumps cannot write it, so spell it
+        split = json.dumps({k: v for k, v in SPLIT.items() if k != "left"})
+        root = (split[:-1] + ', "left": ') * 1200 + json.dumps(LEAF) + "}" * 1200
+        bad = tmp_path / "deep.json"
+        bad.write_text(f'{{"type": "mia_tree", "d": 3, "root": {root}}}')
+        for argv in (["predict", "--model", str(bad), "--data",
+                      str(dataset_csv), "--out", str(tmp_path / "p.csv")],
+                     ["inspect", str(bad)]):
+            assert main(argv) == 2
+            assert "malformed model file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["polynomial0", "polynomial", "polynomial1x",
                                       "Affine", 3, None], ids=repr)
     def test_unknown_mode_is_usage_error(self, mode, dataset_csv, tmp_path,
@@ -294,6 +319,31 @@ class TestBench:
         err = capsys.readouterr().err
         assert f"--out {out}: no directory {out.parent}" in err
         assert not out.parent.exists()
+
+    def test_out_that_is_a_directory_fails_before_any_fit(self, tmp_path,
+                                                          monkeypatch, capsys):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(missfit.bench, "run_experiment", run_experiment)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc()))
+        out = tmp_path / "outdir"
+        out.mkdir()
+        for resume in ([], ["--resume"]):
+            assert main(["bench", "--config", str(cfg), "--out", str(out),
+                         "--jobs", "1", *resume]) == 1
+            assert capsys.readouterr().err == \
+                f"error: --out {out}: is a directory\n"
+
+    def test_config_nested_too_deeply_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        grids = '{"static": ' + "[" * 3000 + "]" * 3000 + "}"
+        cfg.write_text(json.dumps(config_doc(grids="G")).replace('"G"', grids))
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "out.csv"), "--dry-run"]) == 2
+        assert capsys.readouterr().err == \
+            "error: $: invalid JSON (nested too deeply)\n"
 
     def test_full_run_writes_results(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

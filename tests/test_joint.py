@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from missfit.bench import auc_error
+from missfit.bench import METHODS, auc_error, fit_method
 from missfit.core import MaskedDataset
-from missfit.elasticnet import ElasticNetSpec
-from missfit.joint import (FitLimits, coordinate_step,
+from missfit.elasticnet import ElasticNetSpec, fit as enet_fit
+from missfit.joint import (FitLimits, coordinate_step, fit_mean_impute,
                            forest_contract, joint_fit,
                            joint_model_from_json, joint_model_to_json,
                            linear_contract, mse_error, tree_contract)
@@ -64,7 +64,7 @@ class TestCoordinateStep:
         ds = censored_dataset(seed=3, n=100)
         mu, A = mean_impute(ds)
         before = A.copy()
-        fit = linear_contract().factory(A.copy(), ds.y, 0)
+        fit = linear_contract()(A.copy(), ds.y, 0)
         coordinate_step(A, np.flatnonzero(ds.M[:, 2]), 2, mu[2], 0.3, fit,
                         ds.y, mse_error, mse_error(ds.y, fit.predict(A)))
         assert A.tobytes() == before.tobytes()
@@ -243,6 +243,44 @@ class TestPredictAndSerialize:
             assert np.allclose(back.predict(ds.X, ds.M),
                                model.predict(ds.X, ds.M))
             assert back.contract_label == model.contract_label
+
+
+class TestContracts:
+    @pytest.mark.parametrize("name", ["joint_linear", "joint_tree", "joint_forest",
+                                      "mean_impute_linear", "mean_impute_tree",
+                                      "mean_impute_forest"])
+    def test_label_is_the_regressor_of_the_method(self, name):
+        params = {**METHODS[name].grid[0]}
+        if "n_trees" in params:
+            params["n_trees"] = 5
+        model = fit_method(name, censored_dataset(seed=14, n=120), params, 0,
+                           "regression")
+        assert model.contract_label == name.rsplit("_", 1)[1]
+        assert model.to_dict()["contract"] == model.contract_label
+
+    def test_a_plain_function_is_a_contract(self):
+        ds = censored_dataset(seed=15, n=200)
+        spec = ElasticNetSpec(lam=1e-3)
+        for fit in (lambda c: joint_fit(ds, c, FitLimits(max_outer=2)),
+                    lambda c: fit_mean_impute(ds, c)):
+            got = fit(lambda X, y, seed: enet_fit(X, y, spec))
+            want = fit(linear_contract(spec))
+            assert got.mu.tobytes() == want.mu.tobytes()
+            assert got.error_trace == want.error_trace
+            assert got.predict(ds.X, ds.M).tobytes() == \
+                want.predict(ds.X, ds.M).tobytes()
+            assert got.contract_label == "linear"
+
+    def test_a_predictor_of_no_known_kind_has_no_label(self):
+        class Zero:
+            def predict(self, X):
+                return np.zeros(len(X))
+
+        model = fit_mean_impute(censored_dataset(n=20), lambda X, y, seed: Zero())
+        with pytest.raises(TypeError, match="Zero"):
+            model.contract_label
+        with pytest.raises(TypeError, match="Zero"):
+            model.to_dict()
 
 
 class TestAucError:
