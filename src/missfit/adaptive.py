@@ -19,9 +19,11 @@ in-sample error is monotone along the hierarchy at lambda = 0.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,13 +184,44 @@ def fit_adaptive(dataset: MaskedDataset, mode: str,
     return AdaptiveModel(mode, dataset.d, _solve(A, dataset.y, spec))
 
 
+_SOLVES: dict | None = None  # key -> (intercept, coefficients, trace, converged)
+
+
+@contextmanager
+def shared_solves():
+    """Within the block, _solve solves each distinct problem (the bytes of
+    design and target, the spec) once; a repeat gets a new LinearFit of the
+    first solve's numbers. The outer block's cache is restored on exit."""
+    global _SOLVES
+    outer, _SOLVES = _SOLVES, {}
+    try:
+        yield
+    finally:
+        _SOLVES = outer
+
+
 def _solve(A, y, spec: ElasticNetSpec) -> LinearFit:
     """The elastic-net fit of y on design A. Unless the spec pins
     penalty_weights, they are A's support weights (sparser columns get
     penalized more)."""
-    if spec.penalty_weights is None:
+    pinned = spec.penalty_weights
+    if pinned is None:
         spec = replace(spec, penalty_weights=support_penalty_weights(A))
-    return enet_fit(A, y, spec)
+    if _SOLVES is None:
+        return enet_fit(A, y, spec)
+    A = np.ascontiguousarray(A, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    digest = hashlib.blake2b(A)
+    digest.update(y)
+    key = (A.shape, digest.digest(), spec.lam, spec.alpha, spec.max_iters,
+           spec.tol, None if pinned is None else pinned.tobytes())
+    if (entry := _SOLVES.get(key)) is None:
+        f = enet_fit(A, y, spec)
+        _SOLVES[key] = (f.intercept, f.coefficients.copy(),
+                        np.array(f.objective_trace), f.converged)
+        return f
+    intercept, coefficients, trace, converged = entry
+    return LinearFit(intercept, coefficients.copy(), trace.tolist(), converged)
 
 
 def extract_imputation(model: AdaptiveModel) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import MaskedDataset, batch, check_int, check_real, read_csv
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
-from .adaptive import fit_adaptive, fit_finite_adaptive, finite_limits
+from .adaptive import (fit_adaptive, fit_finite_adaptive, finite_limits,
+                       shared_solves)
 from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
                     mse_error, tree_contract, forest_contract)
 from .learners import TreeParams, fit_cart_mia, fit_forest
@@ -215,6 +216,13 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
 
     Fold assignment is a seeded shuffle split into `folds` chunks. Ties keep
     the earliest grid point in declared order. Returns (params, cv_score).
+
+    The grid loop runs in adaptive.shared_solves, so an elastic net that
+    recurs within the call is solved once: finite's depth-1 and depth-2
+    trees are the top of its depth-3 tree, and fully_adaptive refits a
+    pattern's rows unchanged in every fold that holds none of them. A solve
+    is reused only on the exact bytes of its design and target and an equal
+    spec, so every result keeps its bits.
     """
     if dataset.n < folds:
         raise ValueError("need n >= folds")
@@ -224,18 +232,19 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     splits = [(dataset.subset(np.concatenate(chunks[:f] + chunks[f + 1:])),
                chunks[f]) for f in range(folds)]
     best = None
-    for params in grid:
-        scores = []
-        for train, val in splits:
-            model = fit_method(name, train, params, seed, task)
-            yhat = model.predict(dataset.X[val], dataset.M[val])
-            try:
-                scores.append(_score(dataset.y[val], yhat, task))
-            except ValueError:  # degenerate fold (constant / one-class)
-                continue
-        mean_score = float(np.mean(scores)) if scores else -np.inf
-        if best is None or mean_score > best[1]:
-            best = (params, mean_score)
+    with shared_solves():
+        for params in grid:
+            scores = []
+            for train, val in splits:
+                model = fit_method(name, train, params, seed, task)
+                yhat = model.predict(dataset.X[val], dataset.M[val])
+                try:
+                    scores.append(_score(dataset.y[val], yhat, task))
+                except ValueError:  # degenerate fold (constant / one-class)
+                    continue
+            mean_score = float(np.mean(scores)) if scores else -np.inf
+            if best is None or mean_score > best[1]:
+                best = (params, mean_score)
     return best
 
 

@@ -9,10 +9,14 @@ per-feature penalty multipliers. Columns are standardized internally for
 conditioning; the penalty weights are rescaled so the objective above is
 optimized exactly, and coefficients are transformed back on exit.
 
-Two steps are pinned so that results keep their bits (results CSVs and the
-benchmark's references are compared byte for byte): each rho is np.dot on
-the strided view Xs[:, j] of the C-order Xs, which OpenBLAS rounds unlike a
-unit-stride dot, and the residual update is buf = x_j * delta, then r -= buf.
+Three steps are pinned so that results keep their bits (results CSVs and the
+benchmark's references are compared byte for byte):
+  - each rho is Xs[:, j].dot(r) on the strided view of the C-order Xs (the
+    BLAS ddot np.dot calls, without its dispatcher), which OpenBLAS rounds
+    unlike a unit-stride dot;
+  - the soft threshold is inlined as a = |z| - g, then +-a if a > 0, else a
+    zero signed as z (+0.0 for z = -0.0), or a where a is NaN;
+  - the residual update is buf = x_j * delta, then r -= buf.
 """
 
 from __future__ import annotations
@@ -65,16 +69,6 @@ class LinearFit:
                    [], doc.get("converged", True))
 
 
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0) for gamma >= 0, where sign(-0.0) is +0.0."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    a = abs(z) - gamma
-    if a > 0.0:
-        return a if z > 0.0 else -a
-    return -0.0 if z < 0.0 else 0.0 if a == a else a
-
-
 def _objective(r, w, n, lam, alpha, c):
     pen = lam * np.add.reduce(c * (alpha * np.abs(w) + 0.5 * (1 - alpha) * w ** 2))
     return float(0.5 * np.dot(r, r) / n + pen)
@@ -118,20 +112,27 @@ def fit(X, y, spec: ElasticNetSpec) -> LinearFit:
     trace = [_objective(r, np.array(wt) / s, n, lam, alpha, c)]
     idx = np.flatnonzero(active).tolist()
     Xf = np.asfortranarray(Xs)
-    coords = [(j, Xs[:, j], Xf[:, j], l1[j], shrink[j]) for j in idx]
-    dot, multiply, subtract, buf = np.dot, np.multiply, np.subtract, np.empty(n)
+    coords = [(j, Xs[:, j].dot, Xf[:, j], l1[j], shrink[j]) for j in idx]
+    multiply, subtract, buf = np.multiply, np.subtract, np.empty(n)
     for _ in range(spec.max_iters):
         max_delta = 0.0
-        for j, xj, xf, g, h in coords:
+        for j, xdot, xf, g, h in coords:
             old = wt[j]
-            # rho = x_j . r / n + old, as the columns have unit mean square
-            new = soft_threshold(float(dot(xj, r)) / n + old, g) / h
+            # z = x_j . r / n + old, as the columns have unit mean square;
+            # new = sign(z) * max(|z| - g, 0) / h, with sign(-0.0) = +0.0
+            z = float(xdot(r)) / n + old
+            a = abs(z) - g
+            if a > 0.0:
+                new = (a if z > 0.0 else -a) / h
+            else:
+                new = -0.0 if z < 0.0 else 0.0 if a == a else a / h
             if new != old:
                 delta = new - old
                 multiply(xf, delta, out=buf)
                 subtract(r, buf, out=r)
                 wt[j] = new
-                max_delta = max(max_delta, abs(delta))
+                if abs(delta) > max_delta:
+                    max_delta = abs(delta)
         trace.append(_objective(r, np.array(wt) / s, n, lam, alpha, c))
         if max_delta < spec.tol:
             break

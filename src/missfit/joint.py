@@ -131,9 +131,12 @@ class JointModel:
         p = doc["predictor"]
         if p["type"] == "linear":
             predictor = LinearFit.from_dict(p)
-        else:
+        elif p["type"] in ("mia_tree", "mia_forest"):
             model = MiaTree if p["type"] == "mia_tree" else Forest
             predictor = _FullyObservedWrapper(model.from_dict(p))
+        else:
+            raise ValueError(f"predictor type {p['type']!r} is not linear, "
+                             "mia_tree or mia_forest")
         mu, sigma = (np.array(doc[k], dtype=float) for k in ("mu", "sigma"))
         d = p["d"] if p["type"] != "linear" else len(predictor.coefficients)
         if not len(mu) == len(sigma) == d:

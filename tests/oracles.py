@@ -110,6 +110,17 @@ def mia_tree_predict(tree, X, M) -> np.ndarray:
                      for x, m in zip(X.tolist(), M.tolist())], dtype=float)
 
 
+def soft_threshold(z: float, gamma: float) -> float:
+    """sign(z) * max(|z| - gamma, 0) for gamma >= 0, where sign(-0.0) is +0.0:
+    the threshold that missfit.elasticnet.fit inlines in its loop."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    a = abs(z) - gamma
+    if a > 0.0:
+        return a if z > 0.0 else -a
+    return -0.0 if z < 0.0 else 0.0 if a == a else a
+
+
 def _np_soft_threshold(z, gamma):
     return float(np.sign(z) * max(abs(z) - gamma, 0.0))
 

