@@ -263,6 +263,7 @@ class TreeNode:
     @classmethod
     def from_dict(cls, doc, d: int) -> TreeNode:
         """A node of a model file: a fit of d coefficients, a split in [0, d)."""
+        check_int("n_rows", doc["n_rows"], 1)
         node = cls(LinearFit.from_dict(doc["fit"]), doc["n_rows"])
         if len(node.fit.coefficients) != d:
             raise ValueError(f"partition fit without {d} coefficients")

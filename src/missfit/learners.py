@@ -4,8 +4,10 @@ Every internal node tests one feature and routes missing values to a fixed
 side, so rows with any missingness pattern (seen or not) always reach a leaf.
 Candidate splits per node and feature: the pure missing-vs-observed split,
 then thresholds at midpoints of consecutive distinct observed values, each
-with both choices of side for the missing rows. Prediction sends every row
-through every tree of a model together, one level per step (_Routing).
+with both choices of side for the missing rows. A node scores all of them,
+pure splits too, from prefix sums of its sorted targets and rescores only
+the few near the least score exactly (_best_split). Prediction sends every
+row through every tree of a model together, one level per step (_Routing).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class MiaNode:
     def from_dict(cls, doc, d: int) -> MiaNode:
         """A node of a model file: a split tests a feature in [0, d) at a number,
         or at null (a pure split), and sends missing rows left or right."""
+        check_int("n_rows", doc["n_rows"], 1)
         node = cls(float(doc["prediction"]), doc["n_rows"])
         if "feature" in doc:
             j, thr, side = doc["feature"], doc["threshold"], doc["missing_side"]
@@ -152,12 +155,12 @@ def _impurity_sums(y: np.ndarray, task: str) -> float:
 
 
 def _sweep_impurity(k, s1, s2, task):
-    """Impurity of children with k rows and target sums s1 (and squares s2)."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0: masked out
-        if task == "regression":
-            return s2 - s1 * s1 / k
-        p = s1 / k
-        return k * 2.0 * p * (1.0 - p)
+    """Impurity of children with k rows and target sums s1 (and squares s2);
+    k = 0 divides by zero, so the caller masks it out under np.errstate."""
+    if task == "regression":
+        return s2 - s1 * s1 / k
+    p = s1 / k
+    return k * 2.0 * p * (1.0 - p)
 
 
 def _shortlist_tolerance(yr, c, task) -> float:
@@ -168,7 +171,9 @@ def _shortlist_tolerance(yr, c, task) -> float:
     (the computed T = sum c^2 is within a factor 2 of U) and Y = max|y|.
 
     Regression, sweep: a child's S1 and S2 are each at most three running
-    sums over the node added or subtracted, so S2 errs by at most
+    sums over the node added or subtracted (a threshold's side with the
+    missing block; either side of a pure split is two: the missing block
+    P[n] - P[n_obs], the observed block P[n_obs]), so S2 errs by at most
     3(n+2)*eps*U and S1 by e = 3(n+2)*eps*sum|u| <= 3(n+2)*eps*sqrt(nU). As
     |S1|/k <= sqrt(U), S1^2/k errs by at most 2e*sqrt(U); the square,
     division and subtraction add 3*eps*U. Two children and their sum:
@@ -205,14 +210,17 @@ def _best_split(X, M, y, rows, features, min_leaf, task):
     thresholds ascending, missing rows left before right; the first candidate
     of least impurity wins.
 
-    Each feature's observed rows are sorted once; prefix sums of the targets
-    in that order, with the missing block's totals added to either side,
-    score every threshold candidate at once. They round differently from
-    `_impurity_sums`, so they only shortlist: every candidate within
-    `_shortlist_tolerance` of the least score is rescored by `_impurity_sums`
-    on the row arrays an exhaustive scan builds, which it also returns.
+    Each feature's rows are sorted once, observed values first; prefix sums
+    of the targets in that order score every candidate at once. The cut
+    between sorted positions i and i + 1 puts the i + 1 lowest observed rows
+    left, and the missing block's totals go to either side; the pure split
+    is the cut before position 0 with the missing rows left. The sums round
+    differently from `_impurity_sums`, so they only shortlist: every
+    candidate within `_shortlist_tolerance` of the least score is rescored by
+    `_impurity_sums` on the row arrays an exhaustive scan builds, which it
+    also returns.
     """
-    n = len(rows)
+    n, F = len(rows), len(features)
     yr = y[rows]
     node = np.ix_(rows, features)
     missing = M[node].T == 1                                     # (F, n)
@@ -225,66 +233,58 @@ def _best_split(X, M, y, rows, features, min_leaf, task):
 
     c = yr - yr.mean() if task == "regression" else yr
     cs = c[perm]
-    p1 = np.zeros((len(features), n + 1))
-    np.cumsum(cs, axis=1, out=p1[:, 1:])
-    p2 = np.zeros_like(p1)
-    np.cumsum(cs * cs, axis=1, out=p2[:, 1:])
+    P = np.zeros((2, F, n + 1))  # prefix sums of c and c^2, per feature
+    np.cumsum(cs, axis=1, out=P[0, :, 1:])
+    np.cumsum(cs * cs, axis=1, out=P[1, :, 1:])
 
-    # thresholds: midpoints of consecutive distinct observed values
-    cut = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, n) < n_obs[:, None])
-    f_idx, i_idx = np.nonzero(cut)
-    thr = (xs[f_idx, i_idx] + xs[f_idx, i_idx + 1]) / 2.0
-    starts = np.searchsorted(f_idx, np.arange(len(features) + 1))
-    n_lo = np.empty(len(thr), dtype=np.intp)
-    for f in range(len(features)):
-        a, b = starts[f], starts[f + 1]
-        n_lo[a:b] = np.searchsorted(xs[f, :n_obs[f]], thr[a:b], side="right")
+    # candidates (feature, rows left of the cut): pure splits at 0, then the
+    # cuts between consecutive distinct observed values
+    cut = np.empty((F, n), dtype=bool)
+    cut[:, 0] = (n - n_obs >= min_leaf) & (n_obs >= min_leaf)
+    cut[:, 1:] = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, n) < n_obs[:, None])
+    f_idx, n_lo = np.nonzero(cut)
+    pure = n_lo == 0
+    lo, hi = xs[f_idx, n_lo - 1], xs[f_idx, n_lo]  # pure: lo, thr = inf
+    with np.errstate(over="ignore"):
+        thr = (lo + hi) / 2.0
+    # a midpoint that rounded onto hi or overflowed sends another count left
+    for k in np.flatnonzero(((thr >= hi) & ~pure) | (thr < lo)):
+        f = f_idx[k]
+        n_lo[k] = np.searchsorted(xs[f, :n_obs[f]], thr[k], side="right")
 
-    # (candidate, side) arrays of child totals; side 0 sends the missing
-    # rows left
+    # child totals, (side, [stat,] candidate); side 0 sends missing rows left
     no = n_obs[f_idx]
-
-    def sides(prefix):
-        lo, ob = prefix[f_idx, n_lo], prefix[f_idx, no]
-        mi = prefix[f_idx, n] - ob
-        return (np.stack([lo + mi, lo], axis=1),
-                np.stack([ob - lo, ob - lo + mi], axis=1))
-
-    k_left, k_right = sides(np.broadcast_to(np.arange(n + 1), p1.shape))
-    s1_left, s1_right = sides(p1)
-    s2_left, s2_right = sides(p2)
-    approx = (_sweep_impurity(k_left, s1_left, s2_left, task)
-              + _sweep_impurity(k_right, s1_right, s2_right, task))
-    valid = (k_left >= min_leaf) & (k_right >= min_leaf)
-    approx = np.where(valid, approx, np.inf).ravel()
-
-    pure = np.full(len(features), np.inf)  # pure splits, scored exactly
-    for f in np.flatnonzero((n - n_obs >= min_leaf) & (n_obs >= min_leaf)):
-        pure[f] = (_impurity_sums(y[rows[missing[f]]], task)
-                   + _impurity_sums(y[rows[~missing[f]]], task))
-    least = min(pure.min(), approx.min(initial=np.inf))
+    s_lo, s_ob = P[:, f_idx, n_lo], P[:, f_idx, no]
+    s_mi, s_hi = P[:, f_idx, n] - s_ob, s_ob - s_lo
+    k_left = np.array((n_lo + (n - no), n_lo))
+    s_left = np.array((s_lo + s_mi, s_lo))
+    s_right = np.array((s_hi, s_hi + s_mi))
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty children
+        approx = (_sweep_impurity(k_left, s_left[:, 0], s_left[:, 1], task)
+                  + _sweep_impurity(n - k_left, s_right[:, 0], s_right[:, 1], task))
+    valid = (k_left >= min_leaf) & (n - k_left >= min_leaf)
+    approx = np.where(valid, approx, np.inf)
+    least = approx.min(initial=np.inf)
     if least == np.inf:
         return None
     bound = least + _shortlist_tolerance(yr, c, task)
-    short = np.flatnonzero(approx <= bound)
-    short_f = f_idx[short // 2]
 
     best = None
-    for f, j in enumerate(features):
-        miss = rows[missing[f]]
-        if pure[f] <= bound and (best is None or pure[f] < best[0]):
-            best = (float(pure[f]), j, None, "left", miss, rows[~missing[f]])
-        order = rows[perm[f, :n_obs[f]]]
-        for cand in short[short_f == f]:
-            k, side = divmod(int(cand), 2)
-            left_obs, right_obs = order[:n_lo[k]], order[n_lo[k]:]
-            if side == 0:
-                left, right = np.concatenate([left_obs, miss]), right_obs
-            else:
-                left, right = left_obs, np.concatenate([right_obs, miss])
-            imp = _impurity_sums(y[left], task) + _impurity_sums(y[right], task)
-            if best is None or imp < best[0]:
-                best = (imp, j, float(thr[k]), ("left", "right")[side], left, right)
+    for cand in np.flatnonzero((approx <= bound).T):  # candidate-major order
+        k, side = divmod(int(cand), 2)
+        f = f_idx[k]
+        order = rows[perm[f]]
+        below, above, miss = order[:n_lo[k]], order[n_lo[k]:no[k]], order[no[k]:]
+        if pure[k]:  # the observed rows in row order, as a scan keeps them
+            left, right = miss, rows[~missing[f]]
+        elif side == 0:
+            left, right = np.concatenate([below, miss]), above
+        else:
+            left, right = below, np.concatenate([above, miss])
+        imp = _impurity_sums(y[left], task) + _impurity_sums(y[right], task)
+        if best is None or imp < best[0]:
+            best = (imp, features[f], None if pure[k] else float(thr[k]),
+                    ("left", "right")[side], left, right)
     return best
 
 

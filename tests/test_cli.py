@@ -246,6 +246,32 @@ class TestFitPredict:
                 assert main(argv) == 2
                 assert "malformed model file" in capsys.readouterr().err
 
+    # n_rows as a string on the root, or below 1 on a child
+    BAD_N_ROWS = {
+        "mia_tree": [{"d": 3, "root": {**SPLIT, "n_rows": "lots"}},
+                     {"d": 3, "root": {**SPLIT, "right": {**LEAF, "n_rows": -5}}}],
+        "mia_forest": [{"d": 3, "params": {}, "trees": [{**LEAF, "n_rows": "lots"}]},
+                       {"d": 3, "params": {}, "trees": [
+                           LEAF, {**SPLIT, "left": {**LEAF, "n_rows": 0}}]}],
+        "partition_tree": [{"d": 3, "root": {**PART, "n_rows": "lots"}},
+                           {"d": 3, "root": {**PART, "right": {"fit": FIT, "n_rows": -5}}}],
+        "joint": [{"contract": "tree", "mu": [0.0] * 3, "sigma": [1.0] * 3,
+                   "predictor": {"type": "mia_tree", "d": 3,
+                                 "root": {**SPLIT, "left": {**LEAF, "n_rows": -5}}}}],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_N_ROWS))
+    def test_n_rows_is_checked(self, kind, dataset_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for doc in self.BAD_N_ROWS[kind]:
+            bad.write_text(json.dumps({"type": kind, **doc}))
+            for argv in (["predict", "--model", str(bad), "--data",
+                          str(dataset_csv), "--out", str(tmp_path / "p.csv")],
+                         ["inspect", str(bad)]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert "malformed model file" in err and "n_rows: must be" in err
+
     def test_model_nested_too_deeply_is_usage_error(self, dataset_csv,
                                                     tmp_path, capsys):
         # past the recursion limit: json.dumps cannot write it, so spell it

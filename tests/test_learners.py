@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from missfit import learners
@@ -48,7 +48,9 @@ def oracle_best_split(X, M, y, rows, features, min_leaf, task):
             continue
         order = obs[np.argsort(xj[mj == 0], kind="stable")]
         xo = X[order, j]
-        for thr in (vals[:-1] + vals[1:]) / 2.0:
+        with np.errstate(over="ignore"):  # midpoints of huge values: +-inf
+            thresholds = (vals[:-1] + vals[1:]) / 2.0
+        for thr in thresholds:
             n_left_obs = int(np.searchsorted(xo, thr, side="right"))
             left_obs = order[:n_left_obs]
             right_obs = order[n_left_obs:]
@@ -86,23 +88,40 @@ def split_cases(draw):
         up = np.nextafter(1.0, 2.0)
         X[:, 0] = rng.choice([np.nextafter(1.0, 0.0), 1.0, up,
                               np.nextafter(up, 2.0)], size=n)
+    if draw(st.booleans()):  # huge values: midpoints overflow to +-inf
+        X[:, -1] = rng.choice([-1.6e308, -1.5e308, 0.0, 1.5e308, 1.6e308], size=n)
     M = (rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 0.7]))).astype(np.int8)
     if draw(st.booleans()):
         M[:, 0] = 1  # all missing
     if draw(st.booleans()):
         M[:, -1] = 0  # no missing rows: left and right sides tie
-    if d > 1 and draw(st.booleans()):  # duplicate column: ties across features
-        X[:, 1], M[:, 1] = X[:, 0], M[:, 0]
+    if d > 1 and draw(st.booleans()):  # duplicate or mirrored column: ties
+        X[:, 1], M[:, 1] = X[:, 0] * draw(st.sampled_from([1.0, -1.0])), M[:, 0]
     X[M == 1] = np.nan
     task = draw(st.sampled_from(["regression", "classification"]))
     if task == "classification":
         y = (rng.random(n) < 0.5).astype(float)
     else:
         y = rng.normal(size=n) + draw(st.sampled_from([0.0, 1e6]))
+        if draw(st.booleans()):  # few levels: distinct partitions tie exactly
+            y = np.round(y)
     rows = (rng.integers(0, n, size=n) if draw(st.booleans())
             else np.arange(n))
     features = np.sort(rng.choice(d, draw(st.integers(1, d)), replace=False))
     return X, M, y, rows, features, min_leaf, task
+
+
+def mirrored_case(seed, n=40):
+    """A node whose feature 1 is feature 0 negated, with 0/1 regression
+    targets: each cut of one feature ties exactly with its mirror image in
+    the other, and the sweep's sums, taken in opposite orders, tell the two
+    apart by rounding alone."""
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(n) < 0.3, np.nan, rng.choice(rng.normal(size=8), n))
+    X = np.stack([x, -x], axis=1)
+    M = np.isnan(X).astype(np.int8)
+    y = rng.integers(0, 2, n).astype(float)
+    return X, M, y, np.arange(n), np.arange(2), 3, "regression"
 
 
 def assert_same_tree(a, b):
@@ -116,8 +135,24 @@ def assert_same_tree(a, b):
 class TestSplitSearch:
     @settings(deadline=None, max_examples=300)
     @given(split_cases())
+    @example(mirrored_case(4))
+    @example(mirrored_case(8))  # the shortlist's tolerance is needed here
     def test_matches_exhaustive_oracle(self, case):
         assert_same_split(learners._best_split(*case), oracle_best_split(*case))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_mask_only_signal_takes_the_pure_split(self, task):
+        # y follows x0's mask bit alone; the observed values are noise, so
+        # every threshold, with the missing rows on either side, scores worse
+        rng = np.random.default_rng(3)
+        X, M = rng.normal(size=(40, 3)), np.zeros((40, 3), dtype=np.int8)
+        M[::3, 0] = 1
+        y = M[:, 0] + (0.01 * rng.normal(size=40) if task == "regression" else 0.0)
+        case = (X, M, y, np.arange(40), np.arange(3), 3, task)
+        got = learners._best_split(*case)
+        assert (got[1], got[2], got[3]) == (0, None, "left")
+        assert np.array_equal(got[4], np.arange(0, 40, 3))
+        assert_same_split(got, oracle_best_split(*case))
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_forest_trees_match_oracle_build(self, task, monkeypatch):
