@@ -338,6 +338,8 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
     min_leaf rows, or when the relative error reduction falls below min_gain.
     """
     finite_limits(max_depth, min_leaf, min_gain)
+    if dataset.n < 1:
+        raise ValueError("empty dataset")
     Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
 
     def static_fit_sse(rows: np.ndarray):

@@ -6,8 +6,10 @@ Candidate splits per node and feature: the pure missing-vs-observed split,
 then thresholds at midpoints of consecutive distinct observed values, each
 with both choices of side for the missing rows. A node scores all of them,
 pure splits too, from prefix sums of its sorted targets and rescores only
-the few near the least score exactly (_best_split). Prediction sends every
-row through every tree of a model together, one level per step (_Routing).
+the few near the least score exactly (_best_splits). The trees of a forest
+grow in lockstep and a CART tree level by level, so one search scores many
+nodes (_grow). Prediction sends every row through every tree of a model
+together, one level per step (_Routing).
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ def _impurity_sums(y: np.ndarray, task: str) -> float:
     n = len(y)
     if n == 0:
         return 0.0
-    if task == "regression":
-        return float(np.sum((y - y.mean()) ** 2))
-    p = float(np.mean(y))
+    if task == "regression":  # y.sum() / n is y.mean() to the bit, and cheaper
+        return float(((y - y.sum() / n) ** 2).sum())
+    p = float(y.sum() / n)
     return n * 2.0 * p * (1.0 - p)
 
 
@@ -202,60 +204,74 @@ def _shortlist_tolerance(yr, c, task) -> float:
     return 36.0 * (n + 1) ** 3 * eps * Y * (1.0 + 2.0 * Y)
 
 
-def _best_split(X, M, y, rows, features, min_leaf, task):
-    """Best (feature, threshold, side) split of `rows`, by a presorted sweep.
+def _best_splits(X, M, y, nodes, min_leaf, task):
+    """Best (feature, threshold, side) split of each (rows, features) node in
+    `nodes`, all with one feature count, by one presorted sweep: per node
+    (impurity, feature, threshold, side, left_rows, right_rows) or None.
+    Candidates are ordered feature ascending, pure split first, thresholds
+    ascending, missing rows left before right; the first candidate of least
+    impurity wins.
 
-    Returns (impurity, feature, threshold, side, left_rows, right_rows) or
-    None. Candidates are ordered feature ascending, pure split first,
-    thresholds ascending, missing rows left before right; the first candidate
-    of least impurity wins.
-
-    Each feature's rows are sorted once, observed values first; prefix sums
-    of the targets in that order score every candidate at once. The cut
-    between sorted positions i and i + 1 puts the i + 1 lowest observed rows
-    left, and the missing block's totals go to either side; the pure split
-    is the cut before position 0 with the missing rows left. The sums round
-    differently from `_impurity_sums`, so they only shortlist: every
-    candidate within `_shortlist_tolerance` of the least score is rescored by
+    Lane b * F + f holds node b's rows sorted by its feature f, observed
+    values first, then padding up to the largest node's row count; prefix
+    sums of the targets along each lane, which round as the node's own 1-D
+    sums would, score every candidate at once. The cut between sorted
+    positions i and i + 1 puts the i + 1 lowest observed rows left, and the
+    missing block's totals go to either side; the pure split is the cut
+    before position 0 with the missing rows left. The sums round differently
+    from `_impurity_sums`, so they only shortlist: every finite score within
+    `_shortlist_tolerance` of its node's least one is rescored by
     `_impurity_sums` on the row arrays an exhaustive scan builds, which it
     also returns.
     """
-    n, F = len(rows), len(features)
-    yr = y[rows]
-    node = np.ix_(rows, features)
-    missing = M[node].T == 1                                     # (F, n)
+    sizes = np.array([len(rows) for rows, _ in nodes])
+    features = np.array([f for _, f in nodes])
+    (B, F), N = features.shape, int(sizes.max())
+    n_lane = sizes.repeat(F)
+    real = np.arange(N) < n_lane[:, None]                        # (B * F, N)
+    R = np.zeros((B, N), dtype=np.intp)
+    R[np.arange(N) < sizes[:, None]] = np.concatenate([rows for rows, _ in nodes])
+    # flat indices: np.take is several times faster than multi-axis indexing
+    cell = R[:, None, :] * X.shape[1] + features[:, :, None]
+    missing = (np.take(M, cell).reshape(B * F, N) == 1) & real
     # missing slots may hold anything; as +inf they sort after every observed
-    # value, and the stable sort keeps equal values in row order
-    xs = np.where(missing, np.inf, X[node].T)
+    # value and before the padding, and the stable sort keeps equal values in
+    # row order
+    xs = np.where(missing | ~real, np.inf, np.take(X, cell).reshape(B * F, N))
     perm = np.argsort(xs, axis=1, kind="stable")
-    xs = np.take_along_axis(xs, perm, axis=1)
-    n_obs = n - missing.sum(axis=1)
+    xs = np.take(xs, perm + np.arange(B * F)[:, None] * N)
+    n_obs = n_lane - missing.sum(axis=1)
 
-    c = yr - yr.mean() if task == "regression" else yr
-    cs = c[perm]
-    P = np.zeros((2, F, n + 1))  # prefix sums of c and c^2, per feature
+    C, tol = np.zeros((B, N)), np.empty(B)  # centred targets, padded with 0
+    for b, (rows, _) in enumerate(nodes):
+        yr = y[rows]
+        c = yr - yr.mean() if task == "regression" else yr
+        C[b, :len(rows)], tol[b] = c, _shortlist_tolerance(yr, c, task)
+    cs = np.take(C, perm + np.arange(B).repeat(F)[:, None] * N)
+    P = np.zeros((2, B * F, N + 1))  # prefix sums of c and c^2, per lane
     np.cumsum(cs, axis=1, out=P[0, :, 1:])
     np.cumsum(cs * cs, axis=1, out=P[1, :, 1:])
+    P = P.reshape(2, -1)
 
-    # candidates (feature, rows left of the cut): pure splits at 0, then the
-    # cuts between consecutive distinct observed values
-    cut = np.empty((F, n), dtype=bool)
-    cut[:, 0] = (n - n_obs >= min_leaf) & (n_obs >= min_leaf)
-    cut[:, 1:] = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, n) < n_obs[:, None])
-    f_idx, n_lo = np.nonzero(cut)
+    # candidates (lane, rows left of the cut): pure splits at 0, then the cuts
+    # between consecutive distinct observed values
+    cut = np.empty(xs.shape, dtype=bool)
+    cut[:, 0] = (n_lane - n_obs >= min_leaf) & (n_obs >= min_leaf)
+    cut[:, 1:] = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, N) < n_obs[:, None])
+    at = np.flatnonzero(cut)
+    lane, n_lo = np.divmod(at, N)
     pure = n_lo == 0
-    lo, hi = xs[f_idx, n_lo - 1], xs[f_idx, n_lo]  # pure: lo, thr = inf
+    lo, hi = np.take(xs, at - 1), np.take(xs, at)  # pure: lo is another lane's
     with np.errstate(over="ignore"):
         thr = (lo + hi) / 2.0
     # a midpoint that rounded onto hi or overflowed sends another count left
-    for k in np.flatnonzero(((thr >= hi) & ~pure) | (thr < lo)):
-        f = f_idx[k]
-        n_lo[k] = np.searchsorted(xs[f, :n_obs[f]], thr[k], side="right")
+    for k in np.flatnonzero(~pure & ((thr >= hi) | (thr < lo))):
+        n_lo[k] = np.searchsorted(xs[lane[k], :n_obs[lane[k]]], thr[k], side="right")
 
     # child totals, (side, [stat,] candidate); side 0 sends missing rows left
-    no = n_obs[f_idx]
-    s_lo, s_ob = P[:, f_idx, n_lo], P[:, f_idx, no]
-    s_mi, s_hi = P[:, f_idx, n] - s_ob, s_ob - s_lo
+    n, no, base = n_lane[lane], n_obs[lane], lane * (N + 1)
+    s_lo, s_ob = np.take(P, base + n_lo, axis=1), np.take(P, base + no, axis=1)
+    s_mi, s_hi = np.take(P, base + n, axis=1) - s_ob, s_ob - s_lo
     k_left = np.array((n_lo + (n - no), n_lo))
     s_left = np.array((s_lo + s_mi, s_lo))
     s_right = np.array((s_hi, s_hi + s_mi))
@@ -264,60 +280,76 @@ def _best_split(X, M, y, rows, features, min_leaf, task):
                   + _sweep_impurity(n - k_left, s_right[:, 0], s_right[:, 1], task))
     valid = (k_left >= min_leaf) & (n - k_left >= min_leaf)
     approx = np.where(valid, approx, np.inf)
-    least = approx.min(initial=np.inf)
-    if least == np.inf:
-        return None
-    bound = least + _shortlist_tolerance(yr, c, task)
+    least = np.full(B, np.inf)
+    np.minimum.at(least, lane // F, approx.min(axis=0))
+    # finite scores only: a node without a valid candidate has least = inf
+    short = (approx <= (least + tol)[lane // F]) & (approx < np.inf)
 
-    best = None
-    for cand in np.flatnonzero((approx <= bound).T):  # candidate-major order
+    best = [None] * B
+    for cand in np.flatnonzero(short.T):  # node-major, then candidate-major
         k, side = divmod(int(cand), 2)
-        f = f_idx[k]
-        order = rows[perm[f]]
+        b, f = divmod(int(lane[k]), F)
+        rows = nodes[b][0]
+        order = rows[perm[lane[k], :len(rows)]]
         below, above, miss = order[:n_lo[k]], order[n_lo[k]:no[k]], order[no[k]:]
         if pure[k]:  # the observed rows in row order, as a scan keeps them
-            left, right = miss, rows[~missing[f]]
+            left, right = miss, rows[~missing[lane[k], :len(rows)]]
         elif side == 0:
             left, right = np.concatenate([below, miss]), above
         else:
             left, right = below, np.concatenate([above, miss])
         imp = _impurity_sums(y[left], task) + _impurity_sums(y[right], task)
-        if best is None or imp < best[0]:
-            best = (imp, features[f], None if pure[k] else float(thr[k]),
-                    ("left", "right")[side], left, right)
+        if best[b] is None or imp < best[b][0]:
+            best[b] = (imp, features[b, f], None if pure[k] else float(thr[k]),
+                       ("left", "right")[side], left, right)
     return best
 
 
-def _build(X, M, y, rows, depth, params: TreeParams, rng) -> MiaNode:
-    node = MiaNode(prediction=float(np.mean(y[rows])), n_rows=len(rows))
-    if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
-        return node
-    if np.all(y[rows] == y[rows[0]]):
-        return node
-    d = X.shape[1]
-    if rng is not None and params.mtry is not None and params.mtry < d:
-        features = np.sort(rng.choice(d, params.mtry, replace=False))
-    else:
-        features = np.arange(d)
-    parent_imp = _impurity_sums(y[rows], params.task)
-    best = _best_split(X, M, y, rows, features, params.min_leaf, params.task)
-    if best is None or best[0] >= parent_imp:
-        return node
-    imp, j, thr, side, left, right = best
-    node.feature = j
-    node.threshold = thr
-    node.missing_side = side
-    node.left = _build(X, M, y, left, depth + 1, params, rng)
-    node.right = _build(X, M, y, right, depth + 1, params, rng)
-    return node
+def _grow(X, M, y, samples, params: TreeParams, rngs=None) -> list[MiaNode]:
+    """One MIA tree per row sample, grown together by batched searches. Tree
+    t draws each node's mtry features from rngs[t], if given, in its own
+    depth-first order, so a round takes one node of each tree; otherwise a
+    round takes every open node: one depth of each tree."""
+    d, task, min_leaf = X.shape[1], params.task, params.min_leaf
+    draw = rngs is not None and params.mtry is not None and params.mtry < d
+    slots = _Routing.GROUP_SLOTS // (params.mtry if draw else max(d, 1))
+    roots = [MiaNode(float(np.mean(y[rows])), len(rows)) for rows in samples]
+    stacks = [[(root, rows, 0)] for root, rows in zip(roots, samples)]
+    while any(stacks):
+        taken = []  # (rows, features, tree, node, depth)
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, rows, depth = stack.pop()
+                if (depth >= params.max_depth or len(rows) < 2 * min_leaf
+                        or np.all(y[rows] == y[rows[0]])):
+                    continue
+                features = (np.sort(rngs[t].choice(d, params.mtry, replace=False))
+                            if draw else np.arange(d))
+                taken.append((rows, features, t, node, depth))
+                if draw:
+                    break
+        taken.sort(key=lambda job: len(job[0]))  # chunks of nodes of about one size
+        while taken:
+            k = 1  # nodes x F x (N + 1) <= GROUP_SLOTS, N = rows of taken[k - 1]
+            while k < len(taken) and (k + 1) * (len(taken[k][0]) + 1) <= slots:
+                k += 1
+            chunk, taken = taken[:k], taken[k:]
+            found = _best_splits(X, M, y, [job[:2] for job in chunk], min_leaf, task)
+            for (rows, _, t, node, depth), best in zip(chunk, found):
+                if best is None or best[0] >= _impurity_sums(y[rows], task):
+                    continue
+                _, node.feature, node.threshold, node.missing_side, left, right = best
+                node.left, node.right = (MiaNode(float(np.mean(y[s])), len(s))
+                                         for s in (left, right))
+                stacks[t] += (node.right, right, depth + 1), (node.left, left, depth + 1)
+    return roots
 
 
 def fit_cart_mia(dataset: MaskedDataset, params: TreeParams) -> MiaTree:
     """Fit a single MIA tree on the full dataset (no feature subsampling)."""
     if dataset.n < 2 * params.min_leaf:
         raise ValueError("need at least 2 * min_leaf rows")
-    root = _build(dataset.X, dataset.M, dataset.y, np.arange(dataset.n), 0,
-                  params, rng=None)
+    root, = _grow(dataset.X, dataset.M, dataset.y, [np.arange(dataset.n)], params)
     return MiaTree(root, dataset.d)
 
 
@@ -351,17 +383,15 @@ class Forest:
 def fit_forest(dataset: MaskedDataset, params: TreeParams) -> Forest:
     """Bagged MIA trees, each on a bootstrap sample, with per-split feature
     subsampling."""
+    if dataset.n < 1:
+        raise ValueError("empty dataset")
     mtry = params.mtry if params.mtry is not None else int(np.ceil(np.sqrt(dataset.d)))
-    sub_params = replace(params, mtry=min(mtry, dataset.d))
-    trees = []
-    root_rng = np.random.default_rng(params.seed)
-    tree_seeds = root_rng.integers(0, 2 ** 31, size=params.n_trees)
-    for s in tree_seeds:
-        rng = np.random.default_rng(int(s))
-        rows = rng.integers(0, dataset.n, size=dataset.n)
-        root = _build(dataset.X, dataset.M, dataset.y, rows, 0, sub_params, rng)
-        trees.append(MiaTree(root, dataset.d))
-    return Forest(trees, params, dataset.d)
+    seeds = np.random.default_rng(params.seed).integers(0, 2 ** 31, size=params.n_trees)
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    samples = [rng.integers(0, dataset.n, size=dataset.n) for rng in rngs]
+    roots = _grow(dataset.X, dataset.M, dataset.y, samples,
+                  replace(params, mtry=min(mtry, dataset.d)), rngs)
+    return Forest([MiaTree(root, dataset.d) for root in roots], params, dataset.d)
 
 
 def mean_impute(dataset: MaskedDataset) -> tuple[np.ndarray, np.ndarray]:

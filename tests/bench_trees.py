@@ -8,8 +8,8 @@ The models are fitted on the first 400 rows of the censoring instance that
 perfbench's predict_stream workload serves (n = 2400, d = 10, p = 0.5), and
 the batches are drawn from its other rows: 16 rows, the stream's batch size,
 and 352 rows, about a mia_trees test split. A fit's time is mostly MIA split
-search; its entry records the split searches it makes and the nodes it
-grows.
+search; its entry records the batched split-search calls it makes, the
+nodes they search and the nodes it grows.
 """
 
 import numpy as np
@@ -46,15 +46,15 @@ def count_nodes(node) -> int:
 def test_fit(benchmark, instance, model, monkeypatch):
     train, _data = instance
     fit, params = FITS[model]
-    searches, search = [], learners._best_split
-    monkeypatch.setattr(learners, "_best_split",
-                        lambda *args: searches.append(1) or search(*args))
+    batches, search = [], learners._best_splits  # nodes per call
+    monkeypatch.setattr(learners, "_best_splits",
+                        lambda *args: batches.append(len(args[3])) or search(*args))
     counted = fit(train, params)
     monkeypatch.undo()
     fitted = benchmark(fit, train, params)
     assert fitted.to_dict() == counted.to_dict()
     trees = getattr(fitted, "trees", [fitted])
-    benchmark.extra_info.update(split_searches=len(searches),
+    benchmark.extra_info.update(split_calls=len(batches), nodes_searched=sum(batches),
                                 nodes=sum(count_nodes(t.root) for t in trees))
 
 

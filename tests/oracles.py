@@ -3,18 +3,21 @@ missfit.elasticnet, missfit.joint and missfit.learners.
 
 These are the per-row and per-column loops the package used before its
 whole-array forms, the per-node walk of an MIA tree before its flat routing,
-the coordinate-descent loop before its leaner one, and the joint fit that
-rebuilt its whole imputed matrix (impute_with) for every trial; tests
-compare the package against them bit for bit.
+an exhaustive MIA split search, the recursive MIA growth that searched one
+node at a time before trees grew together, the coordinate-descent loop
+before its leaner one, and the joint fit that rebuilt its whole imputed
+matrix (impute_with) for every trial; tests compare the package against
+them bit for bit.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from missfit.core import DatasetError
 from missfit.joint import JointModel
-from missfit.learners import mean_impute
+from missfit.learners import MiaNode, _impurity_sums, mean_impute
 
 
 def masked_dot(w, x, m) -> float:
@@ -108,6 +111,89 @@ def mia_tree_predict(tree, X, M) -> np.ndarray:
     """One per-node walk per row."""
     return np.array([mia_predict_row(tree.root, x, m)
                      for x, m in zip(X.tolist(), M.tolist())], dtype=float)
+
+
+def mia_best_split(X, M, y, rows, features, min_leaf, task):
+    """Exhaustive MIA split search: every candidate scored from scratch.
+
+    missfit.learners._best_splits must reproduce it exactly for each node:
+    same winner, same impurity, same row arrays in the same order.
+    """
+    best = None
+    for j in features:
+        mj = M[rows, j]
+        xj = X[rows, j]
+        miss = rows[mj == 1]
+        obs = rows[mj == 0]
+        # pure missing-vs-observed split
+        if len(miss) >= min_leaf and len(obs) >= min_leaf:
+            imp = (_impurity_sums(y[miss], task)
+                   + _impurity_sums(y[obs], task))
+            if best is None or imp < best[0]:
+                best = (imp, j, None, "left", miss, obs)
+        if len(obs) < 2:
+            continue
+        vals = np.unique(xj[mj == 0])
+        if len(vals) < 2:
+            continue
+        order = obs[np.argsort(xj[mj == 0], kind="stable")]
+        xo = X[order, j]
+        with np.errstate(over="ignore"):  # midpoints of huge values: +-inf
+            thresholds = (vals[:-1] + vals[1:]) / 2.0
+        for thr in thresholds:
+            n_left_obs = int(np.searchsorted(xo, thr, side="right"))
+            left_obs = order[:n_left_obs]
+            right_obs = order[n_left_obs:]
+            for side in ("left", "right"):
+                left = np.concatenate([left_obs, miss]) if side == "left" else left_obs
+                right = right_obs if side == "left" else np.concatenate([right_obs, miss])
+                if len(left) < min_leaf or len(right) < min_leaf:
+                    continue
+                imp = (_impurity_sums(y[left], task)
+                       + _impurity_sums(y[right], task))
+                if best is None or imp < best[0]:
+                    best = (imp, j, float(thr), side, left, right)
+    return best
+
+
+def mia_build(X, M, y, rows, depth, params, rng=None) -> MiaNode:
+    """An MIA tree grown recursively, one node at a time in depth-first
+    order, by mia_best_split: the order in which a forest's tree draws the
+    mtry features of each split from its generator rng."""
+    node = MiaNode(prediction=float(np.mean(y[rows])), n_rows=len(rows))
+    if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
+        return node
+    if np.all(y[rows] == y[rows[0]]):
+        return node
+    d = X.shape[1]
+    if rng is not None and params.mtry is not None and params.mtry < d:
+        features = np.sort(rng.choice(d, params.mtry, replace=False))
+    else:
+        features = np.arange(d)
+    parent_imp = _impurity_sums(y[rows], params.task)
+    best = mia_best_split(X, M, y, rows, features, params.min_leaf, params.task)
+    if best is None or best[0] >= parent_imp:
+        return node
+    imp, j, thr, side, left, right = best
+    node.feature = j
+    node.threshold = thr
+    node.missing_side = side
+    node.left = mia_build(X, M, y, left, depth + 1, params, rng)
+    node.right = mia_build(X, M, y, right, depth + 1, params, rng)
+    return node
+
+
+def mia_forest_roots(dataset, params) -> list[MiaNode]:
+    """missfit.learners.fit_forest's trees, grown one after another by
+    mia_build from the same bootstrap rows and generators."""
+    mtry = params.mtry if params.mtry is not None else int(np.ceil(np.sqrt(dataset.d)))
+    sub_params = replace(params, mtry=min(mtry, dataset.d))
+    roots = []
+    for s in np.random.default_rng(params.seed).integers(0, 2 ** 31, size=params.n_trees):
+        rng = np.random.default_rng(int(s))
+        rows = rng.integers(0, dataset.n, size=dataset.n)
+        roots.append(mia_build(dataset.X, dataset.M, dataset.y, rows, 0, sub_params, rng))
+    return roots
 
 
 def soft_threshold(z: float, gamma: float) -> float:

@@ -412,6 +412,12 @@ class TestFiniteAdaptive:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit_finite_adaptive(ds, LAM0, **limits)
 
+    def test_empty_dataset_rejected(self):
+        # its root would hold 0 rows, which no model file may
+        ds = MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            fit_finite_adaptive(ds, LAM0)
+
     def test_min_leaf_respected(self):
         ds = random_dataset(13, n=200, d=4, p_miss=0.4, mask_signal=True)
         tree = fit_finite_adaptive(ds, LAM0, max_depth=4, min_leaf=25)

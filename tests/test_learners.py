@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,49 +25,6 @@ def random_dataset(seed, n=200, d=4, p_miss=0.3, task="regression"):
     return MaskedDataset(X, M, y)
 
 
-def oracle_best_split(X, M, y, rows, features, min_leaf, task):
-    """Exhaustive MIA split search: every candidate scored from scratch.
-
-    The reference `learners._best_split` must reproduce exactly: same
-    winner, same impurity, same row arrays in the same order.
-    """
-    best = None
-    for j in features:
-        mj = M[rows, j]
-        xj = X[rows, j]
-        miss = rows[mj == 1]
-        obs = rows[mj == 0]
-        # pure missing-vs-observed split
-        if len(miss) >= min_leaf and len(obs) >= min_leaf:
-            imp = (learners._impurity_sums(y[miss], task)
-                   + learners._impurity_sums(y[obs], task))
-            if best is None or imp < best[0]:
-                best = (imp, j, None, "left", miss, obs)
-        if len(obs) < 2:
-            continue
-        vals = np.unique(xj[mj == 0])
-        if len(vals) < 2:
-            continue
-        order = obs[np.argsort(xj[mj == 0], kind="stable")]
-        xo = X[order, j]
-        with np.errstate(over="ignore"):  # midpoints of huge values: +-inf
-            thresholds = (vals[:-1] + vals[1:]) / 2.0
-        for thr in thresholds:
-            n_left_obs = int(np.searchsorted(xo, thr, side="right"))
-            left_obs = order[:n_left_obs]
-            right_obs = order[n_left_obs:]
-            for side in ("left", "right"):
-                left = np.concatenate([left_obs, miss]) if side == "left" else left_obs
-                right = right_obs if side == "left" else np.concatenate([right_obs, miss])
-                if len(left) < min_leaf or len(right) < min_leaf:
-                    continue
-                imp = (learners._impurity_sums(y[left], task)
-                       + learners._impurity_sums(y[right], task))
-                if best is None or imp < best[0]:
-                    best = (imp, j, float(thr), side, left, right)
-    return best
-
-
 def assert_same_split(got, want):
     if want is None:
         assert got is None
@@ -76,8 +35,9 @@ def assert_same_split(got, want):
 
 
 @st.composite
-def split_cases(draw):
-    """Nodes built to hit the sweep's rounding and tie cases."""
+def split_data(draw):
+    """Data built to hit the sweep's rounding and tie cases: (X, M, y,
+    min_leaf, task, rng) with n >= 2 * min_leaf rows, rng to draw nodes."""
     min_leaf = draw(st.integers(1, 12))
     n = 2 * min_leaf if draw(st.booleans()) else draw(st.integers(2 * min_leaf, 60))
     d = draw(st.integers(1, 4))
@@ -105,10 +65,58 @@ def split_cases(draw):
         y = rng.normal(size=n) + draw(st.sampled_from([0.0, 1e6]))
         if draw(st.booleans()):  # few levels: distinct partitions tie exactly
             y = np.round(y)
+    return X, M, y, min_leaf, task, rng
+
+
+@st.composite
+def split_cases(draw):
+    """One node: every row or a bootstrap draw of them, some features."""
+    X, M, y, min_leaf, task, rng = draw(split_data())
+    n, d = X.shape
     rows = (rng.integers(0, n, size=n) if draw(st.booleans())
             else np.arange(n))
     features = np.sort(rng.choice(d, draw(st.integers(1, d)), replace=False))
     return X, M, y, rows, features, min_leaf, task
+
+
+@st.composite
+def split_batches(draw):
+    """Nodes of one dataset that share their feature count and differ in
+    rows: 2 * min_leaf bootstrap rows; 2 * min_leaf - 1 distinct rows, where
+    no candidate is valid; the rows that miss a node's first feature; and a
+    few random subsets and bootstrap draws, in a random order."""
+    X, M, y, min_leaf, task, rng = draw(split_data())
+    n, d = X.shape
+    F = draw(st.integers(1, d))
+
+    def features():
+        return np.sort(rng.choice(d, F, replace=False))
+
+    nodes = [(rng.integers(0, n, size=2 * min_leaf), features()),
+             (rng.choice(n, 2 * min_leaf - 1, replace=False), features())]
+    f = features()
+    if np.any(missing := M[:, f[0]] == 1):
+        nodes.append((np.flatnonzero(missing), f))
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(1, n))
+        rows = (rng.integers(0, n, size=size) if draw(st.booleans())
+                else np.sort(rng.choice(n, size, replace=False)))
+        nodes.append((rows, features()))
+    return X, M, y, draw(st.permutations(nodes)), min_leaf, task
+
+
+def trap_batch():
+    """A node of three distinct values at min_leaf 2, with thresholds but no
+    valid candidate (least score inf), batched with a node that splits."""
+    X = np.arange(12.0)[:, None]
+    y = (X[:, 0] > 5).astype(float)
+    nodes = [(np.arange(3), np.arange(1)), (np.arange(12), np.arange(1))]
+    return X, np.zeros((12, 1), dtype=np.int8), y, nodes, 2, "regression"
+
+
+def search_one(X, M, y, rows, features, min_leaf, task):
+    """_best_splits on a batch of one node."""
+    return learners._best_splits(X, M, y, [(rows, features)], min_leaf, task)[0]
 
 
 def mirrored_case(seed, n=40):
@@ -138,7 +146,18 @@ class TestSplitSearch:
     @example(mirrored_case(4))
     @example(mirrored_case(8))  # the shortlist's tolerance is needed here
     def test_matches_exhaustive_oracle(self, case):
-        assert_same_split(learners._best_split(*case), oracle_best_split(*case))
+        assert_same_split(search_one(*case), oracles.mia_best_split(*case))
+
+    @settings(deadline=None, max_examples=150)
+    @given(split_batches())
+    @example(trap_batch())
+    def test_batch_matches_oracle_per_node(self, batch):
+        X, M, y, nodes, min_leaf, task = batch
+        got = learners._best_splits(*batch)
+        assert len(got) == len(nodes)
+        for split, (rows, features) in zip(got, nodes):
+            assert_same_split(split, oracles.mia_best_split(
+                X, M, y, rows, features, min_leaf, task))
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_mask_only_signal_takes_the_pure_split(self, task):
@@ -149,21 +168,51 @@ class TestSplitSearch:
         M[::3, 0] = 1
         y = M[:, 0] + (0.01 * rng.normal(size=40) if task == "regression" else 0.0)
         case = (X, M, y, np.arange(40), np.arange(3), 3, task)
-        got = learners._best_split(*case)
+        got = search_one(*case)
         assert (got[1], got[2], got[3]) == (0, None, "left")
         assert np.array_equal(got[4], np.arange(0, 40, 3))
-        assert_same_split(got, oracle_best_split(*case))
+        assert_same_split(got, oracles.mia_best_split(*case))
+
+    @staticmethod
+    def record_batches(monkeypatch, group_slots):
+        """Cap the chunks at group_slots; (nodes, F, most rows) per search."""
+        batches, search = [], learners._best_splits
+        monkeypatch.setattr(learners, "_best_splits", lambda *a: batches.append(
+            (len(a[3]), len(a[3][0][1]), max(len(r) for r, _ in a[3]))) or search(*a))
+        monkeypatch.setattr(learners._Routing, "GROUP_SLOTS", group_slots)
+        return batches
+
+    @staticmethod
+    def assert_batched_within(batches, group_slots):
+        """Some search took several nodes, and each chunk kept its cap."""
+        assert max(k for k, _, _ in batches) > 1
+        assert all(k == 1 or k * F * (N + 1) <= group_slots for k, F, N in batches)
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_forest_trees_match_oracle_build(self, task, monkeypatch):
+        # trees grown together against oracles.mia_build, one node at a time
         ds = random_dataset(18, n=150, d=5, task=task)
         ds = MaskedDataset(np.round(ds.X, 1), ds.M, ds.y)  # repeated values
-        params = TreeParams(n_trees=4, mtry=2, max_depth=5, min_leaf=3, task=task)
-        fast = fit_forest(ds, params)
-        monkeypatch.setattr(learners, "_best_split", oracle_best_split)
-        slow = fit_forest(ds, params)
-        for a, b in zip(fast.trees, slow.trees, strict=True):
-            assert_same_tree(a.root, b.root)
+        # mtry 5 = d draws no features; 600 slots make small chunks
+        for mtry, group_slots in itertools.product([2, 5], [65_536, 600]):
+            batches = self.record_batches(monkeypatch, group_slots)
+            params = TreeParams(n_trees=4, mtry=mtry, max_depth=5, min_leaf=3, task=task)
+            forest = fit_forest(ds, params)  # bootstrap rows: repeats
+            for tree, root in zip(forest.trees, oracles.mia_forest_roots(ds, params),
+                                  strict=True):
+                assert_same_tree(tree.root, root)
+            self.assert_batched_within(batches, group_slots)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_cart_tree_matches_oracle_build(self, task, monkeypatch):
+        ds = random_dataset(18, n=150, d=5, task=task)
+        ds = MaskedDataset(np.round(ds.X, 1), ds.M, ds.y)
+        params = TreeParams(max_depth=6, min_leaf=3, task=task)
+        want = oracles.mia_build(ds.X, ds.M, ds.y, np.arange(ds.n), 0, params)
+        for group_slots in [65_536, 600]:
+            batches = self.record_batches(monkeypatch, group_slots)
+            assert_same_tree(fit_cart_mia(ds, params).root, want)
+            self.assert_batched_within(batches, group_slots)
 
 
 class TestParams:
@@ -281,6 +330,11 @@ class TestCart:
         with pytest.raises(ValueError):
             fit_cart_mia(ds, TreeParams(min_leaf=5))
 
+    def test_no_feature_gives_a_leaf(self):
+        ds = MaskedDataset(np.empty((40, 0)), np.empty((40, 0)), np.arange(40.0))
+        tree = fit_cart_mia(ds, TreeParams())
+        assert tree.root.is_leaf() and tree.root.prediction == 19.5
+
     def test_unseen_pattern_predicts(self):
         ds = random_dataset(7, n=200, d=3, p_miss=0.2)
         tree = fit_cart_mia(ds, TreeParams())
@@ -315,6 +369,12 @@ class TestForest:
         a = fit_forest(ds, TreeParams(n_trees=10, seed=5))
         b = fit_forest(ds, TreeParams(n_trees=10, seed=6))
         assert not np.array_equal(a.predict(ds.X, ds.M), b.predict(ds.X, ds.M))
+
+    def test_empty_dataset_rejected(self):
+        # its trees would hold 0 rows, which no model file may
+        ds = MaskedDataset(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            fit_forest(ds, TreeParams(n_trees=2))
 
     def test_default_mtry_sqrt_d(self):
         ds = random_dataset(13, n=100, d=9)

@@ -1,4 +1,5 @@
-"""The names the benchmark in perfbench/ binds in the package still exist.
+"""The names the benchmark in perfbench/ binds in the package still exist,
+and a seed-0 mia_trees pass still gives the benchmark's committed outputs.
 
 The benchmark's tracer wraps package functions and methods by name, and its
 workloads call package functions through their modules. A renamed binding
@@ -61,6 +62,19 @@ def test_workload_module_attributes_exist():
     for mod, attr in sorted(used):
         assert hasattr(importlib.import_module(f"missfit.{mod}"), attr), \
             f"missfit.{mod}.{attr}"
+
+
+def test_mia_trees_seed0_pass_equals_its_reference(monkeypatch, tmp_path):
+    # one seed-0 pass of the benchmark's mia_trees workload, in process: a
+    # moved tree bit changes its R² strings and fails here, not only in a
+    # benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").MIA_TREES
+    workload.setup(0, tmp_path)
+    result = workload.judge(*workload.timed())
+    ref = json.loads((PERFBENCH / "refs" / "mia_trees.seed0.json").read_text())
+    assert result.outputs == ref["rows"]
+    assert result.failures == []
 
 
 # Each work counter of the tracer, run on the real result of a tiny call of
