@@ -172,8 +172,6 @@ def fit_adaptive(dataset: MaskedDataset, mode: str,
                  spec: ElasticNetSpec) -> AdaptiveModel:
     """Fit one model from the hierarchy by penalized least squares, with the
     support weights of _solve unless the spec pins penalty_weights."""
-    if dataset.n < 1:
-        raise ValueError("empty dataset")
     if mode == FULLY_ADAPTIVE:
         Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
         pattern_fits = {pattern: _solve(Z[rows], y[rows], spec)
@@ -338,8 +336,6 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
     min_leaf rows, or when the relative error reduction falls below min_gain.
     """
     finite_limits(max_depth, min_leaf, min_gain)
-    if dataset.n < 1:
-        raise ValueError("empty dataset")
     Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
 
     def static_fit_sse(rows: np.ndarray):

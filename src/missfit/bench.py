@@ -86,14 +86,13 @@ def _finite_spec(params) -> tuple[ElasticNetSpec, dict]:
                                              params.get("min_leaf", 20))
 
 
-def _tree_params(params) -> TreeParams:
-    return TreeParams(max_depth=params.get("max_depth", 6),
-                      min_leaf=params.get("min_leaf", 5))
+def _tree_params(params, keys=("max_depth", "min_leaf")) -> TreeParams:
+    """The keys that params holds; TreeParams owns the defaults of the rest."""
+    return TreeParams(**{k: params[k] for k in keys if k in params})
 
 
 def _forest_params(params) -> TreeParams:
-    return replace(_tree_params(params), n_trees=params.get("n_trees", 100),
-                   mtry=params.get("mtry"))
+    return _tree_params(params, ("max_depth", "min_leaf", "n_trees", "mtry"))
 
 
 def _fit_adaptive(name, train, spec, seed, task):

@@ -22,6 +22,8 @@ LOADERS = {"adaptive": adaptive.AdaptiveModel,
            "joint": joint.JointModel,
            "mia_tree": learners.MiaTree,
            "mia_forest": learners.Forest}
+# The GeneratorSpec fields that `generate` takes as flags.
+GENERATE_FLAGS = ("n", "d", "r", "k", "snr", "signal", "mechanism", "p")
 
 
 class UsageError(Exception):
@@ -46,10 +48,8 @@ def _sig6(x: float) -> str:
 
 def cmd_generate(args) -> int:
     try:
-        spec = datagen.GeneratorSpec(n=args.n, d=args.d, r=args.r, k=args.k,
-                                     snr=args.snr, signal=args.signal,
-                                     mechanism=args.mechanism, p=args.p,
-                                     seed=_seed(args))
+        spec = datagen.GeneratorSpec(
+            **{k: getattr(args, k) for k in GENERATE_FLAGS}, seed=_seed(args))
     except ValueError as exc:
         raise UsageError(exc) from exc
     dataset, _X_full, _truth = datagen.generate(spec)
@@ -57,9 +57,8 @@ def cmd_generate(args) -> int:
     datagen.save_dataset(dataset, args.out, sidecar, spec)
     print(f"wrote {args.out} and {sidecar}")
     print(f"n={dataset.n} d={dataset.d}")
-    for j in range(dataset.d):
-        frac = float(dataset.M[:, j].mean())
-        print(f"  column x{j+1}: missing fraction {_sig6(frac)}")
+    for j, frac in enumerate(dataset.M.mean(axis=0)):
+        print(f"  column x{j+1}: missing fraction {_sig6(float(frac))}")
     return 0
 
 
@@ -69,7 +68,8 @@ def cmd_fit(args) -> int:
         valid = [m for m, entry in bench.METHODS.items() if entry.saves]
         raise UsageError(
             f"unknown method {args.method!r}; valid: {', '.join(valid)}")
-    params = {"lam": args.lam, "alpha": args.alpha, "max_depth": args.max_depth}
+    params = {k: v for k in ("lam", "alpha", "max_depth")  # unset: spec default
+              if (v := getattr(args, k)) is not None}
     try:  # the checks a benchmark config gets, before the data is read
         method.spec(params)
     except ValueError as exc:
@@ -173,9 +173,8 @@ def cmd_inspect(args) -> int:
     dataset = read_csv(args.path, args.target)
     print(f"n={dataset.n} d={dataset.d} "
           f"patterns={len(unique_patterns(dataset.M))}")
-    for j in range(dataset.d):
-        name = dataset.feature_names[j] if dataset.feature_names else f"x{j+1}"
-        print(f"  {name}: missing fraction {_sig6(float(dataset.M[:, j].mean()))}")
+    for name, frac in zip(dataset.feature_names, dataset.M.mean(axis=0)):
+        print(f"  {name}: missing fraction {_sig6(float(frac))}")
     return 0
 
 
@@ -184,14 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic dataset")
-    g.add_argument("--n", type=int, default=1000)
-    g.add_argument("--d", type=int, default=10)
-    g.add_argument("--r", type=int, default=5)
-    g.add_argument("--k", type=int, default=5)
-    g.add_argument("--snr", type=float, default=2.0)
-    g.add_argument("--signal", choices=("linear", "nn"), default="linear")
-    g.add_argument("--mechanism", choices=("mcar", "censoring"), default="mcar")
-    g.add_argument("--p", type=float, default=0.3)
+    for name in GENERATE_FLAGS:  # name, type and default of a spec field
+        default = datagen.GeneratorSpec.__dataclass_fields__[name].default
+        g.add_argument(f"--{name}", type=type(default), default=default)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -200,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--data", required=True)
     f.add_argument("--target", default="y")
     f.add_argument("--method", required=True)
-    f.add_argument("--lam", type=float, default=0.01)
-    f.add_argument("--alpha", type=float, default=0.5)
+    f.add_argument("--lam", type=float)
+    f.add_argument("--alpha", type=float)
     f.add_argument("--max-depth", type=int, default=4)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out", required=True)

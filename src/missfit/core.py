@@ -50,20 +50,16 @@ class MaskedDataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # The dataset owns copies, frozen: the caller's arrays stay writable,
-        # and writing to them changes neither the dataset nor its validity.
+        # The dataset owns frozen copies, so writing to the caller's arrays
+        # changes neither it nor its validity. M is validated as given: the
+        # int8 cast then changes no value.
         object.__setattr__(self, "X", np.array(self.X, dtype=float))
-        M = np.array(self.M)
-        if M.dtype != np.int8:  # refuse what the cast would change, e.g. 0.5
-            with np.errstate(invalid="ignore"):
-                M, given = M.astype(np.int8), M
-            binary_mask(np.where(M == given, 0, given))  # names a changed cell
-        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "M", np.asarray(self.M))
         object.__setattr__(self, "y", np.array(self.y, dtype=float))
-        self.X.setflags(write=False)
-        self.M.setflags(write=False)
-        self.y.setflags(write=False)
         validate(self)
+        object.__setattr__(self, "M", np.array(self.M, dtype=np.int8))
+        for a in (self.X, self.M, self.y):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -96,7 +92,7 @@ def binary_mask(M) -> np.ndarray:
 
 
 def validate(dataset: MaskedDataset) -> None:
-    """Check shape agreement, binary M, and finiteness of observed entries.
+    """Check shape agreement, rows, binary M, and finite observed entries.
 
     Every MaskedDataset runs this once, at construction, so a dataset that
     exists is valid. Raises DatasetError naming the first offending cell.
@@ -104,13 +100,15 @@ def validate(dataset: MaskedDataset) -> None:
     undefined.
     """
     X, M, y = dataset.X, dataset.M, dataset.y
-    if X.ndim != 2 or M.ndim != 2:
+    if X.ndim != 2 or M.ndim != 2:  # ahead of binary_mask, which reads 1-D M
         raise DatasetError("X and M must be 2-dimensional")
     if X.shape != M.shape:
         raise DatasetError(f"X shape {X.shape} != M shape {M.shape}")
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DatasetError(
             f"y length {y.shape} does not match {X.shape[0]} rows")
+    if X.shape[0] == 0:
+        raise DatasetError("dataset has no rows")
     binary_mask(M)
     if np.any(bad := ~np.isfinite(X) & (M == 0)):
         raise DatasetError(f"non-finite observed value at X{_first_cell(bad)}")
@@ -161,8 +159,9 @@ def _number(row, j, i, header) -> float:
 def read_csv(path, target: str) -> MaskedDataset:
     """Load a MaskedDataset from CSV. Empty cells and `NA` become missing.
 
-    The header row is required; `target` names the y column. Missing targets,
-    non-numeric fields and rows of another width than the header are refused.
+    The header row is required; `target` names the y column. A file without
+    a feature column or a data row, missing targets, non-numeric fields and
+    rows of another width than the header are refused.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -177,6 +176,8 @@ def read_csv(path, target: str) -> MaskedDataset:
             raise DatasetError(f"target column {target!r} not in header")
         t_idx = header.index(target)
         feat_idx = [j for j in range(len(header)) if j != t_idx]
+        if not feat_idx:
+            raise DatasetError(f"{path} has no feature column")
         X_rows, M_rows, y_vals = [], [], []
         for row in reader:
             if not row:
@@ -197,6 +198,8 @@ def read_csv(path, target: str) -> MaskedDataset:
             y_vals.append(_number(row, t_idx, len(y_vals), header))
             X_rows.append(xs)
             M_rows.append(ms)
+    if not y_vals:
+        raise DatasetError(f"{path} has no data row")
     names = tuple(header[j] for j in feat_idx)
     return MaskedDataset(np.array(X_rows), np.array(M_rows), np.array(y_vals),
                          names)

@@ -202,7 +202,6 @@ def save_dataset(dataset: MaskedDataset, csv_path, sidecar_path, spec) -> None:
     """Write the CSV plus a JSON sidecar recording the generating spec."""
     write_csv(dataset, csv_path)
     doc = {"spec": asdict(spec), "n": dataset.n, "d": dataset.d,
-           "missing_fraction": [float(dataset.M[:, j].mean())
-                                for j in range(dataset.d)]}
+           "missing_fraction": dataset.M.mean(axis=0).tolist()}
     with open(sidecar_path, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -2,8 +2,9 @@
 
 Alternates between refitting the downstream predictor on the currently
 imputed matrix and a cyclic coordinate search that nudges each imputed value
-by plus or minus one standard error of that feature's mean, keeping whichever
-of the three candidates gives the lowest training error.
+by plus or minus sigma_j (the sample standard deviation of feature j's
+observed values over sqrt(n), n counting all rows), keeping whichever of the
+three candidates gives the lowest training error.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def tree_contract(params: TreeParams | None = None) -> Contract:
 
 
 def forest_contract(params: TreeParams | None = None) -> Contract:
-    return _mia_contract(fit_forest, params or TreeParams(max_depth=6, n_trees=50))
+    return _mia_contract(fit_forest, params or TreeParams(n_trees=50))
 
 
 def _mia_contract(fit, params: TreeParams) -> Contract:

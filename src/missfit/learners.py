@@ -383,8 +383,6 @@ class Forest:
 def fit_forest(dataset: MaskedDataset, params: TreeParams) -> Forest:
     """Bagged MIA trees, each on a bootstrap sample, with per-split feature
     subsampling."""
-    if dataset.n < 1:
-        raise ValueError("empty dataset")
     mtry = params.mtry if params.mtry is not None else int(np.ceil(np.sqrt(dataset.d)))
     seeds = np.random.default_rng(params.seed).integers(0, 2 ** 31, size=params.n_trees)
     rngs = [np.random.default_rng(int(s)) for s in seeds]

@@ -161,9 +161,9 @@ class TestFitAdaptive:
         assert sizes == {"static": 10, "affine_intercept": 20, "affine": 110}
 
     def test_empty_dataset_rejected(self):
-        ds = MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
-        with pytest.raises(ValueError):
-            fit_adaptive(ds, STATIC, LAM0)
+        # no fit sees 0 rows: the dataset refuses them
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
+            MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
 
     @pytest.mark.parametrize("mode", [AFFINE_INTERCEPT, FULLY_ADAPTIVE])
     def test_pinned_penalty_weights_are_kept(self, mode):
@@ -413,10 +413,10 @@ class TestFiniteAdaptive:
             fit_finite_adaptive(ds, LAM0, **limits)
 
     def test_empty_dataset_rejected(self):
-        # its root would hold 0 rows, which no model file may
-        ds = MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
-        with pytest.raises(ValueError, match="^empty dataset$"):
-            fit_finite_adaptive(ds, LAM0)
+        # its root would hold 0 rows, which no model file may; the dataset
+        # refuses them before any fit
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
+            MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
 
     def test_min_leaf_respected(self):
         ds = random_dataset(13, n=200, d=4, p_miss=0.4, mask_signal=True)

@@ -114,6 +114,10 @@ class TestFitMethod:
                 read.add(key)
                 return super().__getitem__(key)
 
+            def __contains__(self, key):
+                read.add(key)
+                return super().__contains__(key)
+
         read = set()
         params = {**METHODS[name].grid[0]}
         if "n_trees" in params:

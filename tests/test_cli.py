@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import missfit
 from missfit.bench import ExperimentConfig
 from missfit.cli import LOADERS, main
 from missfit.core import MaskedDataset, write_csv
+from missfit.datagen import GeneratorSpec
 
 
 @pytest.fixture
@@ -71,6 +73,23 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--signal", "signal: must be one of linear, nn, got 'bogus'"),
+        ("--mechanism", "mechanism: must be one of mcar, censoring, got 'bogus'")])
+    def test_unknown_kind_is_refused_by_the_spec(self, flag, message, tmp_path,
+                                                 capsys):
+        out = tmp_path / "x.csv"
+        assert main(["generate", flag, "bogus", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_flag_defaults_are_the_specs(self, tmp_path):
+        # only the seed is given; every other field is GeneratorSpec's default
+        assert main(["generate", "--seed", "3", "--out",
+                     str(tmp_path / "x.csv")]) == 0
+        doc = json.loads((tmp_path / "x.csv.json").read_text())
+        assert doc["spec"] == asdict(GeneratorSpec(seed=3))
 
     def test_bad_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MISSFIT_SEED", "abc")
@@ -193,6 +212,38 @@ class TestFitPredict:
         assert main(["fit", "--data", str(dataset_csv), "--method", method,
                      *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["static", "finite"])
+    def test_lam_and_alpha_default_to_the_benchmarks(self, method, dataset_csv,
+                                                     tmp_path):
+        # flags that are not given leave their defaults to bench._enet_spec
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["fit", "--data", str(dataset_csv), "--method", method]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--lam", "0.01", "--alpha", "0.5",
+                            "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("y\n" + "1.0\n" * 12, "has no feature column"),
+        ("x1,x2,y\n", "has no data row")], ids=["no-feature", "no-row"])
+    @pytest.mark.parametrize("command", ["fit", "predict", "inspect"])
+    def test_csv_without_features_or_rows_is_usage_error(
+            self, command, text, message, dataset_csv, tmp_path, capsys):
+        data, model = tmp_path / "empty.csv", tmp_path / "m.json"
+        data.write_text(text)
+        assert main(["fit", "--data", str(dataset_csv), "--method", "cart_mia",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {"fit": ["fit", "--data", str(data), "--method", "cart_mia",
+                        "--out", str(out)],
+                "predict": ["predict", "--model", str(model), "--data",
+                            str(data), "--out", str(out)],
+                "inspect": ["inspect", str(data)]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {data} {message}\n"
         assert not out.exists()
 
     def test_unknown_method(self, dataset_csv, tmp_path, capsys):
@@ -534,6 +585,18 @@ class TestBench:
         assert [line.split(":")[0] for line in lines] == ["warning"] * 2
         assert "cli/cart_mia/rep0" in lines[0]
         assert "cli/cart_mia/rep1" in lines[1]
+
+    def test_empty_test_split_fails_at_once(self, tmp_path, capsys):
+        # 4 rows at test_fraction 0.1 round to a test split of 0 rows: the
+        # run stops with one error, not one warning per cell
+        cfg = tmp_path / "cfg.json"
+        gen = {"n": 4, "d": 3, "k": 2, "r": 2, "p": 0.3}
+        cfg.write_text(json.dumps(config_doc(generator=gen, test_fraction=0.1)))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == "error: dataset has no rows\n"
+        assert not out.exists()
 
     def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -58,6 +58,20 @@ class TestValidate:
         M[0, 1] = 1
         validate(MaskedDataset(X, M, np.zeros(3)))
 
+    def test_no_rows(self):
+        with pytest.raises(DatasetError, match="^dataset has no rows$"):
+            MaskedDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+
+    def test_subset_of_no_rows(self):
+        # as a test split that rounds to 0 rows asks for
+        with pytest.raises(DatasetError, match="^dataset has no rows$"):
+            make_dataset().subset(np.arange(0))
+
+    def test_one_dimensional_mask(self):
+        # refused before binary_mask, which would read it as one row
+        with pytest.raises(DatasetError, match="^X and M must be 2-dimensional$"):
+            MaskedDataset(np.zeros((1, 2)), np.zeros(2), np.zeros(1))
+
     def test_row_count_mismatch(self):
         with pytest.raises(DatasetError):
             validate(MaskedDataset(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(4)))
@@ -98,6 +112,14 @@ class TestMaskValues:
         M[2, 1] = value
         with pytest.raises(DatasetError, match=r"M\[2\]\[1\] is not binary"):
             MaskedDataset(np.zeros((3, 2)), M, np.zeros(3))
+
+    def test_dataset_names_the_first_bad_cell(self):
+        # an int8 cast keeps the 2 and truncates the 0.5 to 0; the mask is
+        # checked as given, so the first bad cell in row order is named
+        M = np.zeros((2, 2))
+        M[0, 0], M[1, 1] = 2, 0.5
+        with pytest.raises(DatasetError, match=r"^M\[0\]\[0\] is not binary$"):
+            MaskedDataset(np.zeros((2, 2)), M, np.zeros(2))
 
     @pytest.mark.parametrize("M", [np.array([[0.0, 1.0], [-0.0, 1.0]]),
                                    np.array([[False, True], [True, False]]),

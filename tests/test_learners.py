@@ -371,10 +371,10 @@ class TestForest:
         assert not np.array_equal(a.predict(ds.X, ds.M), b.predict(ds.X, ds.M))
 
     def test_empty_dataset_rejected(self):
-        # its trees would hold 0 rows, which no model file may
-        ds = MaskedDataset(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
-        with pytest.raises(ValueError, match="^empty dataset$"):
-            fit_forest(ds, TreeParams(n_trees=2))
+        # its trees would hold 0 rows, which no model file may; the dataset
+        # refuses them before any fit
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
+            MaskedDataset(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
 
     def test_default_mtry_sqrt_d(self):
         ds = random_dataset(13, n=100, d=9)

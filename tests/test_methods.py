@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from missfit import bench
+from missfit import adaptive, bench, joint
 from missfit.cli import main
 from missfit.core import DatasetError, MaskedDataset, read_csv, write_csv
+from missfit.elasticnet import fit as enet_fit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,6 +111,42 @@ def test_predict_rejects_a_mismatched_batch(name):
     for bad_X, bad_M in [(X, M[:1]), (X, test.M[:7]), (wider(X), wider(M))]:
         with pytest.raises(ValueError):
             clean_fit(name).predict(bad_X, bad_M)
+
+
+def kkt_violation(X, y, spec, fit) -> float:
+    """Worst violation of the weighted elastic-net optimality conditions at
+    `fit`: a zero mean residual for the intercept, and per column with
+    variance (the solver leaves the others at 0), x_j . r / n minus the
+    ridge term equal to the l1 bound times sign(w_j), or at most the bound
+    where w_j = 0."""
+    X, w = np.asarray(X, dtype=float), fit.coefficients
+    c = np.ones(len(w)) if spec.penalty_weights is None else spec.penalty_weights
+    r = y - fit.intercept - X @ w
+    g = X.T @ r / len(y) - spec.lam * (1 - spec.alpha) * c * w
+    bound = spec.lam * spec.alpha * c
+    viol = np.where(w != 0, np.abs(g - bound * np.sign(w)),
+                    np.maximum(np.abs(g) - bound, 0.0))
+    varied = np.sqrt(np.mean((X - X.mean(axis=0)) ** 2, axis=0)) > 1e-12
+    return max(abs(float(r.mean())), float(viol[varied].max(initial=0.0)))
+
+
+@pytest.mark.parametrize("name", [m for m, e in bench.METHODS.items()
+                                  if e.spec in (bench._enet_spec,
+                                                bench._finite_spec)])
+def test_every_linear_solve_meets_kkt_at_exit(name, monkeypatch):
+    # every elastic net the fit solves, through each module's binding
+    violations = []
+
+    def checked(X, y, spec):
+        fit = enet_fit(X, y, spec)
+        violations.append(kkt_violation(X, y, spec, fit))
+        return fit
+
+    for module in (adaptive, joint, bench):
+        monkeypatch.setattr(module, "enet_fit", checked)
+    train, _ = split()
+    bench.fit_method(name, train, small_params(name), 0, "regression")
+    assert violations and max(violations) < 1e-4
 
 
 @pytest.mark.parametrize("name", list(bench.METHODS))

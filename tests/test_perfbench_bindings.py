@@ -77,6 +77,18 @@ def test_mia_trees_seed0_pass_equals_its_reference(monkeypatch, tmp_path):
     assert result.failures == []
 
 
+def test_predict_stream_seed0_pass_equals_its_reference(monkeypatch, tmp_path):
+    # one seed-0 pass of the benchmark's predict_stream workload, in process:
+    # a moved prediction bit of any zoo model changes a batch digest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS["predict_stream"]
+    workload.setup(0, tmp_path)
+    result = workload.judge(*workload.timed())
+    ref = json.loads((PERFBENCH / "refs" / "predict_stream.seed0.json").read_text())
+    assert result.failures == []
+    assert list(result.outputs.values()) == ref["digests"]
+
+
 # Each work counter of the tracer, run on the real result of a tiny call of
 # the function it is bound to. A change to what a function returns must not
 # silently change a per-layer metric of the benchmark.
