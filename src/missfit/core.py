@@ -71,6 +71,7 @@ class MaskedDataset:
 
     def subset(self, rows) -> "MaskedDataset":
         rows = np.asarray(rows)
+        rows = rows if rows.size else rows.astype(np.intp)  # [] is a float array
         return MaskedDataset(self.X[rows], self.M[rows], self.y[rows],
                              self.feature_names)
 

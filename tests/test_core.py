@@ -67,6 +67,22 @@ class TestValidate:
         with pytest.raises(DatasetError, match="^dataset has no rows$"):
             make_dataset().subset(np.arange(0))
 
+    @pytest.mark.parametrize("rows", [[], (), np.array([]),
+                                      np.array([], dtype=bool)])
+    def test_subset_of_an_empty_index(self, rows):
+        # np.asarray([]) is a float array, which numpy refuses as an index
+        with pytest.raises(DatasetError, match="^dataset has no rows$"):
+            make_dataset().subset(rows)
+
+    @pytest.mark.parametrize("rows", [[2, 0], np.array([2, 0], dtype=np.int8),
+                                      np.arange(30) % 7 == 0])
+    def test_subset_by_integer_or_boolean_index(self, rows):
+        ds = make_dataset()
+        idx = np.flatnonzero(rows) if np.asarray(rows).dtype == bool else rows
+        sub = ds.subset(rows)
+        assert np.array_equal(sub.X, ds.X[idx]) and np.array_equal(sub.M, ds.M[idx])
+        assert np.array_equal(sub.y, ds.y[idx])
+
     def test_one_dimensional_mask(self):
         # refused before binary_mask, which would read it as one row
         with pytest.raises(DatasetError, match="^X and M must be 2-dimensional$"):

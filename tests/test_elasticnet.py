@@ -203,6 +203,41 @@ def test_fit_is_independent_of_memory_layout():
         assert _bits(fit(Xl, y, spec)) == _bits(ref), layout
 
 
+# The objective trace is evaluated in blocks of 64 sweeps (the start point is
+# row 0 of the first): fits stopped on either side of the block edges.
+@pytest.mark.parametrize("sweeps", [1, 63, 64, 65, 127, 128, 129])
+def test_fit_stopped_at_max_iters_matches_reference(sweeps):
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(50, 8)) * np.geomspace(1e-2, 1e2, 8)
+    y = X[:, :3] @ rng.normal(size=3) + rng.normal(size=50)
+    spec = ElasticNetSpec(lam=1e-3, alpha=0.5, max_iters=sweeps, tol=0.0)
+    got = fit(X, y, spec)
+    assert len(got.objective_trace) == sweeps + 1 and not got.converged
+    assert _bits(got) == _bits(oracle_fit(X, y, spec))
+
+
+def test_fit_converged_after_many_blocks_matches_reference():
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=(40, 1))
+    X = z + 0.2 * rng.normal(size=(40, 6))  # six nearly collinear columns
+    y = X @ rng.normal(size=6) + rng.normal(size=40)
+    spec = ElasticNetSpec(lam=1e-4, alpha=0.5)
+    got = fit(X, y, spec)
+    assert len(got.objective_trace) > 301 and got.converged
+    assert _bits(got) == _bits(oracle_fit(X, y, spec))
+
+
+@pytest.mark.parametrize("X", [np.full((20, 3), 2.0), np.zeros((20, 0)),
+                               np.random.default_rng(15).normal(size=(20, 1))],
+                         ids=["no-active-column", "p=0", "p=1"])
+@pytest.mark.parametrize("tol", [0.0, 1e-7])
+def test_small_designs_match_reference(X, tol):
+    y = np.random.default_rng(14).normal(size=20) + 3.0
+    spec = ElasticNetSpec(lam=1e-2, alpha=0.5, max_iters=70, tol=tol)
+    got = fit(X, y, spec)
+    assert _bits(got) == _bits(oracle_fit(X, y, spec))
+
+
 # Column kinds of the drawn designs: the degenerate columns that expanded
 # missing-data designs contain.
 KINDS = ("normal", "constant", "duplicate", "mask", "z*m", "z(1-m)")

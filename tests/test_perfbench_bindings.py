@@ -1,5 +1,6 @@
 """The names the benchmark in perfbench/ binds in the package still exist,
-and a seed-0 mia_trees pass still gives the benchmark's committed outputs.
+and a seed-0 pass of each workload still gives the benchmark's committed
+outputs.
 
 The benchmark's tracer wraps package functions and methods by name, and its
 workloads call package functions through their modules. A renamed binding
@@ -62,6 +63,18 @@ def test_workload_module_attributes_exist():
     for mod, attr in sorted(used):
         assert hasattr(importlib.import_module(f"missfit.{mod}"), attr), \
             f"missfit.{mod}.{attr}"
+
+
+def test_linear_censor_seed0_pass_equals_its_reference(monkeypatch, tmp_path):
+    # one seed-0 pass of the benchmark's linear_censor workload, in process
+    # (about 8 s): a moved solver bit changes its R² strings
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").LINEAR_CENSOR
+    workload.setup(0, tmp_path)
+    result = workload.judge(*workload.timed())
+    ref = json.loads((PERFBENCH / "refs" / "linear_censor.seed0.json").read_text())
+    assert result.outputs == ref["rows"]
+    assert result.failures == []
 
 
 def test_mia_trees_seed0_pass_equals_its_reference(monkeypatch, tmp_path):
