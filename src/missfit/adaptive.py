@@ -315,8 +315,8 @@ class PartitionTree:
         return cls(TreeNode.from_dict(doc["root"], doc["d"]), doc["d"])
 
 
-def finite_limits(max_depth, min_leaf, min_gain=1e-3) -> dict:
-    """The stopping limits of fit_finite_adaptive as its keywords, checked."""
+def finite_limits(max_depth=3, min_leaf=20, min_gain=1e-3) -> dict:
+    """The stopping limits of fit_finite_adaptive, checked; their defaults."""
     check_int("max_depth", max_depth, 0)
     check_int("min_leaf", min_leaf, 1)
     check_real("min_gain", min_gain, 0)
@@ -324,8 +324,7 @@ def finite_limits(max_depth, min_leaf, min_gain=1e-3) -> dict:
 
 
 def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
-                        max_depth: int = 4, min_leaf: int = 20,
-                        min_gain: float = 1e-3) -> PartitionTree:
+                        **limits) -> PartitionTree:
     """Greedy recursive partitioning of missingness-pattern space.
 
     Each candidate split tests one feature's missingness bit; both sides get
@@ -333,9 +332,10 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
     and the feature with the lowest summed in-sample squared error wins
     (lowest index on ties); its two fits become the children's models
     without a refit. Splits stop at max_depth, when a side would drop below
-    min_leaf rows, or when the relative error reduction falls below min_gain.
+    min_leaf rows, or when the relative error reduction falls below min_gain;
+    finite_limits checks these limits and owns their defaults.
     """
-    finite_limits(max_depth, min_leaf, min_gain)
+    max_depth, min_leaf, min_gain = finite_limits(**limits).values()
     Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
 
     def static_fit_sse(rows: np.ndarray):
@@ -348,26 +348,21 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
         node = TreeNode(fit=f, n_rows=len(rows))
         if depth >= max_depth or len(rows) < 2 * min_leaf:
             return node
-        best = None  # (sse, j, left_rows, right_rows, fl, sl, fr, sr)
         Msub = dataset.M[rows]
-        for j in range(dataset.d):
-            left = rows[Msub[:, j] == 0]
-            right = rows[Msub[:, j] == 1]
-            if len(left) < min_leaf or len(right) < min_leaf:
-                continue
-            fl, sl = static_fit_sse(left)
-            fr, sr = static_fit_sse(right)
-            if best is None or sl + sr < best[0]:
-                best = (sl + sr, j, left, right, fl, sl, fr, sr)
-        if best is None:
+        sides = [(j, rows[Msub[:, j] == 0], rows[Msub[:, j] == 1])
+                 for j in range(dataset.d)]
+        splits = [(j, left, right, static_fit_sse(left), static_fit_sse(right))
+                  for j, left, right in sides
+                  if len(left) >= min_leaf and len(right) >= min_leaf]
+        if not splits:
             return node
-        total, j, left, right, fl, sl, fr, sr = best
-        gain = (sse - total) / sse if sse > 0 else 0.0
+        j, left, right, fit_l, fit_r = min(splits, key=lambda s: s[3][1] + s[4][1])
+        gain = (sse - (fit_l[1] + fit_r[1])) / sse if sse > 0 else 0.0
         if gain < min_gain:
             return node
         node.split_feature = j
-        node.left = build(left, depth + 1, (fl, sl))
-        node.right = build(right, depth + 1, (fr, sr))
+        node.left = build(left, depth + 1, fit_l)
+        node.right = build(right, depth + 1, fit_r)
         return node
 
     root = build(np.arange(dataset.n), 0)

@@ -73,26 +73,15 @@ def _is_binary(y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Methods. spec(params) builds the checked spec its fit reads; tree fits set
-# seed and task with dataclasses.replace. Fits return a model with predict.
+# Methods. Method.build turns a grid point into the checked spec that fit reads;
+# tree fits set seed and task with dataclasses.replace. Fits return a model with predict.
 
-def _enet_spec(params) -> ElasticNetSpec:
-    return ElasticNetSpec(lam=params.get("lam", 0.01),
-                          alpha=params.get("alpha", 0.5))
-
-
-def _finite_spec(params) -> tuple[ElasticNetSpec, dict]:
-    return _enet_spec(params), finite_limits(params.get("max_depth", 3),
-                                             params.get("min_leaf", 20))
+def _enet_spec(lam=0.01, alpha=0.5) -> ElasticNetSpec:
+    return ElasticNetSpec(lam=lam, alpha=alpha)
 
 
-def _tree_params(params, keys=("max_depth", "min_leaf")) -> TreeParams:
-    """The keys that params holds; TreeParams owns the defaults of the rest."""
-    return TreeParams(**{k: params[k] for k in keys if k in params})
-
-
-def _forest_params(params) -> TreeParams:
-    return _tree_params(params, ("max_depth", "min_leaf", "n_trees", "mtry"))
+def _finite_spec(lam=0.01, alpha=0.5, **limits) -> tuple[ElasticNetSpec, dict]:
+    return _enet_spec(lam, alpha), finite_limits(**limits)
 
 
 def _fit_adaptive(name, train, spec, seed, task):
@@ -148,17 +137,21 @@ def _fit_on_design(name, train, spec, seed, task):
 
 @dataclass(frozen=True)
 class Method:
-    spec: Callable     # (params) -> the checked spec that fit reads
-    params: tuple[str, ...]  # the grid parameters that spec reads
+    spec: Callable     # (**params) -> the checked spec that fit reads
+    params: tuple[str, ...]  # the grid parameters: spec's keywords
     fit: Callable      # (name, train, spec, seed, task) -> model
     grid: list[dict]   # default hyper-parameter grid for kfold_cv
     saves: bool = False  # `missfit fit` may save it (model.to_dict())
 
+    def build(self, params: dict):
+        """The spec of grid point `params`, whose keys outside self.params it ignores."""
+        return self.spec(**{k: params[k] for k in self.params if k in params})
+
 
 _LINEAR = (_enet_spec, ("lam", "alpha"))
 _FINITE = (_finite_spec, ("lam", "alpha", "max_depth", "min_leaf"))
-_TREE = (_tree_params, ("max_depth", "min_leaf"))
-_FOREST = (_forest_params, ("max_depth", "min_leaf", "n_trees", "mtry"))
+_TREE = (TreeParams, ("max_depth", "min_leaf"))
+_FOREST = (TreeParams, ("max_depth", "min_leaf", "n_trees", "mtry"))
 
 
 def _lams(*lams):
@@ -202,7 +195,7 @@ def fit_method(name: str, train: MaskedDataset, params: dict, seed: int,
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
     method = METHODS[name]
-    return method.fit(name, train, method.spec(params), seed, task)
+    return method.fit(name, train, method.build(params), seed, task)
 
 
 def _score(y, yhat, task) -> float:
@@ -276,6 +269,8 @@ class ExperimentConfig:
         for name, (types, kind) in _FIELD_TYPES.items():
             if not isinstance(value := getattr(self, name), types):
                 raise ConfigError(f"$.{name}: must be {kind}, got {value!r}")
+        if not self.methods:
+            raise ConfigError("$.methods: must be a non-empty list of strings")
         try:
             check_int("replications", self.replications, 1)
             check_real("test_fraction", self.test_fraction, 0, 1, strict=True)
@@ -296,7 +291,7 @@ class ExperimentConfig:
                     if key not in METHODS[method].params:
                         raise ConfigError(f"{where}: unknown parameter {key!r}")
                 try:
-                    METHODS[method].spec(point)
+                    METHODS[method].build(point)
                 except ValueError as exc:
                     raise ConfigError(f"{where}.{exc}") from None
         if (self.generator is None) == (self.dataset_csv is None):

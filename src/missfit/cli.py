@@ -68,10 +68,10 @@ def cmd_fit(args) -> int:
         valid = [m for m, entry in bench.METHODS.items() if entry.saves]
         raise UsageError(
             f"unknown method {args.method!r}; valid: {', '.join(valid)}")
-    params = {k: v for k in ("lam", "alpha", "max_depth")  # unset: spec default
-              if (v := getattr(args, k)) is not None}
+    params = {k: v for k in method.params  # the flags it reads; unset: spec default
+              if (v := getattr(args, k, None)) is not None}
     try:  # the checks a benchmark config gets, before the data is read
-        method.spec(params)
+        method.build(params)
     except ValueError as exc:
         raise UsageError(exc) from None
     seed = _seed(args)

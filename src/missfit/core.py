@@ -7,6 +7,7 @@ whatever number is stored there (no NaN sentinel); all semantics flow from M.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -38,6 +39,14 @@ def check_real(field: str, value, low, high=np.inf, strict=False) -> None:
             and abs(value) < np.inf):  # NaN is never inside
         a, b = "(" if strict else "[", ")" if strict or high == np.inf else "]"
         raise ValueError(f"{field}: must be in {a}{low:g}, {high:g}{b}")
+
+
+def check_finite(field: str, *values: float) -> None:
+    """The check of numbers read from a model file, where Python's json reads
+    NaN and Infinity: each of values is finite. It takes math.isfinite, not a
+    numpy call, which per tree node doubled the load time of a forest."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{field}: must be finite")
 
 
 @dataclass(frozen=True)
@@ -149,6 +158,13 @@ def unique_patterns(M) -> list[tuple[tuple[int, ...], np.ndarray]]:
 MISSING_TOKENS = ("", "NA")
 
 
+def _check_header(header, path) -> None:
+    """A CSV header names each column once, so a name means one column."""
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DatasetError(f"{path} repeats column {name!r} in its header")
+
+
 def _number(row, j, i, header) -> float:
     try:
         return float(row[j])
@@ -161,8 +177,9 @@ def read_csv(path, target: str) -> MaskedDataset:
     """Load a MaskedDataset from CSV. Empty cells and `NA` become missing.
 
     The header row is required; `target` names the y column. A file without
-    a feature column or a data row, missing targets, non-numeric fields and
-    rows of another width than the header are refused.
+    a feature column or a data row, a header that repeats a name, missing
+    targets, non-numeric fields and rows of another width than the header
+    are refused.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -173,6 +190,7 @@ def read_csv(path, target: str) -> MaskedDataset:
         header = next(reader, None)
         if header is None:
             raise DatasetError(f"{path} is empty: no header row")
+        _check_header(header, path)
         if target not in header:
             raise DatasetError(f"target column {target!r} not in header")
         t_idx = header.index(target)
@@ -207,11 +225,13 @@ def read_csv(path, target: str) -> MaskedDataset:
 
 
 def write_csv(dataset: MaskedDataset, path, target: str = "y") -> None:
-    """Write a MaskedDataset to CSV, encoding missing entries as `NA`."""
+    """Write a MaskedDataset to CSV, encoding missing entries as `NA`. A
+    target named as a feature is refused, since read_csv would refuse it."""
     names = dataset.feature_names or tuple(f"x{j+1}" for j in range(dataset.d))
+    _check_header(header := [*names, target], path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(names) + [target])
+        writer.writerow(header)
         for i in range(dataset.n):
             row = ["NA" if dataset.M[i, j] else repr(float(dataset.X[i, j]))
                    for j in range(dataset.d)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_int, check_real
+from .core import check_finite, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,11 @@ class LinearFit:
 
     @classmethod
     def from_dict(cls, doc) -> LinearFit:
-        return cls(float(doc["intercept"]), np.array(doc["coefficients"], dtype=float),
-                   [], doc.get("converged", True))
+        fit = cls(float(doc["intercept"]), np.array(doc["coefficients"], dtype=float),
+                  [], doc.get("converged", True))
+        check_finite("intercept", fit.intercept)
+        check_finite("coefficients", *fit.coefficients.tolist())
+        return fit
 
 
 def _objectives(W, rr, s, n, lam, alpha, c) -> list[float]:

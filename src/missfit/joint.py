@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_int, check_real
+from .core import MaskedDataset, batch, check_finite, check_int, check_real
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
@@ -139,6 +139,8 @@ class JointModel:
             raise ValueError(f"predictor type {p['type']!r} is not linear, "
                              "mia_tree or mia_forest")
         mu, sigma = (np.array(doc[k], dtype=float) for k in ("mu", "sigma"))
+        check_finite("mu", *mu.tolist())
+        check_finite("sigma", *sigma.tolist())
         d = p["d"] if p["type"] != "linear" else len(predictor.coefficients)
         if not len(mu) == len(sigma) == d:
             raise ValueError(f"mu and sigma are not {d} long, as the predictor")

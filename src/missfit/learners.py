@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_int
+from .core import MaskedDataset, batch, check_finite, check_int
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,15 @@ class MiaNode:
         or at null (a pure split), and sends missing rows left or right."""
         check_int("n_rows", doc["n_rows"], 1)
         node = cls(float(doc["prediction"]), doc["n_rows"])
+        check_finite("prediction", node.prediction)
         if "feature" in doc:
             j, thr, side = doc["feature"], doc["threshold"], doc["missing_side"]
             check_int("feature", j, 0)
             if j >= d:
                 raise ValueError(f"node feature {j} outside [0, {d})")
-            if isinstance(thr, bool) or not isinstance(thr, (numbers.Real, type(None))):
+            # +-inf is a midpoint that overflowed in _best_splits; NaN != NaN
+            if (isinstance(thr, bool) or thr != thr
+                    or not isinstance(thr, (numbers.Real, type(None)))):
                 raise ValueError(f"threshold: must be a number or null, got {thr!r}")
             if side not in ("left", "right"):
                 raise ValueError(f"missing_side: must be left or right, got {side!r}")
@@ -400,7 +403,7 @@ def mean_impute(dataset: MaskedDataset) -> tuple[np.ndarray, np.ndarray]:
     X, M = dataset.X, dataset.M
     obs = (M == 0)
     counts = obs.sum(axis=0)
-    sums = np.where(obs, np.where(M == 1, 0.0, X), 0.0).sum(axis=0)
+    sums = np.where(obs, X, 0.0).sum(axis=0)
     mu = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     imputed = np.where(M == 1, mu, X)
     return mu, imputed

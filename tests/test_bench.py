@@ -125,6 +125,21 @@ class TestFitMethod:
         fit_method(name, small_dataset(n=60), Reads(params), 0, "regression")
         assert read == set(METHODS[name].params)
 
+    @pytest.mark.parametrize("name", ["static", "finite", "cart_mia", "rf_mia"])
+    def test_build_ignores_keys_it_does_not_read(self, name):
+        # in process, as fit_method reads a grid point; ExperimentConfig
+        # refuses such a key with "unknown parameter"
+        point = {**METHODS[name].grid[0], "bogus": 1, "seed": 3}
+        assert METHODS[name].build(point) == METHODS[name].build(METHODS[name].grid[0])
+
+    def test_finite_defaults_are_the_librarys(self):
+        # a grid point without limits grows the tree a direct call grows;
+        # 300 rows are enough for a depth-4 tree to differ
+        ds = small_dataset(n=300)
+        spec = ElasticNetSpec(lam=0.01, alpha=0.5)
+        assert (fit_method("finite", ds, {"lam": 0.01}, 0, "regression").to_dict()
+                == adaptive.fit_finite_adaptive(ds, spec).to_dict())
+
     def test_oracle_requires_full_design(self):
         # only a generator config has the fully observed design
         doc = {"name": "x", "methods": ["static", "oracle"],
@@ -300,6 +315,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\$\.methods\[1\]"):
             ExperimentConfig.from_json(
                 json.dumps(self.base(methods=["static", "nope"])))
+
+    def test_empty_methods_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^\$\.methods: must be a "
+                                              r"non-empty list of strings$"):
+            ExperimentConfig(**self.base(methods=[]))
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match=r"\$\.methods"):

@@ -11,7 +11,7 @@ import pytest
 import missfit
 from missfit.bench import ExperimentConfig
 from missfit.cli import LOADERS, main
-from missfit.core import MaskedDataset, write_csv
+from missfit.core import MaskedDataset, read_csv, write_csv
 from missfit.datagen import GeneratorSpec
 
 
@@ -134,6 +134,7 @@ SPLIT = {"prediction": 0.0, "n_rows": 2, "feature": 0, "threshold": 0.5,
          "missing_side": "left", "left": LEAF, "right": LEAF}
 PART = {"fit": FIT, "n_rows": 2, "split_feature": 0,
         "left": {"fit": FIT, "n_rows": 1}, "right": {"fit": FIT, "n_rows": 1}}
+NAN, INF = float("nan"), float("inf")
 INVALID_MODELS = {
     "adaptive": [
         {"mode": "fully_adaptive", "d": 3, "expansion_size": 1,
@@ -145,12 +146,17 @@ INVALID_MODELS = {
          "fit": {**FIT, "coefficients": ["x", 2.0, 3.0]}},
         {"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "intercept": "x"}},
         {"mode": "static", "d": True, "expansion_size": 1,
-         "fit": {**FIT, "coefficients": [1.0]}}],
+         "fit": {**FIT, "coefficients": [1.0]}},
+        # JSON as Python reads it holds NaN and Infinity
+        {"mode": "static", "d": 3, "expansion_size": 3,
+         "fit": {**FIT, "coefficients": [NAN, 2.0, 3.0]}},
+        {"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "intercept": INF}}],
     "partition_tree": [{"d": 3, "root": {**PART, "split_feature": 3}},
                        {"d": 3, "root": {**PART, "split_feature": -1}},
                        {"d": 3, "root": {**PART, "fit": {**FIT, "coefficients": [1.0]}}},
                        {"d": True, "root": {"fit": {**FIT, "coefficients": [1.0]},
-                                            "n_rows": 1}}],
+                                            "n_rows": 1}},
+                       {"d": 3, "root": {**PART, "fit": {**FIT, "intercept": NAN}}}],
     "joint": [
         {"contract": "linear", "mu": [0.0, 0.0], "sigma": [1.0, 1.0],
          "predictor": {"type": "linear", **FIT}},
@@ -162,13 +168,20 @@ INVALID_MODELS = {
         {"contract": "forest", "mu": [0.0] * 3, "sigma": [1.0] * 3,
          "predictor": {"type": "linear", **FIT}},
         {"contract": "linear", "mu": [0.0] * 3, "sigma": [1.0] * 3,
-         "predictor": {"type": "mia_tree", "d": 3, "root": SPLIT}}],
+         "predictor": {"type": "mia_tree", "d": 3, "root": SPLIT}},
+        {"contract": "linear", "mu": [NAN, 0.0, 0.0], "sigma": [1.0] * 3,
+         "predictor": {"type": "linear", **FIT}},
+        {"contract": "linear", "mu": [0.0] * 3, "sigma": [1.0, INF, 1.0],
+         "predictor": {"type": "linear", **FIT}}],
     "mia_tree": [*({"d": 3, "root": {**SPLIT, **bad}}
                    for bad in ({"missing_side": "up"}, {"threshold": "x"},
                                {"threshold": True}, {"feature": 1.5},
-                               {"feature": 7}, {"feature": -1}, {"prediction": "x"})),
+                               {"feature": 7}, {"feature": -1}, {"prediction": "x"},
+                               {"threshold": NAN}, {"prediction": NAN},
+                               {"right": {**LEAF, "prediction": -INF}})),
                  {"d": 2.5, "root": SPLIT}, {"d": True, "root": LEAF}],
     "mia_forest": [{"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "feature": 3}]},
+                   {"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "threshold": NAN}]},
                    {"d": 2.5, "params": {}, "trees": [SPLIT]},
                    {"d": 3, "params": {}, "trees": []}],
 }
@@ -227,7 +240,10 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("text, message", [
         ("y\n" + "1.0\n" * 12, "has no feature column"),
-        ("x1,x2,y\n", "has no data row")], ids=["no-feature", "no-row"])
+        ("x1,x2,y\n", "has no data row"),
+        # "y,b,y" would read the first column as the target
+        ("y,b,y\n" + "1.0,2.0,3.0\n" * 12, "repeats column 'y' in its header")],
+        ids=["no-feature", "no-row", "repeated-name"])
     @pytest.mark.parametrize("command", ["fit", "predict", "inspect"])
     def test_csv_without_features_or_rows_is_usage_error(
             self, command, text, message, dataset_csv, tmp_path, capsys):
@@ -296,6 +312,20 @@ class TestFitPredict:
                          ["inspect", str(bad)]):
                 assert main(argv) == 2
                 assert "malformed model file" in capsys.readouterr().err
+
+    def test_infinite_threshold_loads(self, dataset_csv, tmp_path, capsys):
+        # _best_splits keeps a midpoint that overflowed to +-inf: every
+        # observed value is below +inf, so only the missing rows go right
+        model, preds = tmp_path / "m.json", tmp_path / "p.csv"
+        model.write_text(json.dumps({"type": "mia_tree", "d": 3, "root": {
+            **SPLIT, "threshold": INF, "missing_side": "right",
+            "right": {**LEAF, "prediction": 1.0}}}))
+        assert main(["predict", "--model", str(model), "--data",
+                     str(dataset_csv), "--out", str(preds)]) == 0
+        missing = read_csv(dataset_csv, "y").M[:, 0] == 1
+        assert missing.any() and not missing.all()
+        got = np.loadtxt(preds, skiprows=1)
+        assert np.array_equal(got, np.where(missing, 1.0, 0.0))
 
     # n_rows as a string on the root, or below 1 on a child
     BAD_N_ROWS = {

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,6 +223,21 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(back.X[ds.M == 0], ds.X[ds.M == 0])
     # missing cells come back as the 0 sentinel with M = 1
     assert np.all(back.X[back.M == 1] == 0.0)
+
+
+def test_csv_header_names_each_column_once(tmp_path):
+    # a target named as a feature would come back as that feature
+    ds = MaskedDataset(np.arange(6.0).reshape(3, 2), np.zeros((3, 2)),
+                       [1.0, 2.0, 3.0], ("y", "b"))
+    path = tmp_path / "data.csv"
+    with pytest.raises(DatasetError, match=r"repeats column 'y' in its header$"):
+        write_csv(ds, path, "y")
+    assert not path.exists()
+    write_csv(ds, path, "target")
+    path.write_text(path.read_text().replace("target", "y", 1))
+    with pytest.raises(DatasetError,
+                       match=rf"^{re.escape(str(path))} repeats column 'y' in its header$"):
+        read_csv(path, "y")
 
 
 def test_csv_missing_tokens(tmp_path):
