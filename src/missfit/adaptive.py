@@ -281,20 +281,22 @@ class PartitionTree:
     root: TreeNode
     d: int
 
-    def route(self, m) -> TreeNode:
-        node = self.root
-        while node.split_feature is not None:
+    def route(self, m, depth=None) -> TreeNode:
+        """The leaf of pattern m in this tree cut at `depth`, if given."""
+        node, level = self.root, 0
+        while node.split_feature is not None and level != depth:
             node = node.left if m[node.split_feature] == 0 else node.right
+            level += 1
         return node
 
-    def predict_matrix(self, X, M) -> np.ndarray:
+    def predict_matrix(self, X, M, depth=None) -> np.ndarray:
         X, M = batch(X, M, self.d)
-        b, W = _per_row_fits(M, lambda p: self.route(p).fit)
+        b, W = _per_row_fits(M, lambda p: self.route(p, depth).fit)
         return b + np.sum(W * np.where(M == 1, 0.0, X), axis=1)
 
-    def predict(self, X, M) -> np.ndarray:
+    def predict(self, X, M, depth=None) -> np.ndarray:
         # The body stays under predict_matrix, the name the benchmark binds.
-        return self.predict_matrix(X, M)
+        return self.predict_matrix(X, M, depth)
 
     def leaves(self) -> list[TreeNode]:
         out, stack = [], [self.root]

@@ -142,6 +142,9 @@ class Method:
     fit: Callable      # (name, train, spec, seed, task) -> model
     grid: list[dict]   # default hyper-parameter grid for kfold_cv
     saves: bool = False  # `missfit fit` may save it (model.to_dict())
+    # its tree grown to max_depth k is the top k levels of any deeper one on
+    # the same rows, and its model's predict(X, M, depth) reads that top
+    nests: bool = False
 
     def build(self, params: dict):
         """The spec of grid point `params`, whose keys outside self.params it ignores."""
@@ -168,14 +171,14 @@ METHODS = {
     "affine": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01, 0.001), True),
     "polynomial2": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01), True),
     "fully_adaptive": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01), True),
-    "finite": Method(*_FINITE, _fit_finite, _depths(1, 2, 3), True),
+    "finite": Method(*_FINITE, _fit_finite, _depths(1, 2, 3), True, nests=True),
     "joint_linear": Method(*_LINEAR, _fit_imputed, _lams(0.01, 0.001), True),
     "joint_tree": Method(*_TREE, _fit_imputed, _depths(3, 5), True),
     "joint_forest": Method(*_FOREST, _fit_imputed, _depths(6, n_trees=50), True),
     "mean_impute_linear": Method(*_LINEAR, _fit_imputed, _lams(0.1, 0.01, 0.001), True),
     "mean_impute_tree": Method(*_TREE, _fit_imputed, _depths(3, 5, 7), True),
     "mean_impute_forest": Method(*_FOREST, _fit_imputed, _depths(6, 9, n_trees=100), True),
-    "cart_mia": Method(*_TREE, _fit_mia, _depths(2, 4, 6, 8, 10), True),
+    "cart_mia": Method(*_TREE, _fit_mia, _depths(2, 4, 6, 8, 10), True, nests=True),
     "rf_mia": Method(*_FOREST, _fit_mia, _depths(6, 9, n_trees=100), True),
     "complete_features": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
     "oracle": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
@@ -189,17 +192,38 @@ BEST_VARIANTS = {
 }
 
 
+def _method(name: str) -> Method:
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+    return METHODS[name]
+
+
 def fit_method(name: str, train: MaskedDataset, params: dict, seed: int,
                task: str):
     """Fit one named method; returns a model with predict(X, M) -> scores."""
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
-    method = METHODS[name]
+    method = _method(name)
     return method.fit(name, train, method.build(params), seed, task)
 
 
 def _score(y, yhat, task) -> float:
     return scaled_auc(y, yhat) if task == "classification" else r_squared(y, yhat)
+
+
+def _depth_caps(name: str, grid: list[dict]) -> list[tuple[int, int | None]]:
+    """Per grid point, checked: the grid index of the point whose fit scores
+    it, and the depth to predict that fit at. A method that nests scores
+    each point that sets max_depth on the fit of the deepest point that
+    agrees with it on every other key (the earliest declared among equals);
+    every other point is scored on its own fit (depth None)."""
+    method = _method(name)
+    rest = [{k: v for k, v in p.items() if k != "max_depth"} for p in grid]
+    caps = []
+    for i, params in enumerate(grid):
+        method.build(params)  # points that are never fitted are checked too
+        peers = [k for k, p in enumerate(grid) if "max_depth" in p and rest[k] == rest[i]]
+        caps.append((max(peers, key=lambda k: grid[k]["max_depth"]), params["max_depth"])
+                    if method.nests and "max_depth" in params else (i, None))
+    return caps
 
 
 def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
@@ -209,27 +233,38 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     Fold assignment is a seeded shuffle split into `folds` chunks. Ties keep
     the earliest grid point in declared order. Returns (params, cv_score).
 
-    The grid loop runs in adaptive.shared_solves, so an elastic net that
-    recurs within the call is solved once: finite's depth-1 and depth-2
-    trees are the top of its depth-3 tree, and fully_adaptive refits a
+    Depth grids nest: where a method's tree grown to depth k is the top of
+    a deeper one (cart_mia, finite), the points that differ only in
+    max_depth are fitted once per fold, at the deepest of them, and each is
+    scored on that fit's predictions at its own depth, which are the bytes
+    of its own fit's (_depth_caps). The grid loop runs in
+    adaptive.shared_solves, so an elastic net that recurs within the call
+    is solved once; that now serves only fully_adaptive, which refits a
     pattern's rows unchanged in every fold that holds none of them. A solve
     is reused only on the exact bytes of its design and target and an equal
     spec, so every result keeps its bits.
     """
     if dataset.n < folds:
         raise ValueError("need n >= folds")
+    caps = _depth_caps(name, grid)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     chunks = np.array_split(perm, folds)
     splits = [(dataset.subset(np.concatenate(chunks[:f] + chunks[f + 1:])),
                chunks[f]) for f in range(folds)]
+    fits = {}  # (grid index, fold) -> a fit that shallower points read
     best = None
     with shared_solves():
-        for params in grid:
+        for params, (top, depth) in zip(grid, caps):
             scores = []
-            for train, val in splits:
-                model = fit_method(name, train, params, seed, task)
-                yhat = model.predict(dataset.X[val], dataset.M[val])
+            for f, (train, val) in enumerate(splits):
+                X, M = dataset.X[val], dataset.M[val]
+                if depth is None:
+                    yhat = fit_method(name, train, params, seed, task).predict(X, M)
+                else:
+                    if (top, f) not in fits:
+                        fits[top, f] = fit_method(name, train, grid[top], seed, task)
+                    yhat = fits[top, f].predict(X, M, depth)
                 try:
                     scores.append(_score(dataset.y[val], yhat, task))
                 except ValueError:  # degenerate fold (constant / one-class)

@@ -4,7 +4,8 @@ Alternates between refitting the downstream predictor on the currently
 imputed matrix and a cyclic coordinate search that nudges each imputed value
 by plus or minus sigma_j (the sample standard deviation of feature j's
 observed values over sqrt(n), n counting all rows), keeping whichever of the
-three candidates gives the lowest training error.
+three candidates gives the lowest training error. A first pass that moves no
+mu_j ends the fit: a refit on the same matrix would change nothing.
 """
 
 from __future__ import annotations
@@ -170,7 +171,9 @@ def joint_fit(dataset: MaskedDataset, contract: Contract,
     Starts from observed-column means; each outer iteration refits the
     predictor once, then runs up to limits.max_cycles coordinate sweeps. A
     refit that would worsen training error is rolled back, so the recorded
-    error trace is non-increasing.
+    error trace is non-increasing. An iteration that improves the error by
+    less than limits.min_rel_improve, relatively, ends the fit; the first
+    does so only if it moved no mu_j, as a refit would then replay it.
     """
     mu, A = mean_impute(dataset)  # A: X with mu in the missing slots
     # a contract may keep the matrix it is given, so each gets a copy of A
@@ -231,7 +234,11 @@ def joint_fit(dataset: MaskedDataset, contract: Contract,
         trace.append(current)
         rel_outer = ((iter_start - current) / abs(iter_start)
                      if iter_start != 0 else 0.0)
-        if outer > 0 and rel_outer < limits.min_rel_improve:
+        # a step lowers the error, so a first pass that keeps it moved no
+        # mu_j; as a contract is deterministic, a second pass would refit
+        # the same predictor, replay this one and stop
+        replay = outer == 0 and current == iter_start and limits.max_outer > 1
+        if (outer > 0 or replay) and rel_outer < limits.min_rel_improve:
             stop_reason = "min_rel_improve"
             break
     return JointModel(mu, sigma, predictor, trace, n_refits,

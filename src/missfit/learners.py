@@ -112,16 +112,18 @@ class _Routing:
         self.col, self.thr, self.value, self.child = map(np.array, zip(*slots))
         self.d, self.trees, self.depth = d, len(roots), max(depth)
 
-    def route(self, X, M) -> np.ndarray:
-        """Check a batch; its leaf values, (trees, rows), in every tree."""
+    def route(self, X, M, depth=None) -> np.ndarray:
+        """Check a batch; its leaf values, (trees, rows), in every tree cut
+        at `depth` if that is given."""
         X, M = batch(X, M, self.d)
         n, m = len(X), M == 1
         Z = np.concatenate([np.where(m, -np.inf, X), np.where(m, np.nan, X), 1.0 - m], 1)
         Z, base = Z.ravel(), np.arange(n) * (3 * self.d)
         out, group = np.empty((self.trees, n)), max(1, self.GROUP_SLOTS // max(n, 1))
+        levels = self.depth if depth is None else min(depth, self.depth)
         for t in range(0, self.trees, group):
             s = 2 * np.arange(t, min(t + group, self.trees))[:, None].repeat(n, 1)
-            for _ in range(self.depth):  # one tree level per step
+            for _ in range(levels):  # one tree level per step
                 s = self.child[s + (Z[base + self.col[s]] <= self.thr[s])]
             out[t:t + group] = self.value[s]
         return out
@@ -136,8 +138,9 @@ class MiaTree:
     def _routing(self) -> _Routing:
         return _Routing([self.root], self.d)
 
-    def predict(self, X, M) -> np.ndarray:
-        return self._routing.route(X, M)[0]
+    def predict(self, X, M, depth=None) -> np.ndarray:
+        """Leaf values; at `depth`, those of this tree cut at that depth."""
+        return self._routing.route(X, M, depth)[0]
 
     def to_dict(self) -> dict:
         return {"type": "mia_tree", "d": self.d, "root": self.root.to_dict()}
@@ -210,7 +213,8 @@ def _shortlist_tolerance(yr, c, task) -> float:
 def _best_splits(X, M, y, nodes, min_leaf, task):
     """Best (feature, threshold, side) split of each (rows, features) node in
     `nodes`, all with one feature count, by one presorted sweep: per node
-    (impurity, feature, threshold, side, left_rows, right_rows) or None.
+    (impurity, feature, threshold, side, left_rows, right_rows, the node's
+    own impurity) or None.
     Candidates are ordered feature ascending, pure split first, thresholds
     ascending, missing rows left before right; the first candidate of least
     impurity wins.
@@ -246,10 +250,13 @@ def _best_splits(X, M, y, nodes, min_leaf, task):
     n_obs = n_lane - missing.sum(axis=1)
 
     C, tol = np.zeros((B, N)), np.empty(B)  # centred targets, padded with 0
+    own = []  # each node's impurity, as _impurity_sums has it
     for b, (rows, _) in enumerate(nodes):
         yr = y[rows]
-        c = yr - yr.mean() if task == "regression" else yr
+        c = yr - yr.sum() / len(rows) if task == "regression" else yr
         C[b, :len(rows)], tol[b] = c, _shortlist_tolerance(yr, c, task)
+        own.append(float((c ** 2).sum()) if task == "regression"
+                   else _impurity_sums(yr, task))
     cs = np.take(C, perm + np.arange(B).repeat(F)[:, None] * N)
     P = np.zeros((2, B * F, N + 1))  # prefix sums of c and c^2, per lane
     np.cumsum(cs, axis=1, out=P[0, :, 1:])
@@ -304,7 +311,7 @@ def _best_splits(X, M, y, nodes, min_leaf, task):
         imp = _impurity_sums(y[left], task) + _impurity_sums(y[right], task)
         if best[b] is None or imp < best[b][0]:
             best[b] = (imp, features[b, f], None if pure[k] else float(thr[k]),
-                       ("left", "right")[side], left, right)
+                       ("left", "right")[side], left, right, own[b])
     return best
 
 
@@ -316,7 +323,11 @@ def _grow(X, M, y, samples, params: TreeParams, rngs=None) -> list[MiaNode]:
     d, task, min_leaf = X.shape[1], params.task, params.min_leaf
     draw = rngs is not None and params.mtry is not None and params.mtry < d
     slots = _Routing.GROUP_SLOTS // (params.mtry if draw else max(d, 1))
-    roots = [MiaNode(float(np.mean(y[rows])), len(rows)) for rows in samples]
+
+    def leaf(rows):  # the sum over the count is np.mean to the bit, and cheaper
+        return MiaNode(float(y[rows].sum() / len(rows)), len(rows))
+
+    roots = [leaf(rows) for rows in samples]
     stacks = [[(root, rows, 0)] for root, rows in zip(roots, samples)]
     while any(stacks):
         taken = []  # (rows, features, tree, node, depth)
@@ -339,11 +350,10 @@ def _grow(X, M, y, samples, params: TreeParams, rngs=None) -> list[MiaNode]:
             chunk, taken = taken[:k], taken[k:]
             found = _best_splits(X, M, y, [job[:2] for job in chunk], min_leaf, task)
             for (rows, _, t, node, depth), best in zip(chunk, found):
-                if best is None or best[0] >= _impurity_sums(y[rows], task):
+                if best is None or best[0] >= best[6]:  # no split lowers impurity
                     continue
-                _, node.feature, node.threshold, node.missing_side, left, right = best
-                node.left, node.right = (MiaNode(float(np.mean(y[s])), len(s))
-                                         for s in (left, right))
+                _, node.feature, node.threshold, node.missing_side, left, right, _ = best
+                node.left, node.right = leaf(left), leaf(right)
                 stacks[t] += (node.right, right, depth + 1), (node.left, left, depth + 1)
     return roots
 

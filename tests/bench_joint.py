@@ -8,8 +8,9 @@ The instance is the censoring one of tests/bench_adaptive.py (n = 2400,
 d = 10, p = 0.5), and the fits run on its first 560 rows, the size of one
 cross-validation training fold of a shipped config. Each joint fit records its
 work in extra_info: the refits of the predictor and the coordinate-search
-cycles. One coordinate step is timed on the fitted model of each predictor,
-at its fitted mu, on the column with the most missing rows.
+cycles; the trees are those of joint_tree's default grid, depths 3 and 5.
+One coordinate step is timed on the fitted model of each predictor, at its
+fitted mu, on the column with the most missing rows.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ from missfit.learners import TreeParams
 N_TRAIN = 560
 
 CONTRACTS = {"linear": linear_contract(ElasticNetSpec(lam=0.01, alpha=0.5)),
-             "tree": tree_contract(TreeParams(max_depth=5))}
+             "tree": tree_contract(TreeParams(max_depth=5)),
+             "tree3": tree_contract(TreeParams(max_depth=3))}
 
 
 @pytest.fixture(scope="module")

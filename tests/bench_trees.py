@@ -9,18 +9,21 @@ perfbench's predict_stream workload serves (n = 2400, d = 10, p = 0.5), and
 the batches are drawn from its other rows: 16 rows, the stream's batch size,
 and 352 rows, about a mia_trees test split. A fit's time is mostly MIA split
 search; its entry records the batched split-search calls it makes, the
-nodes they search and the nodes it grows.
+nodes they search and the nodes it grows. The cross-validation of cart_mia
+over perfbench's mia_trees grid records the trees it fits.
 """
 
 import numpy as np
 import pytest
 
-from missfit import datagen, learners
+from missfit import bench, datagen, learners
+from missfit.bench import kfold_cv
 from missfit.learners import TreeParams, fit_cart_mia, fit_forest
 
 N_TRAIN = 400
 FITS = {"tree": (fit_cart_mia, TreeParams(max_depth=6)),
         "forest8": (fit_forest, TreeParams(max_depth=6, n_trees=8))}
+CV_GRIDS = {"cart_mia": [{"max_depth": 3}, {"max_depth": 6}]}  # as in mia_trees
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +70,14 @@ def test_predict(benchmark, instance, models, model, rows):
     X = np.where(M == 1, 0.0, data.X[idx])
     pred = benchmark(models[model].predict, X, M)
     assert pred.shape == (rows,) and np.all(np.isfinite(pred))
+
+
+@pytest.mark.parametrize("name", sorted(CV_GRIDS))
+def test_kfold_cv(benchmark, instance, name, monkeypatch):
+    train, _data = instance
+    fits, fit = [], bench.fit_cart_mia
+    monkeypatch.setattr(bench, "fit_cart_mia", lambda *args: fits.append(1) or fit(*args))
+    counted = kfold_cv(train, name, CV_GRIDS[name], 5, 0)
+    monkeypatch.undo()
+    assert benchmark(kfold_cv, train, name, CV_GRIDS[name], 5, 0) == counted
+    benchmark.extra_info["fits"] = len(fits)

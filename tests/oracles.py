@@ -288,7 +288,8 @@ def _coordinate_step(mu, j, sigma_j, predictor, dataset, error_metric,
 
 def joint_fit(dataset, contract, limits, error_metric, seed=0):
     """missfit.joint.joint_fit with impute_with rebuilding the whole imputed
-    matrix for every refit, every error and every trial of mu."""
+    matrix for every refit, every error and every trial of mu. A first pass
+    that moves no mu ends the fit, as there."""
     mu, imputed = mean_impute(dataset)
     predictor, n_refits = contract(imputed, dataset.y, seed), 1
     n, d = dataset.n, dataset.d
@@ -322,6 +323,7 @@ def joint_fit(dataset, contract, limits, error_metric, seed=0):
                 current = cand_err
         iter_start = current
         cycles = 0
+        moved = False
         for _ in range(limits.max_cycles):
             cycles += 1
             cycle_start = current
@@ -334,7 +336,7 @@ def joint_fit(dataset, contract, limits, error_metric, seed=0):
                 if eps != 0 and err < current:
                     mu[j] += eps * sigma[j]
                     current = err
-                    changed = True
+                    changed = moved = True
             if not changed:
                 break
             rel = ((cycle_start - current) / abs(cycle_start)
@@ -345,7 +347,10 @@ def joint_fit(dataset, contract, limits, error_metric, seed=0):
         trace.append(current)
         rel_outer = ((iter_start - current) / abs(iter_start)
                      if iter_start != 0 else 0.0)
-        if outer > 0 and rel_outer < limits.min_rel_improve:
+        # a first pass that moved no mu_j: the next refit sees the same
+        # matrix, so that pass would replay this one and stop
+        if ((outer > 0 or (not moved and outer + 1 < limits.max_outer))
+                and rel_outer < limits.min_rel_improve):
             stop_reason = "min_rel_improve"
             break
     return JointModel(mu, sigma, predictor, trace, n_refits,

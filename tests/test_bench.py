@@ -1,5 +1,6 @@
 import contextlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,113 @@ class TestKfoldCv:
         assert sizes == [40] * 5
 
 
+def no_nesting(monkeypatch, name):
+    monkeypatch.setitem(METHODS, name, replace(METHODS[name], nests=False))
+
+
+def cv_bytes(data, name, grid, task="regression", folds=4, seed=1):
+    params, score = kfold_cv(data, name, grid, folds, seed, task)
+    return params, np.float64(score).tobytes()
+
+
+def generated(mechanism, seed, task="regression", n=240):
+    data = generate(GeneratorSpec(n=n, d=5, r=3, k=3, mechanism=mechanism,
+                                  p=0.4, signal="nn", seed=seed))[0]
+    if task == "classification":
+        data = MaskedDataset(data.X, data.M,
+                             (data.y > np.median(data.y)).astype(float))
+    return data
+
+
+class TestNestedDepthGrids:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The max_depth of every fit that kfold_cv makes."""
+        depths, real = [], bench.fit_method
+
+        def counted(name, train, params, seed, task):
+            depths.append(params.get("max_depth"))
+            return real(name, train, params, seed, task)
+
+        monkeypatch.setattr(bench, "fit_method", counted)
+        return depths
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_cart_mia_keeps_its_bytes(self, task, mechanism, seed, fits,
+                                      monkeypatch):
+        data = generated(mechanism, seed, task)
+        grid = [{"max_depth": t, "min_leaf": 3} for t in (1, 2, 3, 5, 8)]
+        nested = cv_bytes(data, "cart_mia", grid, task)
+        assert fits == [8] * 4  # the deepest point, once per fold
+        no_nesting(monkeypatch, "cart_mia")
+        fits.clear()
+        assert cv_bytes(data, "cart_mia", grid, task) == nested
+        assert fits == [t for t in (1, 2, 3, 5, 8) for _ in range(4)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
+    def test_finite_keeps_its_bytes(self, mechanism, seed, fits, monkeypatch):
+        data = generated(mechanism, seed)
+        grid = [{"max_depth": t, "min_leaf": 10} for t in (0, 1, 2, 3)]
+        nested = cv_bytes(data, "finite", grid)
+        assert fits == [3] * 4
+        no_nesting(monkeypatch, "finite")
+        assert cv_bytes(data, "finite", grid) == nested
+
+    @pytest.mark.parametrize("name", ["cart_mia", "finite"])
+    @pytest.mark.parametrize("depths", [(1, 2, 3), (3, 2, 1), (2, 3, 2, 1, 3)],
+                             ids=["ascending", "descending", "repeated"])
+    def test_any_order_and_ties(self, name, depths, fits, monkeypatch):
+        data = generated("censoring", 4)
+        grid = [{"max_depth": t} for t in depths]
+        nested = kfold_cv(data, name, grid, 4, 1)
+        assert fits == [3] * 4
+        no_nesting(monkeypatch, name)
+        plain = kfold_cv(data, name, grid, 4, 1)
+        assert plain[0] is nested[0]  # the same grid point, the earliest of equals
+        assert np.float64(plain[1]).tobytes() == np.float64(nested[1]).tobytes()
+
+    def test_tie_keeps_the_earliest_point(self):
+        # at min_leaf 15 no tree grows past depth 1 on 40 training rows, so
+        # every point scores the same
+        data = generated("mcar", 5, n=60)
+        grid = [{"max_depth": 8, "min_leaf": 15}, {"max_depth": 3, "min_leaf": 15},
+                {"max_depth": 5, "min_leaf": 15}]
+        params, _ = kfold_cv(data, "cart_mia", grid, 3, 0)
+        assert params is grid[0]
+        params, _ = kfold_cv(data, "cart_mia", grid[1:], 3, 0)
+        assert params is grid[1]
+
+    def test_points_that_differ_in_more_than_depth_fit_alone(self, fits):
+        data = generated("mcar", 6)
+        grid = [{"max_depth": 2, "min_leaf": 5}, {"max_depth": 4, "min_leaf": 10},
+                {"max_depth": 6, "min_leaf": 15}]
+        kfold_cv(data, "cart_mia", grid, 4, 1)
+        assert fits == [t for t in (2, 4, 6) for _ in range(4)]
+        fits.clear()  # without max_depth a point is its own fit
+        kfold_cv(data, "finite", [{"lam": 0.1}, {"lam": 0.1, "max_depth": 1}], 4, 1)
+        assert fits == [None] * 4 + [1] * 4
+
+    def test_an_unfitted_point_is_still_checked(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            kfold_cv(generated("mcar", 7), "cart_mia",
+                     [{"max_depth": 0}, {"max_depth": 4}], 4, 1)
+
+    @pytest.mark.parametrize("name", ["cart_mia", "finite"])
+    def test_a_capped_prediction_is_the_shallow_fits(self, name):
+        data = generated("censoring", 8)
+        train, test = data.subset(np.arange(160)), data.subset(np.arange(160, 240))
+        deep = fit_method(name, train, {"max_depth": 4}, 0, "regression")
+        for k in range(0 if name == "finite" else 1, 5):
+            shallow = fit_method(name, train, {"max_depth": k}, 0, "regression")
+            assert (deep.predict(test.X, test.M, k).tobytes()
+                    == shallow.predict(test.X, test.M).tobytes())
+        assert (deep.predict(test.X, test.M, 9).tobytes()
+                == deep.predict(test.X, test.M).tobytes())
+
+
 class TestSharedSolves:
     @pytest.fixture(scope="class")
     def censored(self):
@@ -231,6 +339,9 @@ class TestSharedSolves:
     @pytest.mark.parametrize("name", ["finite", "fully_adaptive"])
     def test_same_bytes_with_fewer_solves(self, name, censored, solves,
                                           monkeypatch):
+        # with nesting on, finite fits only its depth-3 tree and the cache
+        # has nothing left to share there; this is the path without it
+        no_nesting(monkeypatch, name)
         grid = METHODS[name].grid
         shared = self.cv(censored, name, grid)
         n_shared = len(solves)

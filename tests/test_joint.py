@@ -225,6 +225,62 @@ def test_matches_reference_loop_bit_for_bit(data, label, metric):
         want.predict(ds.X, ds.M).tobytes()
 
 
+def masked_noise_feature(seed=121, n=120):
+    """y follows x0 and x1; only x2, which y ignores, has missing values. At
+    this seed no contract's first coordinate pass moves mu."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    M = np.zeros((n, 3), dtype=int)
+    M[:, 2] = rng.random(n) < 0.3
+    y = X[:, 0] - X[:, 1] + 0.5 * rng.normal(size=n)
+    return MaskedDataset(X, M, y)
+
+
+class TestFirstPassStop:
+    @staticmethod
+    def data(metric):
+        ds = masked_noise_feature()
+        if metric is auc_error:
+            ds = MaskedDataset(ds.X, ds.M, (ds.y > np.median(ds.y)).astype(float))
+        return ds
+
+    @pytest.mark.parametrize("metric", [mse_error, auc_error], ids=["mse", "auc"])
+    @pytest.mark.parametrize("label", sorted(CONTRACTS))
+    def test_a_second_pass_would_replay_the_first(self, label, metric):
+        # the premise of the rule: refitting the matrix that the first pass
+        # left gives the first predictor back, which moves no mu either
+        ds, contract = self.data(metric), CONTRACTS[label]
+        model = joint_fit(ds, contract, FitLimits(max_outer=4), metric, seed=3)
+        assert (model.n_refits, model.cycles_per_iter, model.stop_reason) == \
+            (1, [1], "min_rel_improve")
+        assert model.error_trace[0] == model.error_trace[1]
+        A = oracles.impute_with(ds, model.mu)
+        refit = contract(A.copy(), ds.y, 3)
+        probe = np.random.default_rng(0).normal(size=(50, ds.d))
+        for Z in (A, probe):
+            assert refit.predict(Z).tobytes() == model.predictor.predict(Z).tobytes()
+        current = metric(ds.y, model.predictor.predict(A))
+        assert current == model.error_trace[-1]
+        for j in np.flatnonzero(ds.M.any(axis=0) & (model.sigma > 0)):
+            eps, _ = coordinate_step(A, np.flatnonzero(ds.M[:, j]), j, model.mu[j],
+                                     model.sigma[j], model.predictor, ds.y, metric,
+                                     current)
+            assert eps == 0
+
+    @pytest.mark.parametrize("label", sorted(CONTRACTS))
+    def test_other_limits_keep_their_stop(self, label):
+        ds = self.data(mse_error)
+        # no improvement is too small: the fit refits to max_outer
+        model = joint_fit(ds, CONTRACTS[label],
+                          FitLimits(max_outer=4, min_rel_improve=0), seed=3)
+        assert (model.n_refits, model.cycles_per_iter, model.stop_reason) == \
+            (4, [1] * 4, "max_outer")
+        assert len(set(model.error_trace)) == 1
+        # one pass is all that max_outer allows
+        model = joint_fit(ds, CONTRACTS[label], FitLimits(max_outer=1), seed=3)
+        assert (model.n_refits, model.stop_reason) == (1, "max_outer")
+
+
 class TestPredictAndSerialize:
     def test_predict_matrix_form(self):
         ds = censored_dataset(seed=12, n=150)

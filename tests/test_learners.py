@@ -140,6 +140,23 @@ def assert_same_tree(a, b):
         assert_same_tree(a.right, b.right)
 
 
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(1, 2000), kind=st.sampled_from(["normal", "labels", "repeated"]),
+       seed=st.integers(0, 2 ** 32 - 1), decades=st.integers(0, 12),
+       value=st.floats(-1e300, 1e300))
+def test_node_mean_is_numpy_mean(n, kind, seed, decades, value):
+    # _grow predicts a node's sum over its count, and _impurity_sums centres
+    # on it: np.mean to the bit
+    rng = np.random.default_rng(seed)
+    if kind == "normal":  # magnitudes over `decades` decades
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-decades // 2, decades // 2 + 1, n)
+    elif kind == "labels":
+        y = (rng.random(n) < rng.random()).astype(float)
+    else:
+        y = rng.choice([value, value / 3, 1.0], n, p=[0.8, 0.1, 0.1])
+    assert (y.sum() / len(y)).tobytes() == np.mean(y).tobytes()
+
+
 class TestSplitSearch:
     @settings(deadline=None, max_examples=300)
     @given(split_cases())
