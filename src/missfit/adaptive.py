@@ -5,7 +5,7 @@ plain string, which the method table and the saved documents spell the same:
 
   static            z_j = (1-m_j) x_j only                         (d columns)
   affine_intercept  z ++ m                                         (2d columns)
-  affine            z ++ m ++ {m_k z_j : k != j}                   (d + d^2 columns)
+  affine            polynomial1: z ++ m ++ {m_k z_j : k != j}      (d + d^2 columns)
   polynomial<t>     z ++ mask monomials ++ z times mask monomials  (t >= 1)
   fully_adaptive    one static model per observed pattern
 
@@ -39,37 +39,32 @@ FULLY_ADAPTIVE = "fully_adaptive"
 
 
 @functools.lru_cache(maxsize=None)  # holds valid (mode, d) pairs only
-def _degree(mode, d: int) -> int:
-    """The monomial degree t <= d of mode "affine" (1) or "polynomial<t>"."""
-    name = isinstance(mode, str) and re.fullmatch("affine|polynomial([1-9][0-9]*)", mode)
-    if not name:
-        raise ValueError(f"unknown expansion mode {mode!r}")
-    if (t := int(name[1] or 1)) > d:
-        raise ValueError(f"polynomial degree {t} exceeds d={d}")
-    return t
-
-
-@functools.lru_cache(maxsize=None)
-def _terms(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index table (jp, J) of the expansion columns after the z block, each
+def _terms(mode, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index table (jp, J) of every mode's columns after the z block, each
     z_jp * prod(m_J): the mask monomials (jp = d), then the interactions by
     observed feature jp. J has size 1..t in (size, lex) order, padded with d;
-    index d is a constant-1 column of both z and m."""
+    index d is a constant-1 column of both z and m. static lists no column,
+    affine_intercept the d masks only (t = 1), and affine is polynomial1."""
+    name = isinstance(mode, str) and re.fullmatch(
+        "static|affine_intercept|affine|polynomial([1-9][0-9]*)", mode)
+    if not name:
+        raise ValueError(f"unknown expansion mode {mode!r}")
+    if mode in (STATIC, AFFINE_INTERCEPT):
+        t = int(mode == AFFINE_INTERCEPT)
+    elif (t := int(name[1] or 1)) > d:
+        raise ValueError(f"polynomial degree {t} exceeds d={d}")
     sets = [J for size in range(1, t + 1)
             for J in itertools.combinations(range(d), size)]
-    terms = [(d, J) for J in sets] + [(jp, J) for jp in range(d)
-                                      for J in sets if jp not in J]
-    jp = np.array([j for j, _ in terms])
-    J = np.array([J + (d,) * (t - len(J)) for _, J in terms])
-    return jp, J
+    terms = [(d, J) for J in sets]
+    if mode != AFFINE_INTERCEPT:
+        terms += [(jp, J) for jp in range(d) for J in sets if jp not in J]
+    jp = np.array([j for j, _ in terms], dtype=np.intp)
+    J = np.array([J + (d,) * (t - len(J)) for _, J in terms], dtype=np.intp)
+    return jp, J.reshape(len(terms), max(t, 1))
 
 
 def expansion_size(d: int, mode: str) -> int:
-    if mode == STATIC:
-        return d
-    if mode == AFFINE_INTERCEPT:
-        return 2 * d
-    return d + len(_terms(d, _degree(mode, d))[0])
+    return d + len(_terms(mode, d)[0])
 
 
 def expand_matrix(X, M, mode: str) -> np.ndarray:
@@ -79,18 +74,12 @@ def expand_matrix(X, M, mode: str) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if X.shape != M.shape:
         raise ValueError(f"X shape {X.shape} != M shape {M.shape}")
-    d = X.shape[1]
+    jp, J = _terms(mode, X.shape[1])
     Z = np.where(M == 1, 0.0, X)  # kill stored values at missing slots
-    if mode == STATIC:
-        return Z
-    if mode == AFFINE_INTERCEPT:
-        return np.column_stack([Z, M])
-    t = _degree(mode, d)
-    jp, J = _terms(d, t)
     one = np.ones((len(X), 1))
     M1 = np.hstack([M, one])
     terms = M1[:, J[:, 0]]  # prod(m_J), one factor at a time: no (n, K, t) array
-    for k in range(1, t):
+    for k in range(1, J.shape[1]):
         terms *= M1[:, J[:, k]]
     terms *= np.hstack([Z, one])[:, jp]
     return np.column_stack([Z, terms])
@@ -154,10 +143,14 @@ class AdaptiveModel:
         mode, d = doc["mode"], doc["d"]
         check_int("d", d, 1)
         if mode == FULLY_ADAPTIVE:
-            pats = {tuple(p["bits"]): LinearFit.from_dict(p["fit"])
-                    for p in doc["patterns"]}
-            if any(len(k) != d or not set(k) <= {0, 1} for k in pats):
-                raise ValueError(f"pattern bits are not {d} zeros and ones")
+            pats = {}
+            for p in doc["patterns"]:
+                k = tuple(p["bits"])
+                if len(k) != d or not all(type(b) is int and b in (0, 1) for b in k):
+                    raise ValueError(f"pattern bits are not {d} zeros and ones")
+                if k in pats:
+                    raise ValueError(f"pattern {list(k)} is listed twice")
+                pats[k] = LinearFit.from_dict(p["fit"])
             model = cls(mode, d, None, pats, LinearFit.from_dict(doc["fallback"]))
             fits, size = [model.fallback, *pats.values()], d
         else:

@@ -67,11 +67,10 @@ class LinearFit:
 
     @classmethod
     def from_dict(cls, doc) -> LinearFit:
-        fit = cls(float(doc["intercept"]), np.array(doc["coefficients"], dtype=float),
-                  [], doc.get("converged", True))
-        check_finite("intercept", fit.intercept)
-        check_finite("coefficients", *fit.coefficients.tolist())
-        return fit
+        check_finite("intercept", doc["intercept"])
+        check_finite("coefficients", *doc["coefficients"])
+        return cls(float(doc["intercept"]), np.array(doc["coefficients"], dtype=float),
+                   [], doc.get("converged", True))
 
 
 def _objectives(W, rr, s, n, lam, alpha, c) -> list[float]:

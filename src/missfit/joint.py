@@ -139,9 +139,9 @@ class JointModel:
         else:
             raise ValueError(f"predictor type {p['type']!r} is not linear, "
                              "mia_tree or mia_forest")
+        check_finite("mu", *doc["mu"])
+        check_finite("sigma", *doc["sigma"])
         mu, sigma = (np.array(doc[k], dtype=float) for k in ("mu", "sigma"))
-        check_finite("mu", *mu.tolist())
-        check_finite("sigma", *sigma.tolist())
         d = p["d"] if p["type"] != "linear" else len(predictor.coefficients)
         if not len(mu) == len(sigma) == d:
             raise ValueError(f"mu and sigma are not {d} long, as the predictor")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -67,17 +67,16 @@ class MiaNode:
         """A node of a model file: a split tests a feature in [0, d) at a number,
         or at null (a pure split), and sends missing rows left or right."""
         check_int("n_rows", doc["n_rows"], 1)
+        check_finite("prediction", doc["prediction"])
         node = cls(float(doc["prediction"]), doc["n_rows"])
-        check_finite("prediction", node.prediction)
         if "feature" in doc:
             j, thr, side = doc["feature"], doc["threshold"], doc["missing_side"]
             check_int("feature", j, 0)
             if j >= d:
                 raise ValueError(f"node feature {j} outside [0, {d})")
-            # +-inf is a midpoint that overflowed in _best_splits; NaN != NaN
-            if (isinstance(thr, bool) or thr != thr
-                    or not isinstance(thr, (numbers.Real, type(None)))):
-                raise ValueError(f"threshold: must be a number or null, got {thr!r}")
+            # +-inf is a midpoint that overflowed in _best_splits
+            if thr not in (None, -math.inf, math.inf):
+                check_finite("threshold", thr)
             if side not in ("left", "right"):
                 raise ValueError(f"missing_side: must be left or right, got {side!r}")
             node.feature, node.threshold, node.missing_side = j, thr, side

@@ -38,7 +38,8 @@ def models(instance):
             for mode in ("affine", "fully_adaptive")}
 
 
-@pytest.mark.parametrize("mode, columns", [("affine", 110), ("polynomial2", 515)])
+@pytest.mark.parametrize("mode, columns", [("static", 10), ("affine_intercept", 20),
+                                           ("affine", 110), ("polynomial2", 515)])
 def test_expand_matrix(benchmark, instance, mode, columns):
     train, _data = instance
     A = benchmark(expand_matrix, train.X, train.M, mode)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -54,6 +55,34 @@ class TestExpand:
         m = np.array([0, 1, 0, 1, 0])
         for mode in (STATIC, AFFINE_INTERCEPT, AFFINE, POLY1, POLY2):
             assert expand_matrix(x, m, mode)[0].shape == (expansion_size(5, mode),)
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_designs_nest_along_the_hierarchy(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(30, d))
+        M = (rng.random((30, d)) < 0.4).astype(int)
+        polys = [f"polynomial{t}" for t in range(1, d + 1)]
+        A = {mode: expand_matrix(X, M, mode)
+             for mode in [STATIC, AFFINE_INTERCEPT, AFFINE, *polys]}
+        for design in A.values():  # z leads every design
+            assert A[STATIC].tobytes() == design[:, :d].tobytes()
+        # [z, m] leads affine's and polynomial2's: extract_imputation reads it
+        for mode in [AFFINE, *polys[1:2]]:
+            assert A[AFFINE_INTERCEPT].tobytes() == A[mode][:, :2 * d].tobytes()
+        assert A[AFFINE].tobytes() == A[POLY1].tobytes()
+        for low, high in zip(polys, polys[1:]):  # each a superset of the last
+            columns = {c.tobytes() for c in A[high].T}
+            assert all(c.tobytes() in columns for c in A[low].T)
+
+    def test_sizes_match_closed_forms(self):
+        for d in range(1, 7):
+            sizes = {STATIC: d, AFFINE_INTERCEPT: 2 * d, AFFINE: d + d * d}
+            for t in range(1, d + 1):
+                sizes[f"polynomial{t}"] = d + sum(
+                    math.comb(d, s) + d * math.comb(d - 1, s) for s in range(1, t + 1))
+            for mode, size in sizes.items():
+                A = expand_matrix(np.ones((2, d)), np.eye(2, d, dtype=int), mode)
+                assert A.shape == (2, size) and expansion_size(d, mode) == size
 
     def test_polynomial_degree_too_large(self):
         with pytest.raises(ValueError):

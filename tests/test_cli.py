@@ -135,6 +135,7 @@ SPLIT = {"prediction": 0.0, "n_rows": 2, "feature": 0, "threshold": 0.5,
 PART = {"fit": FIT, "n_rows": 2, "split_feature": 0,
         "left": {"fit": FIT, "n_rows": 1}, "right": {"fit": FIT, "n_rows": 1}}
 NAN, INF = float("nan"), float("inf")
+HUGE = 10 ** 400  # a JSON integer past the float range; float() overflows
 INVALID_MODELS = {
     "adaptive": [
         {"mode": "fully_adaptive", "d": 3, "expansion_size": 1,
@@ -150,7 +151,18 @@ INVALID_MODELS = {
         # JSON as Python reads it holds NaN and Infinity
         {"mode": "static", "d": 3, "expansion_size": 3,
          "fit": {**FIT, "coefficients": [NAN, 2.0, 3.0]}},
-        {"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "intercept": INF}}],
+        {"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "intercept": INF}},
+        # a number is a JSON number: no numeric string, no bool, none past floats
+        *({"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, **bad}}
+          for bad in ({"intercept": "1.5"}, {"intercept": HUGE},
+                      {"coefficients": ["2", 2.0, 3.0]},
+                      {"coefficients": [1.0, True, 3.0]},
+                      {"coefficients": [1.0, 2.0, -HUGE]})),
+        {"mode": "fully_adaptive", "d": 3, "expansion_size": 1,
+         "patterns": [{"bits": [True, False, False], "fit": FIT}], "fallback": FIT},
+        {"mode": "fully_adaptive", "d": 3, "expansion_size": 1,
+         "patterns": [{"bits": [0, 1, 0], "fit": FIT}, {"bits": [0, 1, 0], "fit": FIT}],
+         "fallback": FIT}],
     "partition_tree": [{"d": 3, "root": {**PART, "split_feature": 3}},
                        {"d": 3, "root": {**PART, "split_feature": -1}},
                        {"d": 3, "root": {**PART, "fit": {**FIT, "coefficients": [1.0]}}},
@@ -172,13 +184,20 @@ INVALID_MODELS = {
         {"contract": "linear", "mu": [NAN, 0.0, 0.0], "sigma": [1.0] * 3,
          "predictor": {"type": "linear", **FIT}},
         {"contract": "linear", "mu": [0.0] * 3, "sigma": [1.0, INF, 1.0],
-         "predictor": {"type": "linear", **FIT}}],
+         "predictor": {"type": "linear", **FIT}},
+        *({"contract": "linear", "predictor": {"type": "linear", **FIT}, **bad}
+          for bad in ({"mu": ["0.5", 0.0, 0.0], "sigma": [1.0] * 3},
+                      {"mu": [0.0] * 3, "sigma": [True, 1.0, 1.0]},
+                      {"mu": [HUGE, 0.0, 0.0], "sigma": [1.0] * 3}))],
     "mia_tree": [*({"d": 3, "root": {**SPLIT, **bad}}
                    for bad in ({"missing_side": "up"}, {"threshold": "x"},
                                {"threshold": True}, {"feature": 1.5},
                                {"feature": 7}, {"feature": -1}, {"prediction": "x"},
                                {"threshold": NAN}, {"prediction": NAN},
-                               {"right": {**LEAF, "prediction": -INF}})),
+                               {"right": {**LEAF, "prediction": -INF}},
+                               {"prediction": "3.25"}, {"prediction": True},
+                               {"right": {**LEAF, "prediction": HUGE}},
+                               {"threshold": HUGE}, {"threshold": -HUGE})),
                  {"d": 2.5, "root": SPLIT}, {"d": True, "root": LEAF}],
     "mia_forest": [{"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "feature": 3}]},
                    {"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "threshold": NAN}]},
@@ -326,6 +345,24 @@ class TestFitPredict:
         assert missing.any() and not missing.all()
         got = np.loadtxt(preds, skiprows=1)
         assert np.array_equal(got, np.where(missing, 1.0, 0.0))
+
+    def test_integer_numbers_load(self, dataset_csv, tmp_path):
+        # a JSON integer is a number, as a float is; a bool or a string is none
+        def docs(num):
+            return [{"type": "adaptive", "mode": "static", "d": 3, "expansion_size": 3,
+                     "fit": {"intercept": num(1), "coefficients": [num(2), num(0), num(-1)]}},
+                    {"type": "mia_tree", "d": 3, "root": {
+                        **SPLIT, "threshold": num(0), "right": {**LEAF, "prediction": num(4)}}}]
+
+        model, preds = tmp_path / "m.json", tmp_path / "p.csv"
+        for pair in zip(docs(int), docs(float)):
+            out = []
+            for doc in pair:
+                model.write_text(json.dumps(doc))
+                assert main(["predict", "--model", str(model), "--data",
+                             str(dataset_csv), "--out", str(preds)]) == 0
+                out.append(preds.read_bytes())
+            assert out[0] == out[1]
 
     # n_rows as a string on the root, or below 1 on a child
     BAD_N_ROWS = {

@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from missfit.core import (DatasetError, MaskedDataset, binary_mask, read_csv,
-                          unique_patterns, validate, write_csv)
+from missfit.core import (DatasetError, MaskedDataset, binary_mask, check_finite,
+                          read_csv, unique_patterns, validate, write_csv)
 from oracles import masked_dot
 
 
@@ -15,6 +15,22 @@ def make_dataset(seed=0, n=30, d=4, p_miss=0.3):
     M = (rng.random((n, d)) < p_miss).astype(int)
     y = rng.normal(size=n)
     return MaskedDataset(X, M, y)
+
+
+class TestCheckFinite:
+    # what Python's json reads from a model file where a number belongs
+    @pytest.mark.parametrize("value", [0, -7, 0.5, 10 ** 308, 1.7976931348623157e308,
+                                       -1.7976931348623157e308], ids=repr)
+    def test_numbers_within_the_float_range_pass(self, value):
+        check_finite("x", value)
+        check_finite("x", 1.0, value, 2)
+
+    @pytest.mark.parametrize("value", [True, False, "1.5", None, [1.0], {},
+                                       float("nan"), float("inf"), -float("inf"),
+                                       2 ** 1024, -(10 ** 400)], ids=repr)
+    def test_other_values_are_refused(self, value):
+        with pytest.raises(ValueError, match="^x: must be a finite number$"):
+            check_finite("x", 1.0, value)
 
 
 class TestMaskedDot:
