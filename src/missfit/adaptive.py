@@ -19,11 +19,10 @@ in-sample error is monotone along the hierarchy at lambda = 0.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import re
-from contextlib import contextmanager
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,12 +96,44 @@ def _per_row_fits(M, fit_of) -> tuple[np.ndarray, np.ndarray]:
     return b, W.reshape(M.shape)
 
 
+class PatternFits(Mapping):
+    """A fully adaptive model's fit per training pattern, keyed by the
+    pattern's bits in order of first appearance. A fit is solved from the
+    pattern's rows of the static design Z when it is first read, so a
+    pattern that no prediction reads costs no solve; `p in fits` solves
+    nothing."""
+
+    def __init__(self, Z, y, spec: ElasticNetSpec, groups):
+        self._Z, self._y, self._spec = Z, y, spec
+        self._rows = dict(groups)
+        self._fits = {}
+
+    def __getitem__(self, pattern) -> LinearFit:
+        if (f := self._fits.get(pattern)) is None:
+            rows = self._rows[pattern]
+            f = self._fits[pattern] = _solve(self._Z[rows], self._y[rows], self._spec)
+        return f
+
+    def __contains__(self, pattern) -> bool:
+        return pattern in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass
 class AdaptiveModel:
+    """A model of the hierarchy. A fully adaptive model has no single fit:
+    its pattern_fits (a PatternFits after fit_adaptive, a dict after
+    from_dict) serve the patterns of its training rows, and its fallback
+    serves any other pattern."""
     mode: str
     d: int
     fit: LinearFit | None  # None for fully adaptive
-    pattern_fits: dict[tuple[int, ...], LinearFit] | None = None
+    pattern_fits: Mapping[tuple[int, ...], LinearFit] | None = None
     fallback: LinearFit | None = None  # static model for unseen patterns
 
     @property
@@ -164,55 +195,25 @@ class AdaptiveModel:
 def fit_adaptive(dataset: MaskedDataset, mode: str,
                  spec: ElasticNetSpec) -> AdaptiveModel:
     """Fit one model from the hierarchy by penalized least squares, with the
-    support weights of _solve unless the spec pins penalty_weights."""
+    support weights of _solve unless the spec pins penalty_weights. A fully
+    adaptive fit solves its fallback on all rows here, and each pattern's
+    fit on that pattern's rows when it is first read (PatternFits)."""
     if mode == FULLY_ADAPTIVE:
         Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
-        pattern_fits = {pattern: _solve(Z[rows], y[rows], spec)
-                        for pattern, rows in unique_patterns(dataset.M)}
-        return AdaptiveModel(mode, dataset.d, None, pattern_fits,
+        return AdaptiveModel(mode, dataset.d, None,
+                             PatternFits(Z, y, spec, unique_patterns(dataset.M)),
                              _solve(Z, y, spec))
     A = expand_matrix(dataset.X, dataset.M, mode)
     return AdaptiveModel(mode, dataset.d, _solve(A, dataset.y, spec))
-
-
-_SOLVES: dict | None = None  # key -> (intercept, coefficients, trace, converged)
-
-
-@contextmanager
-def shared_solves():
-    """Within the block, _solve solves each distinct problem (the bytes of
-    design and target, the spec) once; a repeat gets a new LinearFit of the
-    first solve's numbers. The outer block's cache is restored on exit."""
-    global _SOLVES
-    outer, _SOLVES = _SOLVES, {}
-    try:
-        yield
-    finally:
-        _SOLVES = outer
 
 
 def _solve(A, y, spec: ElasticNetSpec) -> LinearFit:
     """The elastic-net fit of y on design A. Unless the spec pins
     penalty_weights, they are A's support weights (sparser columns get
     penalized more)."""
-    pinned = spec.penalty_weights
-    if pinned is None:
+    if spec.penalty_weights is None:
         spec = replace(spec, penalty_weights=support_penalty_weights(A))
-    if _SOLVES is None:
-        return enet_fit(A, y, spec)
-    A = np.ascontiguousarray(A, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    digest = hashlib.blake2b(A)
-    digest.update(y)
-    key = (A.shape, digest.digest(), spec.lam, spec.alpha, spec.max_iters,
-           spec.tol, None if pinned is None else pinned.tobytes())
-    if (entry := _SOLVES.get(key)) is None:
-        f = enet_fit(A, y, spec)
-        _SOLVES[key] = (f.intercept, f.coefficients.copy(),
-                        np.array(f.objective_trace), f.converged)
-        return f
-    intercept, coefficients, trace, converged = entry
-    return LinearFit(intercept, coefficients.copy(), trace.tolist(), converged)
+    return enet_fit(A, y, spec)
 
 
 def extract_imputation(model: AdaptiveModel) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .core import MaskedDataset, batch, check_int, check_real, read_csv
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
-from .adaptive import (fit_adaptive, fit_finite_adaptive, finite_limits,
-                       shared_solves)
+from .adaptive import fit_adaptive, fit_finite_adaptive, finite_limits
 from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
                     mse_error, tree_contract, forest_contract)
 from .learners import TreeParams, fit_cart_mia, fit_forest
@@ -237,12 +236,7 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     a deeper one (cart_mia, finite), the points that differ only in
     max_depth are fitted once per fold, at the deepest of them, and each is
     scored on that fit's predictions at its own depth, which are the bytes
-    of its own fit's (_depth_caps). The grid loop runs in
-    adaptive.shared_solves, so an elastic net that recurs within the call
-    is solved once; that now serves only fully_adaptive, which refits a
-    pattern's rows unchanged in every fold that holds none of them. A solve
-    is reused only on the exact bytes of its design and target and an equal
-    spec, so every result keeps its bits.
+    of its own fit's (_depth_caps).
     """
     if dataset.n < folds:
         raise ValueError("need n >= folds")
@@ -254,24 +248,23 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
                chunks[f]) for f in range(folds)]
     fits = {}  # (grid index, fold) -> a fit that shallower points read
     best = None
-    with shared_solves():
-        for params, (top, depth) in zip(grid, caps):
-            scores = []
-            for f, (train, val) in enumerate(splits):
-                X, M = dataset.X[val], dataset.M[val]
-                if depth is None:
-                    yhat = fit_method(name, train, params, seed, task).predict(X, M)
-                else:
-                    if (top, f) not in fits:
-                        fits[top, f] = fit_method(name, train, grid[top], seed, task)
-                    yhat = fits[top, f].predict(X, M, depth)
-                try:
-                    scores.append(_score(dataset.y[val], yhat, task))
-                except ValueError:  # degenerate fold (constant / one-class)
-                    continue
-            mean_score = float(np.mean(scores)) if scores else -np.inf
-            if best is None or mean_score > best[1]:
-                best = (params, mean_score)
+    for params, (top, depth) in zip(grid, caps):
+        scores = []
+        for f, (train, val) in enumerate(splits):
+            X, M = dataset.X[val], dataset.M[val]
+            if depth is None:
+                yhat = fit_method(name, train, params, seed, task).predict(X, M)
+            else:
+                if (top, f) not in fits:
+                    fits[top, f] = fit_method(name, train, grid[top], seed, task)
+                yhat = fits[top, f].predict(X, M, depth)
+            try:
+                scores.append(_score(dataset.y[val], yhat, task))
+            except ValueError:  # degenerate fold (constant / one-class)
+                continue
+        mean_score = float(np.mean(scores)) if scores else -np.inf
+        if best is None or mean_score > best[1]:
+            best = (params, mean_score)
     return best
 
 

@@ -78,7 +78,7 @@ def cmd_fit(args) -> int:
     dataset = read_csv(args.data, args.target)
     model = bench.fit_method(args.method, dataset, params, seed, "regression")
     yhat = model.predict(dataset.X, dataset.M)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(model.to_dict(), indent=1))
     mse = float(np.mean((dataset.y - yhat) ** 2))
     print(f"wrote {args.out}")
@@ -88,7 +88,7 @@ def cmd_fit(args) -> int:
 
 def _load_model(path):
     try:  # not UTF-8 or JSON, or a field from_dict needs is absent or ill-typed
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.loads(fh.read())
         cls = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
         if cls is None:
@@ -103,7 +103,7 @@ def cmd_predict(args) -> int:
     model = _load_model(args.model)
     dataset = read_csv(args.data, args.target)
     yhat = model.predict(dataset.X, dataset.M)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("prediction\n")
         for v in yhat:
             fh.write(repr(float(v)) + "\n")

@@ -235,7 +235,7 @@ def write_csv(dataset: MaskedDataset, path, target: str = "y") -> None:
     target named as a feature is refused, since read_csv would refuse it."""
     names = dataset.feature_names or tuple(f"x{j+1}" for j in range(dataset.d))
     _check_header(header := [*names, target], path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(dataset.n):

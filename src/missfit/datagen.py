@@ -203,5 +203,5 @@ def save_dataset(dataset: MaskedDataset, csv_path, sidecar_path, spec) -> None:
     write_csv(dataset, csv_path)
     doc = {"spec": asdict(spec), "n": dataset.n, "d": dataset.d,
            "missing_fraction": dataset.M.mean(axis=0).tolist()}
-    with open(sidecar_path, "w") as fh:
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -69,8 +69,10 @@ class LinearFit:
     def from_dict(cls, doc) -> LinearFit:
         check_finite("intercept", doc["intercept"])
         check_finite("coefficients", *doc["coefficients"])
+        if not isinstance(converged := doc.get("converged", True), bool):
+            raise ValueError("converged: must be true or false")
         return cls(float(doc["intercept"]), np.array(doc["coefficients"], dtype=float),
-                   [], doc.get("converged", True))
+                   [], converged)
 
 
 def _objectives(W, rr, s, n, lam, alpha, c) -> list[float]:

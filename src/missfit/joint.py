@@ -145,7 +145,9 @@ class JointModel:
         d = p["d"] if p["type"] != "linear" else len(predictor.coefficients)
         if not len(mu) == len(sigma) == d:
             raise ValueError(f"mu and sigma are not {d} long, as the predictor")
-        joint = cls(mu, sigma, predictor, [], stop_reason=doc.get("stop_reason", ""))
+        if not isinstance(stop := doc.get("stop_reason", ""), str):
+            raise ValueError("stop_reason: must be a string")
+        joint = cls(mu, sigma, predictor, [], stop_reason=stop)
         if doc["contract"] != joint.contract_label:
             raise ValueError(f"contract {doc['contract']!r} is not the "
                              f"predictor's kind, {joint.contract_label}")

@@ -8,8 +8,11 @@ The instance is replication 0 of configs/censoring_linear.json (n = 1000,
 d = 10, censoring p = 0.5): its 700-row training split, and the 560 rows of
 the first cross-validation training fold. The solves are the affine fit at
 lambda = 1e-3 (thousands of sweeps) and 0.1 (about a hundred), and the
-fully_adaptive fit (one small solve per mask pattern, and the fallback); the
-CV cases run kfold_cv over the default grids of finite and fully_adaptive.
+fully_adaptive fit with a read of every pattern fit (a pattern's fit is
+solved when it is first read, so the case times the fit and the read: one
+small solve per mask pattern, and the fallback); the CV cases run kfold_cv
+over the default grids of finite and fully_adaptive, where fully_adaptive
+solves only the patterns that each fold's validation rows read.
 Each case records its elastic-net solves and coordinate-descent sweeps in
 extra_info, so a change that does less work shows apart from one that does
 the same work faster.
@@ -67,10 +70,16 @@ def test_affine_solve(benchmark, fold, lam):
     benchmark.extra_info.update(solves=1, sweeps=len(f.objective_trace) - 1)
 
 
+def fit_and_read(dataset, spec):
+    model = fit_adaptive(dataset, "fully_adaptive", spec)
+    dict(model.pattern_fits.items())
+    return model
+
+
 def test_fully_adaptive_pattern_fits(benchmark, monkeypatch, fold):
     spec = ElasticNetSpec(lam=0.01, alpha=0.5)
-    model = benchmark(fit_adaptive, fold, "fully_adaptive", spec)
-    counts = work(monkeypatch, fit_adaptive, fold, "fully_adaptive", spec)
+    model = benchmark(fit_and_read, fold, spec)
+    counts = work(monkeypatch, fit_and_read, fold, spec)
     assert counts["solves"] == len(model.pattern_fits) + 1
     benchmark.extra_info.update(counts)
 

@@ -5,9 +5,10 @@ These are the per-row and per-column loops the package used before its
 whole-array forms, the per-node walk of an MIA tree before its flat routing,
 an exhaustive MIA split search, the recursive MIA growth that searched one
 node at a time before trees grew together, the coordinate-descent loop
-before its leaner one, and the joint fit that rebuilt its whole imputed
-matrix (impute_with) for every trial; tests compare the package against
-them bit for bit.
+before its leaner one, the fully adaptive fit that solved every pattern at
+fit time, and the joint fit that rebuilt its whole imputed matrix
+(impute_with) for every trial; tests compare the package against them bit
+for bit.
 """
 
 import itertools
@@ -15,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from missfit import elasticnet
+from missfit.adaptive import AdaptiveModel
 from missfit.core import DatasetError
 from missfit.joint import JointModel
 from missfit.learners import MiaNode, _impurity_sums, mean_impute
@@ -82,6 +85,23 @@ def fully_adaptive_predict(model, X, M) -> np.ndarray:
         f = model.pattern_fits.get(tuple(int(v) for v in M[i]), model.fallback)
         out[i] = f.intercept + float(Z[i] @ f.coefficients)
     return out
+
+
+def fit_fully_adaptive(dataset, spec):
+    """A fully adaptive model whose pattern fits are all solved at fit time,
+    each on its pattern's rows of the static design with their support
+    weights, into a plain dict. It calls missfit.elasticnet.fit itself, so
+    a count of adaptive's solves does not see it."""
+    Z = expand_matrix(dataset.X, dataset.M, "static")
+
+    def solve(rows):
+        A = Z[rows]
+        weights = elasticnet.support_penalty_weights(A)
+        return elasticnet.fit(A, dataset.y[rows], replace(spec, penalty_weights=weights))
+
+    fits = {p: solve(rows) for p, rows in unique_patterns(dataset.M)}
+    return AdaptiveModel("fully_adaptive", dataset.d, None, fits,
+                         solve(np.arange(dataset.n)))
 
 
 def partition_tree_predict(tree, X, M) -> np.ndarray:

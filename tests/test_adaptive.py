@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
 from missfit.core import MaskedDataset, unique_patterns
 from missfit.elasticnet import (ElasticNetSpec, LinearFit, fit as enet_fit,
                                 support_penalty_weights)
+import oracles
 from oracles import masked_dot
 
 POLY1 = "polynomial1"
@@ -228,6 +230,98 @@ class TestFitAdaptive:
             assert got.intercept == want.intercept
             assert got.coefficients.tobytes() == want.coefficients.tobytes()
             assert got.objective_trace == want.objective_trace
+
+
+class TestPatternFitsOnRead:
+    """A fully adaptive fit solves a pattern's fit when something first
+    reads it: a prediction, to_dict or items()."""
+
+    SPEC = ElasticNetSpec(lam=0.01)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """One entry per adaptive.enet_fit call made during the test."""
+        calls, real = [], adaptive.enet_fit
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "enet_fit", counted)
+        return calls
+
+    @staticmethod
+    def rows_of(ds, patterns):
+        keep = set(patterns)
+        return np.flatnonzero([tuple(m) in keep for m in ds.M.tolist()])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_any_reads_then_to_dict_give_the_eager_bytes(self, seed):
+        ds = random_dataset(seed, n=150, d=5)
+        eager = oracles.fit_fully_adaptive(ds, self.SPEC)
+        text = json.dumps(eager.to_dict())
+        groups = [p for p, _ in unique_patterns(ds.M)]
+        rng = np.random.default_rng(seed)
+        for k in (0, 1, len(groups) // 2, len(groups)):
+            model = fit_adaptive(ds, FULLY_ADAPTIVE, self.SPEC)
+            rows = self.rows_of(ds, [groups[i] for i in rng.permutation(len(groups))[:k]])
+            for batch in np.array_split(rng.permutation(rows), 3):
+                assert (model.predict(ds.X[batch], ds.M[batch]).tobytes()
+                        == eager.predict(ds.X[batch], ds.M[batch]).tobytes())
+            assert json.dumps(model.to_dict()) == text
+            assert type(AdaptiveModel.from_dict(model.to_dict()).pattern_fits) is dict
+
+    def test_a_pattern_no_batch_reads_is_never_solved(self, solves):
+        ds = random_dataset(10, n=150, d=5)
+        groups = [p for p, _ in unique_patterns(ds.M)]
+        model = fit_adaptive(ds, FULLY_ADAPTIVE, self.SPEC)
+        assert len(solves) == 1  # the fallback
+        read = groups[::3]
+        rows = self.rows_of(ds, read)
+        for _ in range(2):
+            model.predict(ds.X[rows], ds.M[rows])
+        assert list(model.pattern_fits) == groups  # order of first appearance
+        assert len(model.pattern_fits) == model.expansion_size == len(groups)
+        assert len(solves) == 1 + len(read)
+        fits = dict(model.pattern_fits.items())
+        assert len(solves) == 1 + len(groups)
+        assert all(model.pattern_fits[p] is f for p, f in fits.items())
+        assert len(solves) == 1 + len(groups)
+
+    def test_an_unseen_pattern_takes_the_fallback_without_a_solve(self, solves):
+        ds = random_dataset(11, n=150, d=4)
+        unseen = (1, 1, 0, 1)
+        train = ds.subset(np.flatnonzero([tuple(m) != unseen for m in ds.M.tolist()]))
+        model = fit_adaptive(train, FULLY_ADAPTIVE, self.SPEC)
+        solves.clear()
+        X, M = np.full((3, 4), 2.5), np.tile(unseen, (3, 1))
+        got = model.predict(X, M)
+        assert solves == []
+        want = oracles.fit_fully_adaptive(train, self.SPEC).predict(X, M)
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == model.fallback.intercept + float(
+            np.where(M[0] == 1, 0.0, X[0]) @ model.fallback.coefficients)
+
+    def test_membership_solves_nothing(self, solves):
+        ds = random_dataset(12, n=150, d=4)
+        model = fit_adaptive(ds, FULLY_ADAPTIVE, self.SPEC)
+        solves.clear()
+        assert all(p in model.pattern_fits for p, _ in unique_patterns(ds.M))
+        assert (2, 0, 0, 0) not in model.pattern_fits
+        assert "x" not in model.pattern_fits
+        assert solves == []
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            model.pattern_fits[(0, 0, 0, 0)] = model.fallback
+
+    @pytest.mark.parametrize("read", ["none", "some", "all"])
+    def test_pickle_round_trip_predicts_the_same_bytes(self, read):
+        ds = random_dataset(13, n=150, d=5)
+        model = fit_adaptive(ds, FULLY_ADAPTIVE, self.SPEC)
+        rows = {"none": [], "some": np.arange(0, ds.n, 7), "all": np.arange(ds.n)}[read]
+        model.predict(ds.X[rows], ds.M[rows])
+        back = pickle.loads(pickle.dumps(model))
+        assert back.predict(ds.X, ds.M).tobytes() == model.predict(ds.X, ds.M).tobytes()
+        assert json.dumps(back.to_dict()) == json.dumps(model.to_dict())
 
 
 class TestPredict:

@@ -1,4 +1,3 @@
-import contextlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +14,7 @@ from missfit import adaptive, bench
 from missfit.core import MaskedDataset
 from missfit.datagen import GeneratorSpec, generate
 from missfit.elasticnet import ElasticNetSpec
+import oracles
 
 
 class TestRSquared:
@@ -311,7 +311,15 @@ class TestNestedDepthGrids:
                 == deep.predict(test.X, test.M).tobytes())
 
 
+def patterns(M) -> set:
+    return set(map(tuple, np.asarray(M, dtype=int).tolist()))
+
+
 class TestSharedSolves:
+    """The solves kfold_cv and the refit leave out, every byte kept: finite
+    solves one tree per fold for its whole depth grid, and fully_adaptive
+    solves only the pattern fits that a prediction reads."""
+
     @pytest.fixture(scope="class")
     def censored(self):
         spec = GeneratorSpec(n=300, d=4, r=2, k=2, mechanism="censoring",
@@ -339,63 +347,37 @@ class TestSharedSolves:
     @pytest.mark.parametrize("name", ["finite", "fully_adaptive"])
     def test_same_bytes_with_fewer_solves(self, name, censored, solves,
                                           monkeypatch):
-        # with nesting on, finite fits only its depth-3 tree and the cache
-        # has nothing left to share there; this is the path without it
-        no_nesting(monkeypatch, name)
+        train, test = censored.subset(np.arange(200)), censored.subset(np.arange(200, 300))
         grid = METHODS[name].grid
-        shared = self.cv(censored, name, grid)
-        n_shared = len(solves)
-        monkeypatch.setattr(bench, "shared_solves", contextlib.nullcontext)
+        got = self.cv(train, name, grid)
+        n_cv = len(solves)
+        pred = fit_method(name, train, got[0], 0, "regression").predict(test.X, test.M)
+        n_refit = len(solves) - n_cv
         solves.clear()
-        assert self.cv(censored, name, grid) == shared
-        assert n_shared < len(solves)
-        if name == "finite":  # depths 1 and 2 are the top of the depth-3 tree
-            solves.clear()
-            self.cv(censored, name, grid[-1:])
-            assert n_shared <= len(solves)
-
-    def test_cache_lives_only_inside_the_block(self, censored, monkeypatch):
-        kfold_cv(censored, "finite", [{"max_depth": 1}], folds=3, seed=0)
-        assert adaptive._SOLVES is None
-        with adaptive.shared_solves():
-            outer = adaptive._SOLVES
-            kfold_cv(censored, "finite", [{"max_depth": 1}], folds=3, seed=0)
-            assert adaptive._SOLVES is outer and outer == {}
-        assert adaptive._SOLVES is None
-
-        def fails(*args, **kwargs):
-            raise RuntimeError("solver down")
-
-        monkeypatch.setattr(adaptive, "enet_fit", fails)
-        with pytest.raises(RuntimeError, match="solver down"):
-            kfold_cv(censored, "fully_adaptive", [{"lam": 0.1}], folds=3, seed=0)
-        assert adaptive._SOLVES is None
-
-    def test_a_hit_is_a_fresh_copy_of_the_solve(self, censored, solves):
-        A = adaptive.expand_matrix(censored.X, censored.M, "affine_intercept")
-        y = censored.y
-        spec = ElasticNetSpec(lam=1e-3, alpha=0.5)
-        fresh = adaptive._solve(A, y, spec)
+        if name == "finite":
+            # the deepest point's solves alone; the plain path fits every depth
+            self.cv(train, name, grid[-1:])
+            assert n_cv == len(solves)
+            no_nesting(monkeypatch, name)
+        else:
+            # per fold and grid point, the fallback and each validation
+            # pattern that the training rows hold; the plain path solves
+            # every training pattern at fit time, out of this count
+            chunks = np.array_split(np.random.default_rng(1).permutation(train.n), 5)
+            held = [(patterns(train.M[c]), patterns(np.delete(train.M, c, axis=0)))
+                    for c in chunks]
+            assert n_cv == len(grid) * sum(len(v & t) + 1 for v, t in held)
+            assert n_cv < len(grid) * sum(len(t) + 1 for _, t in held)
+            assert n_refit == len(patterns(test.M) & patterns(train.M)) + 1
+            eager = lambda name, train, spec, seed, task: \
+                oracles.fit_fully_adaptive(train, spec)
+            monkeypatch.setitem(METHODS, name, replace(METHODS[name], fit=eager))
         solves.clear()
-        with adaptive.shared_solves():
-            adaptive._solve(A, y, spec)
-            hit = adaptive._solve(A.copy(order="F"), y.copy(), spec)
-            (entry,) = adaptive._SOLVES.values()
-            assert len(solves) == 1
-            # other bytes or another spec are another problem
-            adaptive._solve(A, np.nextafter(y, np.inf), spec)
-            adaptive._solve(A, y, ElasticNetSpec(lam=1e-3, alpha=0.5,
-                                                 penalty_weights=np.ones(8)))
-            adaptive._solve(A, y, ElasticNetSpec(lam=1e-3, alpha=0.5, tol=1e-6))
-            assert len(solves) == len(adaptive._SOLVES) == 4
-        assert hit.converged == fresh.converged
-        assert np.float64(hit.intercept).tobytes() == np.float64(fresh.intercept).tobytes()
-        assert hit.coefficients.tobytes() == fresh.coefficients.tobytes()
-        assert np.array(hit.objective_trace).tobytes() \
-            == np.array(fresh.objective_trace).tobytes()
-        assert all(type(v) is float for v in hit.objective_trace)
-        assert not any(np.shares_memory(hit.coefficients, a)
-                       for a in entry if isinstance(a, np.ndarray))
+        assert self.cv(train, name, grid) == got
+        if name == "finite":
+            assert n_cv < len(solves)
+        plain = fit_method(name, train, got[0], 0, "regression")
+        assert plain.predict(test.X, test.M).tobytes() == pred.tobytes()
 
 
 class TestConfig:

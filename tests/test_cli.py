@@ -47,6 +47,30 @@ def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     assert out.strip() == "[]"
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # a C locale without UTF-8 mode makes ASCII the default file encoding;
+    # every file missfit writes or reads is UTF-8 whatever the locale
+    data, copy = tmp_path / "data.csv", tmp_path / "copy.csv"
+    data.write_text("température,x2,y\n1.5,NA,2.0\n-3.0,4.0,5.0\nNA,1.0,0.5\n",
+                    encoding="utf-8")
+    code = ("import sys; from missfit.core import read_csv, write_csv; "
+            "from missfit.cli import main; d, c = sys.argv[1:]; "
+            "write_csv(read_csv(d, 'y'), c); "
+            "assert main(['fit', '--data', c, '--method', 'static', '--out', c + '.json']) == 0; "
+            "assert main(['predict', '--model', c + '.json', '--data', c, '--out', c + '.p']) == 0")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(missfit.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, str(data), str(copy)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    a, b = read_csv(data, "y"), read_csv(copy, "y")
+    assert b.feature_names == ("température", "x2")
+    assert a.M.tobytes() == b.M.tobytes() and a.y.tobytes() == b.y.tobytes()
+    assert np.where(a.M == 1, 0, a.X).tobytes() == np.where(b.M == 1, 0, b.X).tobytes()
+    assert len((tmp_path / "copy.csv.p").read_text(encoding="utf-8").splitlines()) == 4
+
+
 class TestGenerate:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "gen.csv"
@@ -162,7 +186,10 @@ INVALID_MODELS = {
          "patterns": [{"bits": [True, False, False], "fit": FIT}], "fallback": FIT},
         {"mode": "fully_adaptive", "d": 3, "expansion_size": 1,
          "patterns": [{"bits": [0, 1, 0], "fit": FIT}, {"bits": [0, 1, 0], "fit": FIT}],
-         "fallback": FIT}],
+         "fallback": FIT},
+        # converged is a bool where present
+        *({"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "converged": v}}
+          for v in ("no", 1, None))],
     "partition_tree": [{"d": 3, "root": {**PART, "split_feature": 3}},
                        {"d": 3, "root": {**PART, "split_feature": -1}},
                        {"d": 3, "root": {**PART, "fit": {**FIT, "coefficients": [1.0]}}},
@@ -188,7 +215,11 @@ INVALID_MODELS = {
         *({"contract": "linear", "predictor": {"type": "linear", **FIT}, **bad}
           for bad in ({"mu": ["0.5", 0.0, 0.0], "sigma": [1.0] * 3},
                       {"mu": [0.0] * 3, "sigma": [True, 1.0, 1.0]},
-                      {"mu": [HUGE, 0.0, 0.0], "sigma": [1.0] * 3}))],
+                      {"mu": [HUGE, 0.0, 0.0], "sigma": [1.0] * 3})),
+        # stop_reason is a string where present
+        *({"contract": "linear", "mu": [0.0] * 3, "sigma": [1.0] * 3,
+           "stop_reason": v, "predictor": {"type": "linear", **FIT}}
+          for v in ([1, 2], 3, None))],
     "mia_tree": [*({"d": 3, "root": {**SPLIT, **bad}}
                    for bad in ({"missing_side": "up"}, {"threshold": "x"},
                                {"threshold": True}, {"feature": 1.5},
@@ -363,6 +394,18 @@ class TestFitPredict:
                              str(dataset_csv), "--out", str(preds)]) == 0
                 out.append(preds.read_bytes())
             assert out[0] == out[1]
+
+    def test_converged_and_stop_reason_may_be_absent(self):
+        # the joint's linear predictor document has no converged flag
+        static = {"mode": "static", "d": 3, "expansion_size": 3, "fit": FIT}
+        assert LOADERS["adaptive"].from_dict(static).fit.converged is True
+        static["fit"] = {**FIT, "converged": False}
+        assert LOADERS["adaptive"].from_dict(static).fit.converged is False
+        joint = {"contract": "linear", "mu": [0.0] * 3, "sigma": [1.0] * 3,
+                 "predictor": {"type": "linear", **FIT}}
+        assert LOADERS["joint"].from_dict(joint).stop_reason == ""
+        joint["stop_reason"] = "max_cycles"
+        assert LOADERS["joint"].from_dict(joint).stop_reason == "max_cycles"
 
     # n_rows as a string on the root, or below 1 on a child
     BAD_N_ROWS = {
