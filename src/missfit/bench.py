@@ -3,7 +3,10 @@
 run_experiment reproduces the evaluation pipeline: per replication, hold out
 a test fraction, tune each method's hyper-parameters by k-fold CV on the
 training split, refit on the full training split, and score on the test
-split. Records are canonically ordered so output bytes never depend on the
+split. A method whose grid has one point is not cross-validated, since CV
+could choose nothing else: that point is fitted once. A composite's variants
+always are, one-point grids included, because their CV scores pick the
+variant. Records are canonically ordered so output bytes never depend on the
 degree of parallelism.
 """
 
@@ -139,7 +142,9 @@ class Method:
     spec: Callable     # (**params) -> the checked spec that fit reads
     params: tuple[str, ...]  # the grid parameters: spec's keywords
     fit: Callable      # (name, train, spec, seed, task) -> model
-    grid: list[dict]   # default hyper-parameter grid for kfold_cv
+    # default hyper-parameter grid; run alone, a method is cross-validated
+    # over it only where it has more than one point
+    grid: list[dict]
     saves: bool = False  # `missfit fit` may save it (model.to_dict())
     # its tree grown to max_depth k is the top k levels of any deeper one on
     # the same rows, and its model's predict(X, M, depth) reads that top
@@ -268,6 +273,12 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     return best
 
 
+def cv_fits(name: str, grid: list[dict], folds: int) -> int:
+    """The fit_method calls kfold_cv(..., name, grid, folds, ...) makes: per
+    fold, one per grid point that is fitted, a nested depth grid once."""
+    return folds * len({top for top, _ in _depth_caps(name, grid)})
+
+
 # ---------------------------------------------------------------------------
 # Experiment configuration and runner
 
@@ -367,6 +378,19 @@ class ExperimentConfig:
                 raise ConfigError(f"$.{req}: required field missing")
         return cls(**doc)
 
+    def grid(self, name: str) -> list[dict]:
+        """The grid of individual method `name`: the config's, else the default."""
+        return self.grids.get(name, METHODS[name].grid)
+
+
+def cv_grids(config: ExperimentConfig, method: str) -> dict[str, list[dict]]:
+    """Variant -> grid, for each variant a cell of `method` cross-validates:
+    each of a composite's, one-point grids included, as their scores pick
+    the variant; a method alone only if its grid has more than one point."""
+    if method in BEST_VARIANTS:
+        return {v: config.grid(v) for v in BEST_VARIANTS[method]}
+    return {method: grid} if len(grid := config.grid(method)) > 1 else {}
+
 
 @dataclass(frozen=True)
 class Record:
@@ -439,20 +463,22 @@ def run_replication(config: ExperimentConfig, rep: int,
     setting = _replication_setting(config)
 
     records, errors = [], []
-    tuned = {}  # variant -> (params, cv score); each is cross-validated once
+    # variant -> (params, cv score), for each variant of cv_grids; a variant
+    # that two cells cross-validate is cross-validated once per replication
+    tuned = {}
     for method in methods:
         t0 = time.perf_counter()
         try:
             train, test = oracle_split if method == "oracle" else split
             picks = []
-            for v in BEST_VARIANTS.get(method, (method,)):
+            for v, grid in cv_grids(config, method).items():
                 if v not in tuned:
-                    grid = config.grids.get(v, METHODS[v].grid)
                     tuned[v] = kfold_cv(train, v, grid, config.cv_folds,
                                         rep_seed, task)
                 params, score = tuned[v]
                 picks.append((score, v, params))
-            _, chosen, params = max(picks, key=lambda t: t[0])
+            _, chosen, params = max(picks, key=lambda t: t[0]) if picks \
+                else (None, method, config.grid(method)[0])  # nothing to choose
             model = fit_method(chosen, train, params, rep_seed, task)
             value = _score(test.y, model.predict(test.X, test.M), task)
             records.append(Record(config.name, method, setting, rep,

@@ -7,6 +7,7 @@ driven by --seed; the MISSFIT_SEED environment variable overrides it.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -131,10 +132,15 @@ def cmd_bench(args) -> int:
         src = (f"generator {config.generator}" if config.generator is not None
                else f"dataset {config.dataset_csv}")
         print(f"  data: {src}")
+        tuned = set()  # as in run_replication: a variant is cross-validated once
         for m in config.methods:
-            grid = config.grids.get(m)
-            note = f" grid={grid}" if grid else ""
-            print(f"  method {m}{note}")
+            cv = bench.cv_grids(config, m)
+            fits = 1 + sum(bench.cv_fits(v, grid, config.cv_folds)
+                           for v, grid in cv.items() if v not in tuned)
+            tuned.update(cv)
+            print(f"  method {m}, fits per replication: {fits}")
+            for v in bench.BEST_VARIANTS.get(m, (m,)):
+                print(f"    {v} grid={config.grid(v)}")
         return 0
     if not os.path.isdir(out_dir := os.path.dirname(args.out) or "."):
         raise FileNotFoundError(f"--out {args.out}: no directory {out_dir}")
@@ -224,6 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # stdout escapes what its encoding cannot hold, as stderr does, so that a
+    # non-ASCII column name does not fail a command under an ASCII locale
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -526,6 +526,64 @@ class TestRunner:
         assert (tmp_path / "both.csv").read_bytes() == \
             (tmp_path / "alone.csv").read_bytes()
 
+    def counted(self, monkeypatch, name):
+        """The positional arguments of each call of bench.<name>."""
+        calls, real = [], getattr(bench, name)
+        monkeypatch.setattr(bench, name,
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_a_one_point_method_is_fitted_once_without_cv(self, monkeypatch):
+        cv = self.counted(monkeypatch, "kfold_cv")
+        fits = self.counted(monkeypatch, "fit_method")
+        table = run_experiment(tiny_config())  # one point per method
+        assert table.errors == [] and len(table.records) == 4
+        assert cv == []
+        assert sorted(a[0] for a in fits) == ["cart_mia"] * 2 + ["static"] * 2
+
+    @pytest.mark.parametrize("method, point", [
+        ("static", {"lam": 0.01}), ("cart_mia", {"max_depth": 3}),
+        ("rf_mia", {"max_depth": 3, "n_trees": 3}),
+        ("joint_forest", {"max_depth": 3, "n_trees": 3})])
+    def test_one_point_bytes_equal_those_of_the_point_cross_validated(
+            self, method, point, tmp_path):
+        # the point listed twice forces CV, whose ties keep the earliest point
+        paths = []
+        for grid in ([point], [point, point]):
+            table = run_experiment(tiny_config(methods=[method],
+                                               grids={method: grid}))
+            assert table.errors == [] and len(table.records) == 2
+            paths.append(tmp_path / f"{len(grid)}.csv")
+            write_results_csv(table, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    ONE_POINT_VARIANTS = {"static": [{"lam": 0.01}],
+                          "affine_intercept": [{"lam": 0.01}],
+                          "affine": [{"lam": 0.01}],
+                          "finite": [{"max_depth": 1}]}
+
+    def test_a_composite_cross_validates_its_one_point_variants(
+            self, monkeypatch):
+        cv = self.counted(monkeypatch, "kfold_cv")
+        table = run_experiment(tiny_config(methods=["adaptive_best"],
+                                           grids=self.ONE_POINT_VARIANTS))
+        assert table.errors == []
+        assert [a[1] for a in cv] == list(BEST_VARIANTS["adaptive_best"]) * 2
+
+    @pytest.mark.parametrize("methods", [["static", "adaptive_best"],
+                                         ["adaptive_best", "static"]])
+    def test_a_one_point_method_beside_its_composite(self, methods, tmp_path):
+        grids = self.ONE_POINT_VARIANTS
+        both = run_experiment(tiny_config(methods=methods, grids=grids))
+        alone = [run_experiment(tiny_config(methods=[m], grids=grids))
+                 for m in methods]
+        assert both.errors == [] and len(both.records) == 4
+        write_results_csv(both, tmp_path / "both.csv")
+        write_results_csv(ResultsTable(alone[0].records + alone[1].records),
+                          tmp_path / "alone.csv")
+        assert (tmp_path / "both.csv").read_bytes() == \
+            (tmp_path / "alone.csv").read_bytes()
+
     def test_run_experiment_serial_equals_parallel(self):
         config = tiny_config()
         serial = run_experiment(config, jobs=1)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -485,6 +486,37 @@ class TestBench:
         assert "method static" in text
         assert not (tmp_path / "out.csv").exists()
 
+    def test_dry_run_lists_grids_and_the_fits_a_replication_makes(
+            self, tmp_path, capsys, monkeypatch):
+        doc = config_doc(
+            methods=["rf_mia", "cart_mia", "static", "adaptive_best"],
+            grids={"rf_mia": [{"max_depth": 6, "n_trees": 8}],
+                   "cart_mia": [{"max_depth": 2}, {"max_depth": 4},
+                                {"max_depth": 4, "min_leaf": 9}]})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "out.csv"), "--dry-run"]) == 0
+        text = capsys.readouterr().out
+        # 3 folds; cart_mia's depths 2 and 4 share a fit, its min_leaf 9
+        # point fits alone; adaptive_best reuses static's cross-validation
+        assert ("  method rf_mia, fits per replication: 1\n"
+                "    rf_mia grid=[{'max_depth': 6, 'n_trees': 8}]\n"
+                "  method cart_mia, fits per replication: 7\n"
+                "    cart_mia grid=[{'max_depth': 2}, {'max_depth': 4}, "
+                "{'max_depth': 4, 'min_leaf': 9}]\n"
+                "  method static, fits per replication: 10\n"
+                "    static grid=[{'lam': 0.1}, {'lam': 0.01}, {'lam': 0.001}]\n"
+                "  method adaptive_best, fits per replication: 22\n"
+                "    static grid=[{'lam': 0.1}, {'lam': 0.01}, {'lam': 0.001}]\n"
+                "    affine_intercept grid=") in text
+        calls = []  # the fits one replication makes, as the plan counts them
+        fit = missfit.bench.fit_method
+        monkeypatch.setattr(missfit.bench, "fit_method",
+                            lambda *a, **k: calls.append(a) or fit(*a, **k))
+        _, errors = missfit.bench.run_replication(ExperimentConfig(**doc), 0)
+        assert errors == [] and len(calls) == 1 + 7 + 10 + 22
+
     def test_dry_run_names_an_all_default_generator(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config_doc(generator={})))
@@ -787,6 +819,21 @@ class TestInspect:
         text = capsys.readouterr().out
         assert "n=80 d=3" in text
         assert "missing fraction" in text
+
+    @pytest.mark.parametrize("encoding, name", [("ascii", b"temp\\xe9rature"),
+                                                ("utf-8", "température".encode())])
+    def test_a_name_stdout_cannot_encode_is_escaped(self, tmp_path, monkeypatch,
+                                                    encoding, name):
+        # stdout's encoding follows the locale, and an ASCII one cannot hold
+        # the name: it is escaped, as stderr does, and the command succeeds
+        data = tmp_path / "data.csv"
+        data.write_text("température,y\n1.0,2.0\nNA,3.0\n", encoding="utf-8")
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding=encoding))
+        assert main(["inspect", str(data)]) == 0
+        sys.stdout.flush()
+        assert raw.getvalue() == (b"n=2 d=1 patterns=2\n  " + name
+                                  + b": missing fraction 0.5\n")
 
     def test_model_summary(self, dataset_csv, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -85,6 +85,22 @@ def test_kfold_cv_scores_when_folds_hold_one_class(name):
         assert np.isfinite(score)
 
 
+@pytest.mark.parametrize("name, point", [
+    ("static", {"lam": 0.01}), ("cart_mia", {"max_depth": 2, "min_leaf": 1})])
+def test_a_one_point_method_fits_fewer_training_rows_than_folds(name, point):
+    # 4 training rows and 5 folds: a one-point cell is fitted without CV; a
+    # two-point one still needs CV, and CV needs a row per fold
+    doc = {"name": "few", "methods": [name], "replications": 1,
+           "generator": {"n": 8, "d": 2, "k": 1, "r": 1},
+           "test_fraction": 0.5, "cv_folds": 5}
+    recs, errs = bench.run_replication(
+        bench.ExperimentConfig(**doc, grids={name: [point]}), 0)
+    assert errs == [] and np.isfinite(recs[0].value)
+    _, errs = bench.run_replication(
+        bench.ExperimentConfig(**doc, grids={name: [point, point]}), 0)
+    assert len(errs) == 1 and "need n >= folds" in errs[0]
+
+
 def tiny_config():
     """Every method and *_best variant, one grid point each."""
     return {"name": "tiny",
