@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -37,6 +38,19 @@ AFFINE = "affine"
 FULLY_ADAPTIVE = "fully_adaptive"
 
 
+def _degree(mode, d: int) -> int:
+    """The largest mask-monomial size t of mode's columns, checked against d."""
+    name = isinstance(mode, str) and re.fullmatch(
+        "static|affine_intercept|affine|polynomial([1-9][0-9]*)", mode)
+    if not name:
+        raise ValueError(f"unknown expansion mode {mode!r}")
+    if mode in (STATIC, AFFINE_INTERCEPT):
+        return int(mode == AFFINE_INTERCEPT)
+    if (t := int(name[1] or 1)) > d:
+        raise ValueError(f"polynomial degree {t} exceeds d={d}")
+    return t
+
+
 @functools.lru_cache(maxsize=None)  # holds valid (mode, d) pairs only
 def _terms(mode, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Index table (jp, J) of every mode's columns after the z block, each
@@ -44,14 +58,7 @@ def _terms(mode, d: int) -> tuple[np.ndarray, np.ndarray]:
     observed feature jp. J has size 1..t in (size, lex) order, padded with d;
     index d is a constant-1 column of both z and m. static lists no column,
     affine_intercept the d masks only (t = 1), and affine is polynomial1."""
-    name = isinstance(mode, str) and re.fullmatch(
-        "static|affine_intercept|affine|polynomial([1-9][0-9]*)", mode)
-    if not name:
-        raise ValueError(f"unknown expansion mode {mode!r}")
-    if mode in (STATIC, AFFINE_INTERCEPT):
-        t = int(mode == AFFINE_INTERCEPT)
-    elif (t := int(name[1] or 1)) > d:
-        raise ValueError(f"polynomial degree {t} exceeds d={d}")
+    t = _degree(mode, d)
     sets = [J for size in range(1, t + 1)
             for J in itertools.combinations(range(d), size)]
     terms = [(d, J) for J in sets]
@@ -62,8 +69,16 @@ def _terms(mode, d: int) -> tuple[np.ndarray, np.ndarray]:
     return jp, J.reshape(len(terms), max(t, 1))
 
 
-def expansion_size(d: int, mode: str) -> int:
-    return d + len(_terms(mode, d)[0])
+def expansion_size(d: int, mode: str, most=math.inf) -> int:
+    """Columns of mode's design on d features, as _terms lists them: z, then
+    per size s, C(d, s) mask monomials and, but for affine_intercept,
+    d * C(d - 1, s) interactions. The count stops once it passes `most`."""
+    size = d
+    for s in range(1, _degree(mode, d) + 1):
+        if size > most:
+            break
+        size += math.comb(d, s) + d * math.comb(d - 1, s) * (mode != AFFINE_INTERCEPT)
+    return size
 
 
 def expand_matrix(X, M, mode: str) -> np.ndarray:
@@ -186,7 +201,7 @@ class AdaptiveModel:
             fits, size = [model.fallback, *pats.values()], d
         else:
             model = cls(mode, d, LinearFit.from_dict(doc["fit"]))
-            fits, size = [model.fit], expansion_size(d, mode)
+            fits, size = [model.fit], expansion_size(d, mode, len(model.fit.coefficients))
         if any(len(f.coefficients) != size for f in fits):
             raise ValueError(f"{mode} fit without {size} coefficients")
         return model

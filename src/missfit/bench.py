@@ -147,7 +147,9 @@ class Method:
     grid: list[dict]
     saves: bool = False  # `missfit fit` may save it (model.to_dict())
     # its tree grown to max_depth k is the top k levels of any deeper one on
-    # the same rows, and its model's predict(X, M, depth) reads that top
+    # the same rows, and its model's predict(X, M, depth) reads that top:
+    # cart_mia, finite and mean_impute_tree, whose mu is the column means at
+    # every depth; not joint_tree, whose mu search reads the tree
     nests: bool = False
 
     def build(self, params: dict):
@@ -180,7 +182,7 @@ METHODS = {
     "joint_tree": Method(*_TREE, _fit_imputed, _depths(3, 5), True),
     "joint_forest": Method(*_FOREST, _fit_imputed, _depths(6, n_trees=50), True),
     "mean_impute_linear": Method(*_LINEAR, _fit_imputed, _lams(0.1, 0.01, 0.001), True),
-    "mean_impute_tree": Method(*_TREE, _fit_imputed, _depths(3, 5, 7), True),
+    "mean_impute_tree": Method(*_TREE, _fit_imputed, _depths(3, 5, 7), True, nests=True),
     "mean_impute_forest": Method(*_FOREST, _fit_imputed, _depths(6, 9, n_trees=100), True),
     "cart_mia": Method(*_TREE, _fit_mia, _depths(2, 4, 6, 8, 10), True, nests=True),
     "rf_mia": Method(*_FOREST, _fit_mia, _depths(6, 9, n_trees=100), True),
@@ -238,10 +240,10 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     the earliest grid point in declared order. Returns (params, cv_score).
 
     Depth grids nest: where a method's tree grown to depth k is the top of
-    a deeper one (cart_mia, finite), the points that differ only in
-    max_depth are fitted once per fold, at the deepest of them, and each is
-    scored on that fit's predictions at its own depth, which are the bytes
-    of its own fit's (_depth_caps).
+    a deeper one (cart_mia, finite, mean_impute_tree), the points that
+    differ only in max_depth are fitted once per fold, at the deepest of
+    them, and each is scored on that fit's predictions at its own depth,
+    which are the bytes of its own fit's (_depth_caps).
     """
     if dataset.n < folds:
         raise ValueError("need n >= folds")

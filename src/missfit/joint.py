@@ -35,7 +35,8 @@ class FitLimits:
 
 
 # A contract is the downstream fit: contract(X, y, seed) returns an object
-# with predict(X) -> predictions, and is deterministic given its inputs.
+# with predict(X) -> predictions, and is deterministic given its inputs. A
+# fitted MiaTree or Forest is such an object: it reads X as fully observed.
 Contract = Callable[[np.ndarray, np.ndarray, int], object]
 
 
@@ -55,19 +56,9 @@ def forest_contract(params: TreeParams | None = None) -> Contract:
 def _mia_contract(fit, params: TreeParams) -> Contract:
     def contract(X, y, seed):
         ds = MaskedDataset(X, np.zeros_like(X, dtype=np.int8), y)
-        return _FullyObservedWrapper(fit(ds, replace(params, seed=seed)))
+        return fit(ds, replace(params, seed=seed))
 
     return contract
-
-
-class _FullyObservedWrapper:
-    """Adapts a MIA tree or forest to predict on plain numeric matrices."""
-
-    def __init__(self, model: MiaTree | Forest):
-        self.model = model
-
-    def predict(self, X) -> np.ndarray:
-        return self.model.predict(X, np.zeros_like(X, dtype=np.int8))
 
 
 def mse_error(y, yhat) -> float:
@@ -105,16 +96,20 @@ class JointModel:
     @property
     def contract_label(self) -> str:
         """The predictor's kind: linear, tree or forest."""
-        pred = self.predictor
-        if isinstance(pred, LinearFit):
-            return "linear"
-        if isinstance(pred, _FullyObservedWrapper):
-            return "tree" if isinstance(pred.model, MiaTree) else "forest"
-        raise TypeError(f"no contract label for a {type(pred).__name__} predictor")
+        kind = {LinearFit: "linear", MiaTree: "tree", Forest: "forest"}
+        if (label := kind.get(type(self.predictor))) is None:
+            raise TypeError(f"no contract label for a "
+                            f"{type(self.predictor).__name__} predictor")
+        return label
 
-    def predict(self, X, M) -> np.ndarray:
+    def predict(self, X, M, depth=None) -> np.ndarray:
+        """The predictor's values with mu in the masked slots; a tree's cut
+        at `depth`, if given."""
         X, M = batch(X, M, len(self.mu))
-        return self.predictor.predict(np.where(M == 1, self.mu, X))
+        A = np.where(M == 1, self.mu, X)
+        if depth is None:
+            return self.predictor.predict(A)
+        return self.predictor.predict(A, depth=depth)
 
     def to_dict(self) -> dict:
         pred, label = self.predictor, self.contract_label
@@ -122,7 +117,7 @@ class JointModel:
             predictor = {"type": "linear", "intercept": float(pred.intercept),
                          "coefficients": list(map(float, pred.coefficients))}
         else:
-            predictor = pred.model.to_dict()
+            predictor = pred.to_dict()
         return {"type": "joint", "contract": label,
                 "mu": list(map(float, self.mu)),
                 "sigma": list(map(float, self.sigma)),
@@ -131,14 +126,11 @@ class JointModel:
     @classmethod
     def from_dict(cls, doc) -> JointModel:
         p = doc["predictor"]
-        if p["type"] == "linear":
-            predictor = LinearFit.from_dict(p)
-        elif p["type"] in ("mia_tree", "mia_forest"):
-            model = MiaTree if p["type"] == "mia_tree" else Forest
-            predictor = _FullyObservedWrapper(model.from_dict(p))
-        else:
+        loader = {"linear": LinearFit, "mia_tree": MiaTree, "mia_forest": Forest}
+        if (kind := loader.get(p["type"])) is None:
             raise ValueError(f"predictor type {p['type']!r} is not linear, "
                              "mia_tree or mia_forest")
+        predictor = kind.from_dict(p)
         check_finite("mu", *doc["mu"])
         check_finite("sigma", *doc["sigma"])
         mu, sigma = (np.array(doc[k], dtype=float) for k in ("mu", "sigma"))

@@ -111,10 +111,10 @@ class _Routing:
         self.col, self.thr, self.value, self.child = map(np.array, zip(*slots))
         self.d, self.trees, self.depth = d, len(roots), max(depth)
 
-    def route(self, X, M, depth=None) -> np.ndarray:
+    def route(self, X, M=None, depth=None) -> np.ndarray:
         """Check a batch; its leaf values, (trees, rows), in every tree cut
-        at `depth` if that is given."""
-        X, M = batch(X, M, self.d)
+        at `depth` if that is given. Without a mask M, X is fully observed."""
+        X, M = batch(X, np.zeros_like(X, dtype=np.int8) if M is None else M, self.d)
         n, m = len(X), M == 1
         Z = np.concatenate([np.where(m, -np.inf, X), np.where(m, np.nan, X), 1.0 - m], 1)
         Z, base = Z.ravel(), np.arange(n) * (3 * self.d)
@@ -137,8 +137,9 @@ class MiaTree:
     def _routing(self) -> _Routing:
         return _Routing([self.root], self.d)
 
-    def predict(self, X, M, depth=None) -> np.ndarray:
-        """Leaf values; at `depth`, those of this tree cut at that depth."""
+    def predict(self, X, M=None, depth=None) -> np.ndarray:
+        """Leaf values; at `depth`, those of this tree cut at that depth.
+        Without a mask M, X is fully observed."""
         return self._routing.route(X, M, depth)[0]
 
     def to_dict(self) -> dict:
@@ -375,7 +376,7 @@ class Forest:
     def _routing(self) -> _Routing:
         return _Routing([t.root for t in self.trees], self.d)
 
-    def predict(self, X, M) -> np.ndarray:
+    def predict(self, X, M=None) -> np.ndarray:
         return self._routing.route(X, M).mean(axis=0)
 
     def to_dict(self) -> dict:

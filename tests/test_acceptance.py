@@ -30,10 +30,16 @@ def _report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def _run_config(path):
+def _run_config(path, tmp_path):
+    """Per method, the mean score of the config's full run, whose results
+    CSV must be the bytes of the committed <name>.results.csv beside it."""
     config = ExperimentConfig.from_json(path.read_text())
     table = run_experiment(config, jobs=4)
     assert not table.errors, table.errors
+    write_results_csv(table, out := tmp_path / "results.csv")
+    golden = path.with_name(f"{path.stem}.results.csv")
+    assert out.read_bytes() == golden.read_bytes(), \
+        f"results moved: diff {out} {golden}, and rewrite it if on purpose"
     means = {}
     for (method, metric), (mean, _se) in table.summary().items():
         means[method] = mean
@@ -41,8 +47,8 @@ def _run_config(path):
 
 
 class TestCriterion1:
-    def test_censoring_gap(self):
-        means = _run_config(CONFIG_DIR / "censoring_linear.json")
+    def test_censoring_gap(self, tmp_path):
+        means = _run_config(CONFIG_DIR / "censoring_linear.json", tmp_path)
         gap_joint = means["joint_linear"] - means["mean_impute_linear"]
         gap_adaptive = means["affine_intercept"] - means["mean_impute_linear"]
         _report("criterion 1: censoring R2 gap > 0.03 for joint and adaptive",
@@ -51,18 +57,18 @@ class TestCriterion1:
 
 
 class TestCriterion2:
-    def test_mcar_parity(self):
-        means = _run_config(CONFIG_DIR / "mcar_linear.json")
+    def test_mcar_parity(self, tmp_path):
+        means = _run_config(CONFIG_DIR / "mcar_linear.json", tmp_path)
         diff = abs(means["joint_linear"] - means["mean_impute_linear"])
         _report("criterion 2: MCAR |joint - mean-impute| < 0.03",
                 diff < 0.03, f"|diff| = {diff:.4f}")
 
 
 class TestCriterion11:
-    def test_nmar_gap(self):
+    def test_nmar_gap(self, tmp_path):
         # recorded over 10 replications: +0.030 (affine_intercept) and +0.028
         # (joint_linear); the same config with setting mar ties at 0.585
-        means = _run_config(CONFIG_DIR / "nmar_linear.json")
+        means = _run_config(CONFIG_DIR / "nmar_linear.json", tmp_path)
         gap_joint = means["joint_linear"] - means["mean_impute_linear"]
         gap_adaptive = means["affine_intercept"] - means["mean_impute_linear"]
         _report("criterion 11: NMAR R2 gap > 0.015 for joint and adaptive",

@@ -249,6 +249,29 @@ class TestNestedDepthGrids:
         assert cv_bytes(data, "cart_mia", grid, task) == nested
         assert fits == [t for t in (1, 2, 3, 5, 8) for _ in range(4)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_mean_impute_tree_keeps_its_bytes(self, task, mechanism, seed, fits,
+                                              monkeypatch):
+        # mu is the column means at every depth, so the imputed matrix, and
+        # with it the tree, is the same at every depth
+        data = generated(mechanism, seed, task, n=300)
+        grid = [{"max_depth": t} for t in (3, 5, 7)]
+        nested = cv_bytes(data, "mean_impute_tree", grid, task)
+        assert fits == [7] * 4
+        no_nesting(monkeypatch, "mean_impute_tree")
+        fits.clear()
+        assert cv_bytes(data, "mean_impute_tree", grid, task) == nested
+        assert fits == [t for t in (3, 5, 7) for _ in range(4)]
+
+    def test_joint_tree_does_not_nest(self, fits):
+        # its mu search reads the tree, so each depth imputes its own mu
+        assert not METHODS["joint_tree"].nests
+        kfold_cv(generated("censoring", 3), "joint_tree",
+                 [{"max_depth": 2}, {"max_depth": 3}], 4, 1)
+        assert fits == [2] * 4 + [3] * 4
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
     def test_finite_keeps_its_bytes(self, mechanism, seed, fits, monkeypatch):
@@ -259,7 +282,7 @@ class TestNestedDepthGrids:
         no_nesting(monkeypatch, "finite")
         assert cv_bytes(data, "finite", grid) == nested
 
-    @pytest.mark.parametrize("name", ["cart_mia", "finite"])
+    @pytest.mark.parametrize("name", ["cart_mia", "finite", "mean_impute_tree"])
     @pytest.mark.parametrize("depths", [(1, 2, 3), (3, 2, 1), (2, 3, 2, 1, 3)],
                              ids=["ascending", "descending", "repeated"])
     def test_any_order_and_ties(self, name, depths, fits, monkeypatch):
@@ -298,7 +321,7 @@ class TestNestedDepthGrids:
             kfold_cv(generated("mcar", 7), "cart_mia",
                      [{"max_depth": 0}, {"max_depth": 4}], 4, 1)
 
-    @pytest.mark.parametrize("name", ["cart_mia", "finite"])
+    @pytest.mark.parametrize("name", ["cart_mia", "finite", "mean_impute_tree"])
     def test_a_capped_prediction_is_the_shallow_fits(self, name):
         data = generated("censoring", 8)
         train, test = data.subset(np.arange(160)), data.subset(np.arange(160, 240))

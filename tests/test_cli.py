@@ -1,6 +1,10 @@
+import contextlib
+import functools
 import io
 import json
+import operator
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import asdict
@@ -8,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import missfit
 from missfit.bench import ExperimentConfig
-from missfit.cli import LOADERS, main
+from missfit.cli import LOADERS, UsageError, _load_model, main
 from missfit.core import MaskedDataset, read_csv, write_csv
-from missfit.datagen import GeneratorSpec
+from missfit.datagen import GeneratorSpec, generate
 
 
 @pytest.fixture
@@ -151,6 +156,25 @@ class TestGenerate:
         assert a.read_bytes() != c.read_bytes()
 
 
+class Overran(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_bound(seconds: float):
+    """Fail the block with Overran once it has run `seconds` of wall time."""
+    def overran(signum, frame):
+        raise Overran(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # per saved model type, documents whose fields are well typed but do not fit
 # together, or hold a string where a number belongs; d = 3, as the data
 FIT = {"intercept": 0.0, "coefficients": [1.0, 2.0, 3.0]}
@@ -190,7 +214,15 @@ INVALID_MODELS = {
          "fallback": FIT},
         # converged is a bool where present
         *({"mode": "static", "d": 3, "expansion_size": 3, "fit": {**FIT, "converged": v}}
-          for v in ("no", 1, None))],
+          for v in ("no", 1, None)),
+        # a d whose design is far larger than the fit: refused without the
+        # term table, which would not fit in memory or time
+        {"mode": "static", "d": 10 ** 30, "expansion_size": 1,
+         "fit": {**FIT, "coefficients": [1.0]}},
+        {"mode": "polynomial20", "d": 40, "expansion_size": 40,
+         "fit": {**FIT, "coefficients": [1.0] * 40}},
+        {"mode": "affine_intercept", "d": HUGE, "expansion_size": 1,
+         "fit": {**FIT, "coefficients": [1.0]}}],
     "partition_tree": [{"d": 3, "root": {**PART, "split_feature": 3}},
                        {"d": 3, "root": {**PART, "split_feature": -1}},
                        {"d": 3, "root": {**PART, "fit": {**FIT, "coefficients": [1.0]}}},
@@ -361,7 +393,8 @@ class TestFitPredict:
             for argv in (["predict", "--model", str(bad), "--data",
                           str(dataset_csv), "--out", str(tmp_path / "p.csv")],
                          ["inspect", str(bad)]):
-                assert main(argv) == 2
+                with time_bound(2.0):  # a refusal reads the file, nothing more
+                    assert main(argv) == 2
                 assert "malformed model file" in capsys.readouterr().err
 
     def test_infinite_threshold_loads(self, dataset_csv, tmp_path, capsys):
@@ -462,6 +495,85 @@ class TestFitPredict:
         assert "malformed model file" in err and "unknown expansion mode" in err
 
 
+SAVED = sorted(m for m, entry in missfit.bench.METHODS.items() if entry.saves)
+DELETE = object()  # the mutant that deletes the value
+MUTANTS = ("x", True, None, [], {}, 0, -1, 1, 2, 7, HUGE, DELETE)
+
+
+def mutation_data() -> MaskedDataset:
+    return generate(GeneratorSpec(n=80, d=3, k=2, r=2, p=0.3, seed=0))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def saved_document(method: str) -> str:
+    """The JSON text that `missfit fit` saves for `method` on mutation_data,
+    at its first default grid point, with 3 trees in a forest."""
+    params = {**missfit.bench.METHODS[method].grid[0]}
+    if "n_trees" in params:
+        params["n_trees"] = 3
+    model = missfit.bench.fit_method(method, mutation_data(), params, 0, "regression")
+    return json.dumps(model.to_dict())
+
+
+def value_paths(doc, path=()):
+    """The path (keys and indices) of every value below doc, parents first."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from value_paths(value, path + (key,))
+
+
+def mutations():
+    """(method, path, mutant): one value of a saved document to replace."""
+    def of(method):
+        paths = list(value_paths(json.loads(saved_document(method))))
+        return st.tuples(st.just(method), st.sampled_from(paths),
+                         st.sampled_from(MUTANTS))
+
+    return st.sampled_from(SAVED).flatmap(of)
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+# A saved document with one value replaced or deleted is refused as a usage
+# error, or loads and predicts finite values on a batch of the data's width
+# (masked slots NaN), or refuses that batch's width; fast, whatever d says.
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=mutations())
+@example(mutation=("static", ("d",), HUGE))
+@example(mutation=("affine_intercept", ("d",), HUGE))
+def test_a_mutated_model_file_is_refused_or_predicts(mutation, model_dir):
+    method, path, mutant = mutation
+    doc = json.loads(saved_document(method))
+    *parents, last = path
+    owner = functools.reduce(operator.getitem, parents, doc)
+    if mutant is DELETE:
+        del owner[last]
+    else:
+        owner[last] = mutant
+    file = model_dir / "mutant.json"
+    file.write_text(json.dumps(doc))
+    data = mutation_data().subset(np.arange(12))
+    X = np.where(data.M == 1, np.nan, data.X)
+    with time_bound(2.0):
+        try:
+            model = _load_model(str(file))
+        except UsageError as exc:
+            assert "model file" in str(exc)
+            return
+        try:
+            yhat = model.predict(X, data.M)
+        except ValueError as exc:  # core.batch: a d that is not the data's
+            assert str(exc).startswith("expected d=")
+            return
+    assert yhat.shape == (12,) and np.isfinite(yhat).all()
+
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
@@ -516,6 +628,18 @@ class TestBench:
                             lambda *a, **k: calls.append(a) or fit(*a, **k))
         _, errors = missfit.bench.run_replication(ExperimentConfig(**doc), 0)
         assert errors == [] and len(calls) == 1 + 7 + 10 + 22
+
+    def test_dry_run_fits_a_mean_impute_tree_grid_once_per_fold(self, tmp_path,
+                                                                 capsys):
+        # depths 3, 5 and 7 nest: 5 folds of the depth-7 fit, then the refit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_doc(methods=["mean_impute_tree"],
+                                             cv_folds=5, grids={})))
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "out.csv"), "--dry-run"]) == 0
+        assert ("  method mean_impute_tree, fits per replication: 6\n"
+                "    mean_impute_tree grid=[{'max_depth': 3}, {'max_depth': 5}, "
+                "{'max_depth': 7}]\n") in capsys.readouterr().out
 
     def test_dry_run_names_an_all_default_generator(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ from missfit.joint import (FitLimits, coordinate_step, fit_mean_impute,
                            forest_contract, joint_fit,
                            joint_model_from_json, joint_model_to_json,
                            linear_contract, mse_error, tree_contract)
-from missfit.learners import TreeParams, mean_impute
+from missfit.learners import Forest, MiaTree, TreeParams, mean_impute
 import oracles
 
 
@@ -313,6 +313,20 @@ class TestContracts:
                            "regression")
         assert model.contract_label == name.rsplit("_", 1)[1]
         assert model.to_dict()["contract"] == model.contract_label
+
+    @pytest.mark.parametrize("name", ["joint_tree", "joint_forest",
+                                      "mean_impute_tree", "mean_impute_forest"])
+    def test_a_tree_predictor_is_the_fitted_model(self, name):
+        params = {**METHODS[name].grid[0]}
+        if "n_trees" in params:
+            params["n_trees"] = 5
+        ds = censored_dataset(seed=16, n=120)
+        model = fit_method(name, ds, params, 0, "regression")
+        assert type(model.predictor) is (MiaTree if name.endswith("tree") else Forest)
+        assert model.to_dict()["predictor"] == model.predictor.to_dict()
+        imputed = np.where(ds.M == 1, model.mu, ds.X)
+        assert (model.predict(ds.X, ds.M).tobytes()
+                == model.predictor.predict(imputed, np.zeros_like(ds.M)).tobytes())
 
     def test_a_plain_function_is_a_contract(self):
         ds = censored_dataset(seed=15, n=200)

@@ -518,6 +518,17 @@ class TestRouting:
             pred = model.predict(X, M)
             assert pred.shape == (0,) and pred.dtype == float
 
+    def test_without_a_mask_a_batch_is_fully_observed(self):
+        ds = random_dataset(21, n=150)
+        X = np.random.default_rng(22).normal(size=(40, 4))
+        zeros = np.zeros((40, 4), dtype=np.int8)
+        tree = fit_cart_mia(ds, TreeParams(max_depth=5))
+        forest = fit_forest(ds, TreeParams(max_depth=4, n_trees=7))
+        for model in (tree, forest):
+            assert model.predict(X).tobytes() == model.predict(X, zeros).tobytes()
+            assert model.predict(X[0]).tobytes() == model.predict(X[:1], zeros[:1]).tobytes()
+        assert tree.predict(X, depth=2).tobytes() == tree.predict(X, zeros, 2).tobytes()
+
     def test_feature_outside_d_refused(self):
         doc = {"type": "mia_tree", "d": 2,
                "root": {"prediction": 0.0, "n_rows": 2, "feature": 2,
