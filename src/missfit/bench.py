@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_int, check_real, read_csv
+from .core import MaskedDataset, batch, check_int, check_real, read_csv, unique_keys
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .adaptive import fit_adaptive, fit_finite_adaptive, finite_limits
 from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
@@ -215,21 +215,23 @@ def _score(y, yhat, task) -> float:
     return scaled_auc(y, yhat) if task == "classification" else r_squared(y, yhat)
 
 
-def _depth_caps(name: str, grid: list[dict]) -> list[tuple[int, int | None]]:
-    """Per grid point, checked: the grid index of the point whose fit scores
-    it, and the depth to predict that fit at. A method that nests scores
-    each point that sets max_depth on the fit of the deepest point that
-    agrees with it on every other key (the earliest declared among equals);
-    every other point is scored on its own fit (depth None)."""
+def _fit_plan(name: str, grid: list[dict]) -> dict[int, list[tuple[int, int | None]]]:
+    """Checked: the grid index of each point that is fitted, mapped to the
+    (grid index, depth cap) of every point scored on that fit. A method that
+    nests scores each point that sets max_depth on the fit of the deepest
+    point that agrees with it on every other key (the earliest declared
+    among equals), predicted at its own depth; every other point is scored
+    on its own fit, predicted whole (depth None)."""
     method = _method(name)
     rest = [{k: v for k, v in p.items() if k != "max_depth"} for p in grid]
-    caps = []
+    plan = {}
     for i, params in enumerate(grid):
         method.build(params)  # points that are never fitted are checked too
         peers = [k for k, p in enumerate(grid) if "max_depth" in p and rest[k] == rest[i]]
-        caps.append((max(peers, key=lambda k: grid[k]["max_depth"]), params["max_depth"])
-                    if method.nests and "max_depth" in params else (i, None))
-    return caps
+        top, depth = ((max(peers, key=lambda k: grid[k]["max_depth"]), params["max_depth"])
+                      if method.nests and "max_depth" in params else (i, None))
+        plan.setdefault(top, []).append((i, depth))
+    return plan
 
 
 def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
@@ -239,46 +241,38 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     Fold assignment is a seeded shuffle split into `folds` chunks. Ties keep
     the earliest grid point in declared order. Returns (params, cv_score).
 
-    Depth grids nest: where a method's tree grown to depth k is the top of
-    a deeper one (cart_mia, finite, mean_impute_tree), the points that
-    differ only in max_depth are fitted once per fold, at the deepest of
-    them, and each is scored on that fit's predictions at its own depth,
-    which are the bytes of its own fit's (_depth_caps).
+    CV goes fold by fold: per fold it builds the training set, makes each
+    fit of _fit_plan once, scores on it every grid point it serves, and
+    drops it. A nested depth grid (cart_mia, finite, mean_impute_tree) is
+    fitted at its deepest point, and each point is scored on that fit's
+    predictions at its own depth, which are the bytes of its own fit's.
     """
     if dataset.n < folds:
         raise ValueError("need n >= folds")
-    caps = _depth_caps(name, grid)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n)
-    chunks = np.array_split(perm, folds)
-    splits = [(dataset.subset(np.concatenate(chunks[:f] + chunks[f + 1:])),
-               chunks[f]) for f in range(folds)]
-    fits = {}  # (grid index, fold) -> a fit that shallower points read
-    best = None
-    for params, (top, depth) in zip(grid, caps):
-        scores = []
-        for f, (train, val) in enumerate(splits):
-            X, M = dataset.X[val], dataset.M[val]
-            if depth is None:
-                yhat = fit_method(name, train, params, seed, task).predict(X, M)
-            else:
-                if (top, f) not in fits:
-                    fits[top, f] = fit_method(name, train, grid[top], seed, task)
-                yhat = fits[top, f].predict(X, M, depth)
-            try:
-                scores.append(_score(dataset.y[val], yhat, task))
-            except ValueError:  # degenerate fold (constant / one-class)
-                continue
-        mean_score = float(np.mean(scores)) if scores else -np.inf
-        if best is None or mean_score > best[1]:
-            best = (params, mean_score)
-    return best
+    plan = _fit_plan(name, grid)
+    chunks = np.array_split(np.random.default_rng(seed).permutation(dataset.n), folds)
+    scores = [[] for _ in grid]
+    for f, val in enumerate(chunks):
+        train = dataset.subset(np.concatenate(chunks[:f] + chunks[f + 1:]))
+        X, M, y = dataset.X[val], dataset.M[val], dataset.y[val]
+        for top, points in plan.items():
+            model = fit_method(name, train, grid[top], seed, task)
+            for i, depth in points:
+                yhat = model.predict(X, M) if depth is None else model.predict(X, M, depth)
+                try:
+                    scores[i].append(_score(y, yhat, task))
+                except ValueError:  # degenerate fold (constant / one-class)
+                    continue
+            del model  # no fit outlives its scores
+    means = [float(np.mean(s)) if s else -np.inf for s in scores]
+    best = max(range(len(grid)), key=means.__getitem__)  # the first of equals
+    return grid[best], means[best]
 
 
 def cv_fits(name: str, grid: list[dict], folds: int) -> int:
     """The fit_method calls kfold_cv(..., name, grid, folds, ...) makes: per
-    fold, one per grid point that is fitted, a nested depth grid once."""
-    return folds * len({top for top, _ in _depth_caps(name, grid)})
+    fold, one per fit of its plan, a nested depth grid once."""
+    return folds * len(_fit_plan(name, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +358,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"$: invalid JSON ({exc})") from exc
         except RecursionError:
             raise ConfigError("$: invalid JSON (nested too deeply)") from None
+        except ValueError as exc:  # a name given twice, an int too long to read
+            raise ConfigError(f"$: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("$: top-level value must be an object")
         known = {f for f in cls.__dataclass_fields__}

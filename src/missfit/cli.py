@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import adaptive, bench, datagen, joint, learners
-from .core import DatasetError, read_csv, unique_patterns
+from .core import DatasetError, read_csv, unique_keys, unique_patterns
 
 # Saved model type -> the class whose from_dict reads it.
 LOADERS = {"adaptive": adaptive.AdaptiveModel,
@@ -88,9 +88,9 @@ def cmd_fit(args) -> int:
 
 
 def _load_model(path):
-    try:  # not UTF-8 or JSON, or a field from_dict needs is absent or ill-typed
+    try:  # not UTF-8 or JSON, a name given twice, or a field absent or ill-typed
         with open(path, encoding="utf-8") as fh:
-            doc = json.loads(fh.read())
+            doc = json.loads(fh.read(), object_pairs_hook=unique_keys)
         cls = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
         if cls is None:
             raise UsageError(f"unrecognized model file {path}")

@@ -55,6 +55,15 @@ def check_finite(field: str, *values) -> None:
             raise ValueError(f"{field}: must be a finite number")
 
 
+def unique_keys(pairs) -> dict:
+    """json's object_pairs_hook for the documents the package reads: a name
+    given twice is refused, where json keeps its last value silently."""
+    if len(doc := dict(pairs)) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
 @dataclass(frozen=True)
 class MaskedDataset:
     """Feature matrix X, binary missingness matrix M (1 = missing), targets y."""

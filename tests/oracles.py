@@ -6,9 +6,9 @@ whole-array forms, the per-node walk of an MIA tree before its flat routing,
 an exhaustive MIA split search, the recursive MIA growth that searched one
 node at a time before trees grew together, the coordinate-descent loop
 before its leaner one, the fully adaptive fit that solved every pattern at
-fit time, and the joint fit that rebuilt its whole imputed matrix
-(impute_with) for every trial; tests compare the package against them bit
-for bit.
+fit time, the joint fit that rebuilt its whole imputed matrix (impute_with)
+for every trial, and the k-fold CV that went point by point with every point
+on its own fit; tests compare the package against them bit for bit.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from missfit import elasticnet
+from missfit import bench, elasticnet
 from missfit.adaptive import AdaptiveModel
 from missfit.core import DatasetError
 from missfit.joint import JointModel
@@ -375,3 +375,29 @@ def joint_fit(dataset, contract, limits, error_metric, seed=0):
             break
     return JointModel(mu, sigma, predictor, trace, n_refits,
                       cycles_per_iter, stop_reason)
+
+
+def kfold_cv(dataset, name, grid, folds, seed, task="regression"):
+    """missfit.bench.kfold_cv point by point: every grid point is fitted on
+    its own in every fold, no fit is shared, and a best-so-far scan with a
+    strict > keeps the earliest of equals."""
+    if dataset.n < folds:
+        raise ValueError("need n >= folds")
+    perm = np.random.default_rng(seed).permutation(dataset.n)
+    chunks = np.array_split(perm, folds)
+    splits = [(dataset.subset(np.concatenate(chunks[:f] + chunks[f + 1:])),
+               chunks[f]) for f in range(folds)]
+    best = None
+    for params in grid:
+        scores = []
+        for train, val in splits:
+            model = bench.fit_method(name, train, params, seed, task)
+            yhat = model.predict(dataset.X[val], dataset.M[val])
+            try:
+                scores.append(bench._score(dataset.y[val], yhat, task))
+            except ValueError:  # degenerate fold (constant / one-class)
+                continue
+        mean_score = float(np.mean(scores)) if scores else -np.inf
+        if best is None or mean_score > best[1]:
+            best = (params, mean_score)
+    return best

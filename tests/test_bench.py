@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -247,7 +249,7 @@ class TestNestedDepthGrids:
         no_nesting(monkeypatch, "cart_mia")
         fits.clear()
         assert cv_bytes(data, "cart_mia", grid, task) == nested
-        assert fits == [t for t in (1, 2, 3, 5, 8) for _ in range(4)]
+        assert fits == [1, 2, 3, 5, 8] * 4  # fold by fold, each point alone
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
@@ -263,14 +265,14 @@ class TestNestedDepthGrids:
         no_nesting(monkeypatch, "mean_impute_tree")
         fits.clear()
         assert cv_bytes(data, "mean_impute_tree", grid, task) == nested
-        assert fits == [t for t in (3, 5, 7) for _ in range(4)]
+        assert fits == [3, 5, 7] * 4
 
     def test_joint_tree_does_not_nest(self, fits):
         # its mu search reads the tree, so each depth imputes its own mu
         assert not METHODS["joint_tree"].nests
         kfold_cv(generated("censoring", 3), "joint_tree",
                  [{"max_depth": 2}, {"max_depth": 3}], 4, 1)
-        assert fits == [2] * 4 + [3] * 4
+        assert fits == [2, 3] * 4
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
@@ -311,10 +313,10 @@ class TestNestedDepthGrids:
         grid = [{"max_depth": 2, "min_leaf": 5}, {"max_depth": 4, "min_leaf": 10},
                 {"max_depth": 6, "min_leaf": 15}]
         kfold_cv(data, "cart_mia", grid, 4, 1)
-        assert fits == [t for t in (2, 4, 6) for _ in range(4)]
+        assert fits == [2, 4, 6] * 4
         fits.clear()  # without max_depth a point is its own fit
         kfold_cv(data, "finite", [{"lam": 0.1}, {"lam": 0.1, "max_depth": 1}], 4, 1)
-        assert fits == [None] * 4 + [1] * 4
+        assert fits == [None, 1] * 4
 
     def test_an_unfitted_point_is_still_checked(self):
         with pytest.raises(ValueError, match="max_depth"):
@@ -332,6 +334,110 @@ class TestNestedDepthGrids:
                     == shallow.predict(test.X, test.M).tobytes())
         assert (deep.predict(test.X, test.M, 9).tobytes()
                 == deep.predict(test.X, test.M).tobytes())
+
+
+def picked(cv, data, name, grid, task="regression", folds=4, seed=1):
+    """The index of the grid point that cv picks, and its score's bytes."""
+    params, score = cv(data, name, grid, folds, seed, task)
+    return (next(i for i, p in enumerate(grid) if p is params),
+            np.float64(score).tobytes())
+
+
+class TestFoldByFold:
+    """kfold_cv goes fold by fold and makes each fit of its plan once;
+    oracles.kfold_cv goes point by point with every point on its own fit.
+    Every (params, score) byte is the same."""
+
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """The params of every fit_method call, in call order."""
+        calls, real = [], bench.fit_method
+
+        def counted(name, train, params, seed, task):
+            calls.append(params)
+            return real(name, train, params, seed, task)
+
+        monkeypatch.setattr(bench, "fit_method", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_every_method_on_its_default_grid(self, name, fitted):
+        data, grid = generated("censoring", 3, n=60), METHODS[name].grid
+        ours = picked(kfold_cv, data, name, grid, folds=3)
+        assert len(fitted) == bench.cv_fits(name, grid, 3)
+        if not METHODS[name].nests:  # the same points, in fold order
+            assert fitted == grid * 3
+        assert picked(oracles.kfold_cv, data, name, grid, folds=3) == ours
+
+    @pytest.mark.parametrize("name", ["cart_mia", "mean_impute_tree", "rf_mia",
+                                      "finite", "affine_intercept",
+                                      "mean_impute_linear"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_classification(self, name, seed):
+        data, grid = generated("mcar", seed, "classification", n=80), METHODS[name].grid
+        assert (picked(kfold_cv, data, name, grid, "classification")
+                == picked(oracles.kfold_cv, data, name, grid, "classification"))
+
+    @pytest.mark.parametrize("name", ["cart_mia", "finite", "mean_impute_tree"])
+    def test_a_mixed_nesting_grid(self, name, fitted):
+        # two depth families and a point without max_depth, which is its
+        # own fit; each family is fitted at its deepest point, the earliest
+        # of equals, in the order its first point is declared
+        grid = [{"max_depth": 2, "min_leaf": 5}, {"max_depth": 4, "min_leaf": 10},
+                {"min_leaf": 5}, {"max_depth": 3, "min_leaf": 5},
+                {"max_depth": 1, "min_leaf": 10}, {"max_depth": 4, "min_leaf": 10}]
+        data = generated("censoring", 5)
+        ours = picked(kfold_cv, data, name, grid)
+        assert [id(p) for p in fitted] == [id(grid[k]) for k in (3, 1, 2)] * 4
+        assert len(fitted) == bench.cv_fits(name, grid, 4)
+        assert picked(oracles.kfold_cv, data, name, grid) == ours
+
+    @pytest.mark.parametrize("scores, best", [
+        ([np.nan, 1.0, 2.0], 0), ([1.0, np.nan, 2.0], 2), ([1.0, 2.0, 2.0], 1),
+        ([None, -np.inf, 0.5], 2), ([None, np.nan, None], 0),
+        ([np.nan, np.nan, 1.0], 0), ([-1.0, None, -0.5], 2)])
+    def test_the_pick_is_the_strict_scans(self, scores, best, monkeypatch):
+        # each point scores its value in every fold, None raises as a
+        # degenerate fold does (-inf): NaN and ties resolve as a best-so-far
+        # scan with a strict > resolves them
+        grid = [{"lam": 0.1, "score": v} for v in scores]
+
+        class Fixed:
+            def __init__(self, value):
+                self.value = value
+
+            def predict(self, X, M):
+                return self.value
+
+        def score(y, value, task):
+            if value is None:
+                raise ValueError("degenerate")
+            return value
+
+        monkeypatch.setattr(bench, "fit_method",
+                            lambda name, train, params, seed, task: Fixed(params["score"]))
+        monkeypatch.setattr(bench, "_score", score)
+        data = small_dataset(7, n=40)
+        ours = picked(kfold_cv, data, "static", grid)
+        assert ours == picked(oracles.kfold_cv, data, "static", grid)
+        assert ours[0] == best
+
+    @pytest.mark.parametrize("name", ["cart_mia", "fully_adaptive", "rf_mia"])
+    def test_no_fit_outlives_its_scores(self, name, monkeypatch):
+        live, real = [], bench.fit_method
+
+        def tracked(*args):
+            gc.collect()
+            assert not [ref for ref in live if ref() is not None]
+            model = real(*args)
+            live.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(bench, "fit_method", tracked)
+        grid = [{"max_depth": 2, "n_trees": 5}, {"max_depth": 3, "n_trees": 5}] \
+            if name == "rf_mia" else METHODS[name].grid
+        kfold_cv(generated("mcar", 9, n=80), name, grid, 4, 1)
+        assert len(live) == bench.cv_fits(name, grid, 4)
 
 
 def patterns(M) -> set:

@@ -495,6 +495,29 @@ class TestFitPredict:
         assert "malformed model file" in err and "unknown expansion mode" in err
 
 
+    @pytest.mark.parametrize("method", ["static", "finite", "cart_mia", "joint_linear"])
+    def test_a_repeated_name_is_usage_error(self, method, dataset_csv, tmp_path,
+                                            capsys):
+        # json keeps a repeated name's last value; a model file refuses it,
+        # at the top level and nested, even where the two values agree
+        model = tmp_path / "model.json"
+        main(["fit", "--data", str(dataset_csv), "--method", method,
+              "--out", str(model)])
+        lines = model.read_text().splitlines()
+        nested = next(i for i, line in enumerate(lines)
+                      if line.startswith("  \"") and line.endswith(","))
+        argv = ["predict", "--model", str(model), "--data", str(dataset_csv),
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 0
+        for i in (1, nested):
+            model.write_text("\n".join(lines[:i + 1] + lines[i:]))
+            key = lines[i].split('"')[1]
+            capsys.readouterr()
+            for args in (argv, ["inspect", str(model)]):
+                assert main(args) == 2
+                assert capsys.readouterr().err.endswith(
+                    f"ValueError(\"repeated key '{key}'\")\n")
+
 SAVED = sorted(m for m, entry in missfit.bench.METHODS.items() if entry.saves)
 DELETE = object()  # the mutant that deletes the value
 MUTANTS = ("x", True, None, [], {}, 0, -1, 1, 2, 7, HUGE, DELETE)
@@ -687,6 +710,24 @@ class TestBench:
                      str(tmp_path / "out.csv"), "--dry-run"]) == 2
         assert capsys.readouterr().err == \
             "error: $: invalid JSON (nested too deeply)\n"
+
+    @pytest.mark.parametrize("text, key", [
+        ('"methods": ["static"], "methods": ["affine"]', "methods"),
+        ('"generator": {"n": 60, "d": 3, "n": 80}', "n"),
+        ('"grids": {"static": [{"lam": 0.1, "lam": 0.1}]}', "lam"),
+        ('"replications": 1, "replications": 1', "replications")])
+    def test_a_repeated_name_is_usage_error(self, text, key, tmp_path, capsys):
+        # json keeps a repeated name's last value, so the run and its
+        # dry-run plan would read a config other than the one written
+        doc = json.dumps({k: v for k, v in config_doc().items()
+                          if k not in text}).rstrip("}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f"{doc}, {text}}}")
+        for dry in (["--dry-run"], []):
+            assert main(["bench", "--config", str(cfg), "--out",
+                         str(tmp_path / "out.csv"), *dry]) == 2
+            assert capsys.readouterr().err == f"error: $: repeated key {key!r}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_full_run_writes_results(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
