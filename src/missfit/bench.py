@@ -247,6 +247,8 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
     fitted at its deepest point, and each point is scored on that fit's
     predictions at its own depth, which are the bytes of its own fit's.
     """
+    if not grid:
+        raise ValueError(f"{name}: empty grid, nothing to cross-validate")
     if dataset.n < folds:
         raise ValueError("need n >= folds")
     plan = _fit_plan(name, grid)

@@ -9,7 +9,7 @@ per-feature penalty multipliers. Columns are standardized internally for
 conditioning; the penalty weights are rescaled so the objective above is
 optimized exactly, and coefficients are transformed back on exit.
 
-Four steps are pinned so that results keep their bits (results CSVs and the
+Five steps are pinned so that results keep their bits (results CSVs and the
 benchmark's references are compared byte for byte):
   - each rho is Xs[:, j].dot(r) on the strided view of the C-order Xs (the
     BLAS ddot np.dot calls, without its dispatcher), which OpenBLAS rounds
@@ -18,7 +18,14 @@ benchmark's references are compared byte for byte):
     zero signed as z (+0.0 for z = -0.0), or a where a is NaN;
   - the residual update is buf = x_j * delta, then r -= buf;
   - the objective trace is evaluated on C-order blocks of 64 sweeps, whose
-    rows np.add.reduce(axis=1) sums as the 1-d call does.
+    rows np.add.reduce(axis=1) sums as the 1-d call does;
+  - a visit that provably leaves a coefficient at +-0 is skipped. S sums
+    |delta| cn_k over updates (cn: computed column RMS), so x_j . r / n moves
+    by at most cn_j (S - S0) after a dead-zone visit at S0 that saw a = |z| - g;
+    |z| <= g holds while S < T_j = (S0 - (a + m_j) / cn_j)(1 - e). With
+    e = 8u (n + p max_iters) <= 1, u = 2^-53, m_j = e (g + cn_j ||r0|| / sqrt(n))
+    covers two dots (n u each), the division and p max_iters residual updates,
+    as ||r|| <= ||r0|| (the objective falls); 1 - e covers S. NaN never skips.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ def fit(X, y, spec: ElasticNetSpec) -> LinearFit:
     """
     X = np.ascontiguousarray(X, dtype=float)  # reductions round by layout
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or not y.size:
         raise ValueError("X must be n x p and y length n")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite input")
@@ -119,13 +126,19 @@ def fit(X, y, spec: ElasticNetSpec) -> LinearFit:
     W, rr, trace = np.empty((64, p)), np.empty(64), []  # (wt, r . r) per sweep
     W[0], rr[0], k = wt, np.dot(r, r), 1  # row 0: the start point
     idx = np.flatnonzero(active).tolist()
+    e = min(n + p * int(spec.max_iters), 2 ** 50) * 2.0 ** -50  # 8u (n + p max_iters)
+    cn, rms0 = np.sqrt(np.mean(Xs ** 2, axis=0)).tolist(), float(np.sqrt(rr[0] / n))
     Xf = np.asfortranarray(Xs)
-    coords = [(j, Xs[:, j].dot, Xf[:, j], l1[j], shrink[j]) for j in idx]
+    coords = [(j, Xs[:, j].dot, Xf[:, j], l1[j], shrink[j], cn[j],
+               e * (l1[j] + cn[j] * rms0)) for j in idx]
     multiply, subtract, buf = np.multiply, np.subtract, np.empty(n)
+    S, T, q = 0.0, [0.0] * p, 1.0 - e  # the drift sum and skip thresholds
     for _ in range(spec.max_iters):
         max_delta = 0.0
-        for j, xdot, xf, g, h in coords:
+        for j, xdot, xf, g, h, cj, mj in coords:
             old = wt[j]
+            if old == 0.0 and S < T[j]:
+                continue
             # z = x_j . r / n + old, as the columns have unit mean square;
             # new = sign(z) * max(|z| - g, 0) / h, with sign(-0.0) = +0.0
             z = float(xdot(r)) / n + old
@@ -134,13 +147,15 @@ def fit(X, y, spec: ElasticNetSpec) -> LinearFit:
                 new = (a if z > 0.0 else -a) / h
             else:
                 new = -0.0 if z < 0.0 else 0.0 if a == a else a / h
+                T[j] = (S - (a + mj) / cj) * q
             if new != old:
                 delta = new - old
-                multiply(xf, delta, out=buf)
-                subtract(r, buf, out=r)
+                multiply(xf, delta, buf)
+                subtract(r, buf, r)
                 wt[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
+                S += (step := abs(delta)) * cj
+                if step > max_delta:
+                    max_delta = step
         if k == 64:  # the block is full: its objectives go into trace
             trace += _objectives(W, rr, s, n, lam, alpha, c)
             k = 0

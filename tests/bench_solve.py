@@ -7,10 +7,11 @@ Run with pytest-benchmark (the tier-1 suite does not collect this file):
 The instance is replication 0 of configs/censoring_linear.json (n = 1000,
 d = 10, censoring p = 0.5): its 700-row training split, and the 560 rows of
 the first cross-validation training fold. The solves are the affine fit at
-lambda = 1e-3 (thousands of sweeps) and 0.1 (about a hundred), and the
-fully_adaptive fit with a read of every pattern fit (a pattern's fit is
-solved when it is first read, so the case times the fit and the read: one
-small solve per mask pattern, and the fallback); the CV cases run kfold_cv
+lambda = 1e-3 (thousands of sweeps), 1e-2 (the most visits skipped to
+coefficients that provably stay at zero) and 0.1 (about a hundred sweeps),
+and the fully_adaptive fit with a read of every pattern fit (a pattern's
+fit is solved when it is first read, so the case times the fit and the
+read: one small solve per mask pattern, and the fallback); the CV cases run kfold_cv
 over the default grids of finite and fully_adaptive, where fully_adaptive
 solves only the patterns that each fold's validation rows read.
 Each case records its elastic-net solves and coordinate-descent sweeps in
@@ -61,7 +62,7 @@ def work(monkeypatch, fn, *args) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.1])
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1])
 def test_affine_solve(benchmark, fold, lam):
     A = expand_matrix(fold.X, fold.M, "affine")
     spec = ElasticNetSpec(lam=lam, alpha=0.5, penalty_weights=support_penalty_weights(A))

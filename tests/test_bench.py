@@ -192,6 +192,11 @@ class TestKfoldCv:
         with pytest.raises(ValueError):
             kfold_cv(ds, "static", [{"lam": 0.1}], folds=5, seed=0)
 
+    def test_empty_grid_rejected_before_any_fold(self, monkeypatch):
+        monkeypatch.setattr(MaskedDataset, "subset", None)  # no fold is built
+        with pytest.raises(ValueError, match="static: empty grid"):
+            kfold_cv(small_dataset(6, n=50), "static", [], 4, 0)
+
     def test_one_training_subset_per_fold(self, monkeypatch):
         sizes = []
         subset = MaskedDataset.subset

@@ -283,3 +283,116 @@ def test_fit_matches_reference_loop_bit_for_bit(case):
     got = fit(X, y, spec)
     # the reference runs on C order: those bits are the ones callers get
     assert _bits(got) == _bits(oracle_fit(np.ascontiguousarray(X), y, spec))
+
+
+def test_zero_rows_rejected():
+    with pytest.raises(ValueError, match="n x p"):
+        fit(np.empty((0, 3)), np.empty(0), ElasticNetSpec())
+
+
+# Screening: a visit to a coefficient at +-0 is skipped while a bound on the
+# residual's drift proves it would stay in the dead zone |z| <= g. A skipped
+# visit is one the reference loop makes without moving anything, so every
+# case below matches the unscreened loop bit for bit.
+
+def _start_gradient(X, y):
+    """z_j of each coordinate's first visit when nothing has moved yet,
+    computed as fit computes it, and the column scales."""
+    n = X.shape[0]
+    Xs = X - X.mean(axis=0)
+    s = np.sqrt(np.mean(Xs ** 2, axis=0))
+    Xs /= s
+    r = y - float(y.mean())
+    return np.array([float(Xs[:, j].dot(r)) / n for j in range(X.shape[1])]), s
+
+
+def _ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def _weights_at_start_gradient(X, y, ulps):
+    """Penalty weights putting g_j = c_j / s_j (lam * alpha = 1) about
+    ulps[j] ulps above |z_j| of the start point (below it where ulps[j] < 0).
+    c_j / s_j rounds, so g_j is the nearest reachable on the side asked for."""
+    z, s = _start_gradient(X, y)
+    c = []
+    for zj, sj, k in zip(np.abs(z), s, ulps):
+        g = _ulps_from(zj, k)
+        near = [_ulps_from(g * sj, i) for i in range(-8, 9)]
+        c.append(min((cj for cj in near if np.sign(cj / sj - zj) == np.sign(k)),
+                     key=lambda cj: abs(cj / sj - g)))
+    off = (np.array(c) / s - np.abs(z)) / np.spacing(np.abs(z))
+    assert np.all(np.sign(off) == np.sign(ulps)) and np.all(np.abs(off) <= 5)
+    return np.array(c)
+
+
+def _correlated(seed, n=30, p=6):
+    """Columns sharing one factor, y on a random subset of them: the lasso
+    path of such designs moves coordinates in and out of zero."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 1)) + rng.uniform(0.1, 0.8) * rng.normal(size=(n, p))
+    y = X @ (rng.normal(size=p) * rng.integers(0, 2, size=p)) + 0.5 * rng.normal(size=n)
+    return X, y
+
+
+def _ulps_case(seed, free_last):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 8)) * np.geomspace(0.1, 10, 8)
+    y = X @ rng.normal(size=8) + rng.normal(size=40)
+    c = _weights_at_start_gradient(X, y, [-4, -3, -2, -1, 1, 2, 3, 4])
+    if free_last:  # an unpenalized column that moves after the others' first visit
+        X, c = np.column_stack([X, rng.normal(size=40)]), np.append(c, 0.0)
+    return X, y, c
+
+
+class TestScreening:
+    @pytest.mark.parametrize("free_last", [False, True])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_dead_zone_within_ulps_of_g(self, seed, free_last, alpha):
+        X, y, c = _ulps_case(seed, free_last)
+        for sweeps in (1, 2, 3, 30):
+            spec = ElasticNetSpec(lam=1.0 / alpha, alpha=alpha, penalty_weights=c,
+                                  max_iters=sweeps, tol=0.0)
+            assert _bits(fit(X, y, spec)) == _bits(oracle_fit(X, y, spec)), sweeps
+        spec = ElasticNetSpec(lam=1.0 / alpha, alpha=alpha, penalty_weights=c)
+        assert _bits(fit(X, y, spec)) == _bits(oracle_fit(X, y, spec))
+
+    def _path(self, seed, lam_frac, j, sweeps=40):
+        """Coordinate j after 1..sweeps sweeps (tol = 0), each fit checked
+        bit for bit against the reference loop."""
+        X, y = _correlated(seed)
+        lam = lambda_max(X, y, 1.0) * lam_frac
+        path = []
+        for k in range(1, sweeps + 1):
+            spec = ElasticNetSpec(lam=lam, alpha=1.0, max_iters=k, tol=0.0)
+            got = fit(X, y, spec)
+            assert _bits(got) == _bits(oracle_fit(X, y, spec)), k
+            path.append(got.coefficients[j])
+        return np.array(path)
+
+    def test_coordinate_wakes_after_many_sweeps_at_zero(self):
+        path = self._path(18, 0.05, j=2)
+        assert np.all(path[:9] == 0.0) and np.all(path[9:] != 0.0)
+
+    def test_coordinate_goes_nonzero_then_zero_then_nonzero(self):
+        path = self._path(5, 0.02, j=0)
+        on = path != 0.0
+        assert on[:9].all() and not on[9:15].any() and on[15:].all()
+
+    @pytest.mark.parametrize("seed", [5, 18])
+    def test_converged_fit_matches_reference(self, seed):
+        X, y = _correlated(seed)
+        for frac in (0.02, 0.05, 0.2):
+            spec = ElasticNetSpec(lam=lambda_max(X, y, 1.0) * frac, alpha=1.0)
+            assert _bits(fit(X, y, spec)) == _bits(oracle_fit(X, y, spec))
+
+    # the margin's factor e = 8u (n + p max_iters) is capped at 1, where
+    # nothing is skipped; it must neither overflow nor wrap around
+    @pytest.mark.parametrize("max_iters", [10 ** 30, np.int64(2 ** 62)])
+    def test_huge_max_iters_matches_reference(self, max_iters):
+        X, y = _correlated(5)
+        spec = ElasticNetSpec(lam=lambda_max(X, y, 1.0) * 0.02, max_iters=max_iters)
+        assert _bits(fit(X, y, spec)) == _bits(oracle_fit(X, y, spec))
