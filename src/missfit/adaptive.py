@@ -345,6 +345,12 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
     without a refit. Splits stop at max_depth, when a side would drop below
     min_leaf rows, or when the relative error reduction falls below min_gain;
     finite_limits checks these limits and owns their defaults.
+
+    Only candidates that can still win are solved: _lstsq_bound floors any
+    fit's error on a side, candidates go by ascending bound_l + bound_r (then
+    feature), and one is skipped once that sum, or its solved left error plus
+    bound_r, exceeds the best total so far (float sums are monotone, so its
+    total would too). A tie is solved, and the lower feature wins it.
     """
     max_depth, min_leaf, min_gain = finite_limits(**limits).values()
     Z, y = expand_matrix(dataset.X, dataset.M, STATIC), dataset.y
@@ -359,18 +365,25 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
         node = TreeNode(fit=f, n_rows=len(rows))
         if depth >= max_depth or len(rows) < 2 * min_leaf:
             return node
-        Msub = dataset.M[rows]
-        sides = [(j, rows[Msub[:, j] == 0], rows[Msub[:, j] == 1])
-                 for j in range(dataset.d)]
-        splits = [(j, left, right, static_fit_sse(left), static_fit_sse(right))
-                  for j, left, right in sides
-                  if len(left) >= min_leaf and len(right) >= min_leaf]
-        if not splits:
+        Msub, candidates = dataset.M[rows], []
+        for j in range(dataset.d):
+            sides = rows[Msub[:, j] == 0], rows[Msub[:, j] == 1]
+            if min(map(len, sides)) >= min_leaf:
+                bound_l, bound_r = (_lstsq_bound(Z[s], y[s]) for s in sides)
+                candidates.append((bound_l + bound_r, j, *sides, bound_r))
+        best = (math.inf, dataset.d)  # then (total, j, left, right, fit_l, fit_r)
+        for bound, j, left, right, bound_r in sorted(candidates, key=lambda c: c[:2]):
+            if bound > best[0]:
+                break
+            if (fit_l := static_fit_sse(left))[1] + bound_r > best[0]:
+                continue
+            fit_r = static_fit_sse(right)
+            if (total := fit_l[1] + fit_r[1], j) < best[:2]:
+                best = (total, j, left, right, fit_l, fit_r)
+        gain = (sse - best[0]) / sse if sse > 0 else 0.0
+        if len(best) == 2 or gain < min_gain:
             return node
-        j, left, right, fit_l, fit_r = min(splits, key=lambda s: s[3][1] + s[4][1])
-        gain = (sse - (fit_l[1] + fit_r[1])) / sse if sse > 0 else 0.0
-        if gain < min_gain:
-            return node
+        _, j, left, right, fit_l, fit_r = best
         node.split_feature = j
         node.left = build(left, depth + 1, fit_l)
         node.right = build(right, depth + 1, fit_r)
@@ -378,6 +391,30 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
 
     root = build(np.arange(dataset.n), 0)
     return PartitionTree(root, dataset.d)
+
+
+def _lstsq_bound(A, y) -> float:
+    """A lower bound on ||y - b - A w||^2 over all b and w: the least-squares
+    residual of the centred [A, y] by modified Gram-Schmidt, less a margin.
+    MGS is backward stable: the residual's norm is off by about c n p u kappa
+    ||y|| (u = 2^-53, p columns, kappa the column-scaled condition), its
+    square by twice that times ||y||; a fit's squared error is rounded on
+    the scale of ||y|| too, as y and the intercept are. A column keeping under
+    `floor` of its norm after projection gives bound 0, else kappa stays near
+    1/floor for these few columns; the margin n p 2^-47 / floor ||y||^2 takes
+    c = 32. Zero columns are passed over; max(0, .) maps NaN to 0."""
+    floor = 1e-6
+    G = np.vstack([A.T, y])  # the columns of [A, y], as rows
+    G -= G.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+    for k in np.flatnonzero(norms[:-1]):
+        nk = math.sqrt(G[k] @ G[k])
+        if not nk >= floor * norms[k]:
+            return 0.0
+        q = G[k] / nk
+        G[k + 1:] -= np.outer(G[k + 1:] @ q, q)
+    margin = len(y) * len(G) * 2.0 ** -47 / floor * float(y @ y)
+    return max(0.0, float(G[-1] @ G[-1]) - margin)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ an exhaustive MIA split search, the recursive MIA growth that searched one
 node at a time before trees grew together, the coordinate-descent loop
 before its leaner one, the fully adaptive fit that solved every pattern at
 fit time, the joint fit that rebuilt its whole imputed matrix (impute_with)
-for every trial, and the k-fold CV that went point by point with every point
+for every trial, the finite partition that solved both sides of every
+candidate split, and the k-fold CV that went point by point with every point
 on its own fit; tests compare the package against them bit for bit.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from missfit import bench, elasticnet
+from missfit import adaptive, bench, elasticnet
 from missfit.adaptive import AdaptiveModel
 from missfit.core import DatasetError
 from missfit.joint import JointModel
@@ -102,6 +103,44 @@ def fit_fully_adaptive(dataset, spec):
     fits = {p: solve(rows) for p, rows in unique_patterns(dataset.M)}
     return AdaptiveModel("fully_adaptive", dataset.d, None, fits,
                          solve(np.arange(dataset.n)))
+
+
+def fit_finite_adaptive(dataset, spec, **limits):
+    """missfit.adaptive.fit_finite_adaptive with an exhaustive split search:
+    both sides of every candidate are solved, and min keeps the lowest
+    feature among equal totals. It solves through adaptive.enet_fit, so a
+    count of adaptive's solves sees it."""
+    max_depth, min_leaf, min_gain = adaptive.finite_limits(**limits).values()
+    Z, y = adaptive.expand_matrix(dataset.X, dataset.M, "static"), dataset.y
+
+    def static_fit_sse(rows):
+        A, yr = Z[rows], y[rows]
+        f = adaptive._solve(A, yr, spec)
+        return f, float(np.sum((yr - f.predict(A)) ** 2))
+
+    def build(rows, depth, fit_sse=None):
+        f, sse = fit_sse or static_fit_sse(rows)
+        node = adaptive.TreeNode(fit=f, n_rows=len(rows))
+        if depth >= max_depth or len(rows) < 2 * min_leaf:
+            return node
+        Msub = dataset.M[rows]
+        sides = [(j, rows[Msub[:, j] == 0], rows[Msub[:, j] == 1])
+                 for j in range(dataset.d)]
+        splits = [(j, left, right, static_fit_sse(left), static_fit_sse(right))
+                  for j, left, right in sides
+                  if len(left) >= min_leaf and len(right) >= min_leaf]
+        if not splits:
+            return node
+        j, left, right, fit_l, fit_r = min(splits, key=lambda s: s[3][1] + s[4][1])
+        gain = (sse - (fit_l[1] + fit_r[1])) / sse if sse > 0 else 0.0
+        if gain < min_gain:
+            return node
+        node.split_feature = j
+        node.left = build(left, depth + 1, fit_l)
+        node.right = build(right, depth + 1, fit_r)
+        return node
+
+    return adaptive.PartitionTree(build(np.arange(dataset.n), 0), dataset.d)
 
 
 def partition_tree_predict(tree, X, M) -> np.ndarray:

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from missfit import adaptive, bench
 from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
@@ -458,14 +459,15 @@ class TestFiniteAdaptive:
         monkeypatch.setattr(adaptive, "enet_fit",
                             lambda *a: calls.append(1) or real_fit(*a))
         want = oracle_fit_finite_adaptive(ds, spec, max_depth, min_leaf)
-        oracle_fits = len(calls)
         calls.clear()
         tree = fit_finite_adaptive(ds, spec, max_depth=max_depth,
                                    min_leaf=min_leaf)
         assert_same_partition(tree.root, want.root)
         splits = len(tree.leaves()) - 1
         assert splits >= 2
-        assert len(calls) == oracle_fits - 2 * splits
+        # a winner's fits pass to its children, and the bound skips the
+        # candidates that cannot win (the exhaustive search makes 33, 21, 51)
+        assert len(calls) == {20: 13, 21: 7, 22: 31}[seed]
 
     def test_single_pattern_no_split(self):
         rng = np.random.default_rng(9)
@@ -555,6 +557,107 @@ class TestFiniteAdaptive:
         X2[ds.M == 1] = fill
         assert np.array_equal(tree.predict_matrix(ds.X, ds.M),
                               tree.predict_matrix(X2, ds.M))
+
+
+def finite_case(seed, n, d, min_leaf, lam, scaled=False, dup=None,
+                tie=None, all_missing=False, const_y=False):
+    """A partition problem that strains the split search's bound: column
+    scales 1e-6..1e6, duplicate z columns (exact, or 1e-9 apart), two mask
+    columns that are equal (their candidates tie) or one row apart (their
+    totals nearly tie), a column that is always missing, or a constant y
+    (every total is about 0, so min_gain 0 keeps splitting on ties)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    M = (rng.random((n, d)) < 0.4).astype(int)
+    y = X @ rng.uniform(-1, 1, d) * (1 - 2 * M[:, -1]) + 0.3 * rng.normal(size=n)
+    if scaled:
+        X *= 10.0 ** rng.uniform(-6, 6, d)
+    if dup:
+        M[:, 1] = M[:, 0]
+        X[:, 1] = X[:, 0] * (1 + (dup == "near") * 1e-9 * rng.normal(size=n))
+    if tie:
+        M[:, -2] = M[:, -1]
+        M[0, -2] ^= tie == "near"
+    if all_missing:
+        M[:, 0] = 1
+    if const_y:
+        y[:] = 3.7
+    spec = ElasticNetSpec(lam=lam, alpha=0.5, max_iters=300)
+    limits = {"max_depth": 3, "min_leaf": min(min_leaf, n // 2),  # n >= 2 min_leaf
+              "min_gain": 0.0 if const_y else 1e-3}
+    return MaskedDataset(X, M, y), spec, limits
+
+
+finite_cases = st.fixed_dictionaries(
+    {"seed": st.integers(0, 2 ** 32 - 1), "n": st.integers(8, 90),
+     "d": st.integers(2, 6), "min_leaf": st.integers(1, 10),
+     "lam": st.sampled_from([0.0, 1e-3, 0.01, 0.1])},
+    optional={"scaled": st.booleans(), "dup": st.sampled_from(["exact", "near"]),
+              "tie": st.sampled_from(["exact", "near"]), "all_missing": st.booleans(),
+              "const_y": st.booleans()})
+
+
+class TestFinitePruning:
+    """The bound-pruned split search against the exhaustive one in oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=finite_cases)
+    @example(case={"seed": 1, "n": 90, "d": 4, "min_leaf": 5, "lam": 0.0})
+    @example(case={"seed": 2, "n": 90, "d": 5, "min_leaf": 5, "lam": 0.0,
+                   "scaled": True})
+    @example(case={"seed": 3, "n": 80, "d": 4, "min_leaf": 4, "lam": 0.0,
+                   "dup": "exact"})
+    @example(case={"seed": 4, "n": 80, "d": 4, "min_leaf": 4, "lam": 0.01,
+                   "dup": "near"})
+    @example(case={"seed": 5, "n": 90, "d": 4, "min_leaf": 5, "lam": 0.0,
+                   "tie": "exact"})
+    @example(case={"seed": 261891784, "n": 31, "d": 5, "min_leaf": 2,
+                   "lam": 0.0, "tie": "near"})
+    @example(case={"seed": 6, "n": 24, "d": 6, "min_leaf": 2, "lam": 0.0})
+    @example(case={"seed": 7, "n": 20, "d": 3, "min_leaf": 10, "lam": 0.001})
+    @example(case={"seed": 8, "n": 90, "d": 4, "min_leaf": 5, "lam": 0.0,
+                   "all_missing": True})
+    @example(case={"seed": 9, "n": 60, "d": 4, "min_leaf": 3, "lam": 0.0,
+                   "const_y": True, "tie": "exact"})
+    def test_tree_bytes_match_exhaustive_search(self, case):
+        ds, spec, limits = finite_case(**case)
+        tree = fit_finite_adaptive(ds, spec, **limits)
+        want = oracles.fit_finite_adaptive(ds, spec, **limits)
+        assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_is_below_every_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = 30 + 10 * seed, 1 + seed
+        A = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, p) + rng.normal(size=p)
+        y = A @ rng.normal(size=p) + rng.normal(size=n)
+        bound = adaptive._lstsq_bound(A, y)
+        A1 = np.column_stack([np.ones(n), A])
+        coef = np.linalg.lstsq(A1, y, rcond=None)[0]
+        lstsq_sse = float(np.sum((y - A1 @ coef) ** 2))
+        assert lstsq_sse - 1e-4 * float(y @ y) <= bound <= lstsq_sse
+        for lam, alpha, weights in itertools.product(
+                [0.0, 1e-3, 0.1, 1.0], [0.0, 0.5, 1.0],
+                [None, rng.uniform(0, 100, p)]):
+            f = enet_fit(A, y, ElasticNetSpec(lam=lam, alpha=alpha,
+                                              penalty_weights=weights))
+            assert bound <= float(np.sum((y - f.predict(A)) ** 2))
+
+    @pytest.mark.parametrize("shape", ["duplicate", "near_duplicate", "wide"])
+    def test_bound_is_zero_on_a_rank_deficient_design(self, shape):
+        rng = np.random.default_rng(1)
+        A = rng.normal(size=(5 if shape == "wide" else 40, 6))
+        if shape != "wide":
+            A[:, 3] = A[:, 1] + (shape == "near_duplicate") * 1e-9 * rng.normal(size=40)
+        assert adaptive._lstsq_bound(A, rng.normal(size=len(A))) == 0.0
+
+    def test_bound_skips_zero_columns_and_a_constant_y(self):
+        rng = np.random.default_rng(2)
+        A = np.column_stack([rng.normal(size=30), np.zeros(30)])
+        y = 2.0 * A[:, 0] + rng.normal(size=30)
+        assert adaptive._lstsq_bound(A, y) == pytest.approx(
+            adaptive._lstsq_bound(A[:, :1], y), rel=1e-4)
+        assert adaptive._lstsq_bound(A, np.full(30, 3.7)) == 0.0
 
 
 class TestExtractImputation:
