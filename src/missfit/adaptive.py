@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_int, check_real, unique_patterns
+from .core import MaskedDataset, batch, check_int, check_real, unique_keys, unique_patterns
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit, support_penalty_weights
 
 
@@ -99,18 +99,6 @@ def expand_matrix(X, M, mode: str) -> np.ndarray:
     return np.column_stack([Z, terms])
 
 
-def _per_row_fits(M, fit_of) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row intercepts and coefficient rows, where fit_of(pattern) is the
-    LinearFit that serves the rows with that missingness pattern; it is
-    called once per distinct pattern of the batch."""
-    keys = list(map(tuple, M.astype(np.int8, copy=False).tolist()))
-    fits = {p: fit_of(p) for p in dict.fromkeys(keys)}
-    per_row = [fits[p] for p in keys]
-    b = np.array([f.intercept for f in per_row], dtype=float)
-    W = np.array([f.coefficients for f in per_row], dtype=float)
-    return b, W.reshape(M.shape)
-
-
 class PatternFits(Mapping):
     """A fully adaptive model's fit per training pattern, keyed by the
     pattern's bits in order of first appearance. A fit is solved from the
@@ -161,8 +149,12 @@ class AdaptiveModel:
     def predict_matrix(self, X, M) -> np.ndarray:
         X, M = batch(X, M, self.d)
         if self.mode == FULLY_ADAPTIVE:
-            b, W = _per_row_fits(
-                M, lambda p: self.pattern_fits.get(p, self.fallback))
+            keys = list(map(tuple, M.astype(np.int8, copy=False).tolist()))
+            fits = {p: self.pattern_fits.get(p, self.fallback)
+                    for p in dict.fromkeys(keys)}  # one ask per distinct pattern
+            b = np.array([fits[p].intercept for p in keys], dtype=float)
+            W = np.array([fits[p].coefficients for p in keys],
+                         dtype=float).reshape(M.shape)
             Z = np.where(M == 1, 0.0, X)
             # one dot product per row, rounded as Z[i] @ w is; a single
             # matrix-vector product accumulates in another order
@@ -251,79 +243,76 @@ def extract_imputation(model: AdaptiveModel) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Finitely adaptive regression: recursive partitioning of pattern space.
 
-@dataclass
-class TreeNode:
-    fit: LinearFit
-    n_rows: int
-    split_feature: int | None = None  # None at leaves
-    left: "TreeNode | None" = None    # m_j = 0 branch
-    right: "TreeNode | None" = None   # m_j = 1 branch
-
-    def to_dict(self) -> dict:
-        doc = {"fit": self.fit.to_dict(), "n_rows": self.n_rows}
-        if self.split_feature is not None:
-            doc["split_feature"] = self.split_feature
-            doc["left"] = self.left.to_dict()
-            doc["right"] = self.right.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc, d: int) -> TreeNode:
-        """A node of a model file: a fit of d coefficients, a split in [0, d)."""
-        check_int("n_rows", doc["n_rows"], 1)
-        node = cls(LinearFit.from_dict(doc["fit"]), doc["n_rows"])
-        if len(node.fit.coefficients) != d:
-            raise ValueError(f"partition fit without {d} coefficients")
-        if "split_feature" in doc:
-            j = doc["split_feature"]
-            check_int("split_feature", j, 0)
-            if j >= d:
-                raise ValueError(f"split_feature {j} outside [0, {d})")
-            node.split_feature = j
-            node.left = cls.from_dict(doc["left"], d)
-            node.right = cls.from_dict(doc["right"], d)
-        return node
-
-
-@dataclass
 class PartitionTree:
-    root: TreeNode
-    d: int
+    """A finite partition of pattern space as one flat node table, root
+    first, a parent before its children. Node i has fits[i], n_rows[i], its
+    split feature feature[i] (-1 at a leaf) and its child pair child[i]:
+    the m_j = 0 child, then the m_j = 1 child; a leaf is its own child. A
+    batch descends the table in whole-array steps, one per level."""
 
-    def route(self, m, depth=None) -> TreeNode:
-        """The leaf of pattern m in this tree cut at `depth`, if given."""
-        node, level = self.root, 0
-        while node.split_feature is not None and level != depth:
-            node = node.left if m[node.split_feature] == 0 else node.right
-            level += 1
-        return node
+    def __init__(self, d: int, nodes):
+        """nodes: one [fit, n_rows, feature, child_0, child_1] per node."""
+        self.d, self.fits = d, [n[0] for n in nodes]
+        self.n_rows = [n[1] for n in nodes]
+        self.feature = np.array([n[2] for n in nodes], dtype=np.intp)
+        self.child = np.array([n[3:] for n in nodes], dtype=np.intp)
+        self._b = np.array([f.intercept for f in self.fits], dtype=float)
+        self._W = np.array([f.coefficients for f in self.fits],
+                           dtype=float).reshape(len(nodes), d)
+        level = [0] * len(nodes)
+        for i, (_, _, j, c0, c1) in enumerate(nodes):
+            if j >= 0:
+                level[c0] = level[c1] = level[i] + 1
+        self.levels = max(level)
 
     def predict_matrix(self, X, M, depth=None) -> np.ndarray:
         X, M = batch(X, M, self.d)
-        b, W = _per_row_fits(M, lambda p: self.route(p, depth).fit)
-        return b + np.sum(W * np.where(M == 1, 0.0, X), axis=1)
+        node, rows = np.zeros(len(M), dtype=np.intp), np.arange(len(M))
+        steps = self.levels if depth is None else min(depth, self.levels)
+        for _ in range(steps):  # a row at a leaf steps to itself
+            node = self.child[node, M[rows, self.feature[node]].astype(np.intp)]
+        return self._b[node] + np.sum(self._W[node] * np.where(M == 1, 0.0, X), axis=1)
 
     def predict(self, X, M, depth=None) -> np.ndarray:
         # The body stays under predict_matrix, the name the benchmark binds.
         return self.predict_matrix(X, M, depth)
 
-    def leaves(self) -> list[TreeNode]:
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.split_feature is None:
-                out.append(node)
-            else:
-                stack.extend([node.right, node.left])
-        return out
+    def leaves(self) -> np.ndarray:
+        """The leaves' node indices, in depth-first order (m_j = 0 first)."""
+        return np.flatnonzero(self.feature < 0)
 
     def to_dict(self) -> dict:
-        return {"type": "partition_tree", "d": self.d, "root": self.root.to_dict()}
+        feature, child = self.feature.tolist(), self.child.tolist()
+
+        def node(i) -> dict:
+            doc = {"fit": self.fits[i].to_dict(), "n_rows": self.n_rows[i]}
+            if feature[i] >= 0:
+                doc["split_feature"] = feature[i]
+                doc["left"], doc["right"] = map(node, child[i])
+            return doc
+        return {"type": "partition_tree", "d": self.d, "root": node(0)}
 
     @classmethod
     def from_dict(cls, doc) -> PartitionTree:
-        check_int("d", doc["d"], 1)
-        return cls(TreeNode.from_dict(doc["root"], doc["d"]), doc["d"])
+        """Each node of a model file: a fit of d coefficients, a split in [0, d)."""
+        check_int("d", d := doc["d"], 1)
+        nodes = []
+
+        def add(node) -> int:
+            check_int("n_rows", node["n_rows"], 1)
+            fit, i = LinearFit.from_dict(node["fit"]), len(nodes)
+            if len(fit.coefficients) != d:
+                raise ValueError(f"partition fit without {d} coefficients")
+            nodes.append([fit, node["n_rows"], -1, i, i])
+            if "split_feature" in node:
+                check_int("split_feature", j := node["split_feature"], 0)
+                if j >= d:
+                    raise ValueError(f"split_feature {j} outside [0, {d})")
+                nodes[i][2:] = j, add(node["left"]), add(node["right"])
+            return i
+
+        add(doc["root"])
+        return cls(d, nodes)
 
 
 def finite_limits(max_depth=3, min_leaf=20, min_gain=1e-3) -> dict:
@@ -360,11 +349,15 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
         f = _solve(A, yr, spec)
         return f, float(np.sum((yr - f.predict(A)) ** 2))
 
-    def build(rows: np.ndarray, depth: int, fit_sse=None) -> TreeNode:
+    nodes = []
+
+    def build(rows: np.ndarray, depth: int, fit_sse=None) -> int:
+        """Appends the node of `rows` and its subtree; returns its index."""
         f, sse = fit_sse or static_fit_sse(rows)
-        node = TreeNode(fit=f, n_rows=len(rows))
+        i = len(nodes)
+        nodes.append([f, len(rows), -1, i, i])
         if depth >= max_depth or len(rows) < 2 * min_leaf:
-            return node
+            return i
         Msub, candidates = dataset.M[rows], []
         for j in range(dataset.d):
             sides = rows[Msub[:, j] == 0], rows[Msub[:, j] == 1]
@@ -382,15 +375,13 @@ def fit_finite_adaptive(dataset: MaskedDataset, spec: ElasticNetSpec,
                 best = (total, j, left, right, fit_l, fit_r)
         gain = (sse - best[0]) / sse if sse > 0 else 0.0
         if len(best) == 2 or gain < min_gain:
-            return node
+            return i
         _, j, left, right, fit_l, fit_r = best
-        node.split_feature = j
-        node.left = build(left, depth + 1, fit_l)
-        node.right = build(right, depth + 1, fit_r)
-        return node
+        nodes[i][2:] = j, build(left, depth + 1, fit_l), build(right, depth + 1, fit_r)
+        return i
 
-    root = build(np.arange(dataset.n), 0)
-    return PartitionTree(root, dataset.d)
+    build(np.arange(dataset.n), 0)
+    return PartitionTree(dataset.d, nodes)
 
 
 def _lstsq_bound(A, y) -> float:
@@ -425,7 +416,7 @@ def model_to_json(model: AdaptiveModel) -> str:
 
 
 def model_from_json(text: str) -> AdaptiveModel:
-    return AdaptiveModel.from_dict(json.loads(text))
+    return AdaptiveModel.from_dict(json.loads(text, object_pairs_hook=unique_keys))
 
 
 def tree_to_json(tree: PartitionTree) -> str:
@@ -433,4 +424,4 @@ def tree_to_json(tree: PartitionTree) -> str:
 
 
 def tree_from_json(text: str) -> PartitionTree:
-    return PartitionTree.from_dict(json.loads(text))
+    return PartitionTree.from_dict(json.loads(text, object_pairs_hook=unique_keys))

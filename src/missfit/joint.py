@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_finite, check_int, check_real
+from .core import MaskedDataset, batch, check_finite, check_int, check_real, unique_keys
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
@@ -246,4 +246,4 @@ def joint_model_to_json(model: JointModel) -> str:
 
 
 def joint_model_from_json(text: str) -> JointModel:
-    return JointModel.from_dict(json.loads(text))
+    return JointModel.from_dict(json.loads(text, object_pairs_hook=unique_keys))

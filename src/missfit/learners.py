@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_finite, check_int
+from .core import MaskedDataset, batch, check_finite, check_int, unique_keys
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,9 @@ class MiaNode:
 
     @classmethod
     def from_dict(cls, doc, d: int) -> MiaNode:
-        """A node of a model file: a split tests a feature in [0, d) at a number,
-        or at null (a pure split), and sends missing rows left or right."""
+        """A node of a model file: a split tests a feature in [0, d) at a number
+        and sends missing rows left or right, or at null (a pure split, which
+        sends them left)."""
         check_int("n_rows", doc["n_rows"], 1)
         check_finite("prediction", doc["prediction"])
         node = cls(float(doc["prediction"]), doc["n_rows"])
@@ -79,6 +80,8 @@ class MiaNode:
                 check_finite("threshold", thr)
             if side not in ("left", "right"):
                 raise ValueError(f"missing_side: must be left or right, got {side!r}")
+            if thr is None and side != "left":
+                raise ValueError("missing_side: a pure split sends missing rows left")
             node.feature, node.threshold, node.missing_side = j, thr, side
             node.left = cls.from_dict(doc["left"], d)
             node.right = cls.from_dict(doc["right"], d)
@@ -427,7 +430,7 @@ def tree_to_json(tree: MiaTree) -> str:
 
 
 def tree_from_json(text: str) -> MiaTree:
-    return MiaTree.from_dict(json.loads(text))
+    return MiaTree.from_dict(json.loads(text, object_pairs_hook=unique_keys))
 
 
 def forest_to_json(forest: Forest) -> str:
@@ -435,4 +438,4 @@ def forest_to_json(forest: Forest) -> str:
 
 
 def forest_from_json(text: str) -> Forest:
-    return Forest.from_dict(json.loads(text))
+    return Forest.from_dict(json.loads(text, object_pairs_hook=unique_keys))

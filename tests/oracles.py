@@ -8,8 +8,9 @@ node at a time before trees grew together, the coordinate-descent loop
 before its leaner one, the fully adaptive fit that solved every pattern at
 fit time, the joint fit that rebuilt its whole imputed matrix (impute_with)
 for every trial, the finite partition that solved both sides of every
-candidate split, and the k-fold CV that went point by point with every point
-on its own fit; tests compare the package against them bit for bit.
+candidate split, the walk of one row at a time down a nested partition
+document, and the k-fold CV that went point by point with every point on
+its own fit; tests compare the package against them bit for bit.
 """
 
 import itertools
@@ -106,10 +107,10 @@ def fit_fully_adaptive(dataset, spec):
 
 
 def fit_finite_adaptive(dataset, spec, **limits):
-    """missfit.adaptive.fit_finite_adaptive with an exhaustive split search:
-    both sides of every candidate are solved, and min keeps the lowest
-    feature among equal totals. It solves through adaptive.enet_fit, so a
-    count of adaptive's solves sees it."""
+    """missfit.adaptive.fit_finite_adaptive with an exhaustive split search,
+    as its partition_tree document: both sides of every candidate are
+    solved, and min keeps the lowest feature among equal totals. It solves
+    through adaptive.enet_fit, so a count of adaptive's solves sees it."""
     max_depth, min_leaf, min_gain = adaptive.finite_limits(**limits).values()
     Z, y = adaptive.expand_matrix(dataset.X, dataset.M, "static"), dataset.y
 
@@ -120,7 +121,7 @@ def fit_finite_adaptive(dataset, spec, **limits):
 
     def build(rows, depth, fit_sse=None):
         f, sse = fit_sse or static_fit_sse(rows)
-        node = adaptive.TreeNode(fit=f, n_rows=len(rows))
+        node = {"fit": f.to_dict(), "n_rows": len(rows)}
         if depth >= max_depth or len(rows) < 2 * min_leaf:
             return node
         Msub = dataset.M[rows]
@@ -135,21 +136,26 @@ def fit_finite_adaptive(dataset, spec, **limits):
         gain = (sse - (fit_l[1] + fit_r[1])) / sse if sse > 0 else 0.0
         if gain < min_gain:
             return node
-        node.split_feature = j
-        node.left = build(left, depth + 1, fit_l)
-        node.right = build(right, depth + 1, fit_r)
+        node.update(split_feature=j, left=build(left, depth + 1, fit_l),
+                    right=build(right, depth + 1, fit_r))
         return node
 
-    return adaptive.PartitionTree(build(np.arange(dataset.n), 0), dataset.d)
+    return {"type": "partition_tree", "d": dataset.d,
+            "root": build(np.arange(dataset.n), 0)}
 
 
-def partition_tree_predict(tree, X, M) -> np.ndarray:
-    """Route each row to its leaf, then a masked dot product per row."""
+def partition_tree_predict(doc, X, M, depth=None) -> np.ndarray:
+    """Walk each row down a partition_tree document, cut at `depth` if given,
+    to its leaf (m_j = 0 left), then a masked dot product per row."""
     out = []
     for x, m in zip(X, M):
-        leaf = tree.route(m)
-        out.append(leaf.fit.intercept + masked_dot(leaf.fit.coefficients, x, m))
-    return np.array(out)
+        node, level = doc["root"], 0
+        while "split_feature" in node and level != depth:
+            node = node["left"] if m[node["split_feature"]] == 0 else node["right"]
+            level += 1
+        fit = node["fit"]
+        out.append(fit["intercept"] + masked_dot(fit["coefficients"], x, m))
+    return np.array(out, dtype=float)
 
 
 def mia_predict_row(root, x, m) -> float:

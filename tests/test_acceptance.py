@@ -145,7 +145,7 @@ class TestCriterion5:
                 right = rows[M[:, j] == 1]
                 if len(left) >= 5 and len(right) >= 5:
                     best[j] = sse(left) + sse(right)
-            if best and tree.root.split_feature != min(best, key=best.get):
+            if best and tree.feature[0] != min(best, key=best.get):
                 mismatches += 1
         _report("criterion 5: greedy root split matches exhaustive search on "
                 "20 instances", mismatches == 0, f"{mismatches} mismatches")

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from missfit import adaptive, bench
 from missfit.adaptive import (AFFINE, AFFINE_INTERCEPT, FULLY_ADAPTIVE, STATIC,
-                              AdaptiveModel, PartitionTree, TreeNode,
-                              expand_matrix, expansion_size,
+                              AdaptiveModel, expand_matrix, expansion_size,
                               extract_imputation, fit_adaptive,
                               fit_finite_adaptive, model_from_json,
                               model_to_json, tree_from_json, tree_to_json)
@@ -365,18 +365,27 @@ class TestPredict:
     def test_per_row_fits_asks_once_per_distinct_pattern(self):
         fits = {(0, 1): LinearFit(1.0, np.array([1.0, 2.0]), []),
                 (1, 1): LinearFit(2.0, np.array([3.0, 4.0]), [])}
-        fallback = LinearFit(9.0, np.array([5.0, 6.0]), [])
         asked = []
 
-        def fit_of(pattern):
-            asked.append(pattern)
-            return fits.get(pattern, fallback)
+        class Counting(Mapping):  # Mapping.get reads through __getitem__
+            def __getitem__(self, pattern):
+                asked.append(pattern)
+                return fits[pattern]
 
+            def __iter__(self):
+                return iter(fits)
+
+            def __len__(self):
+                return len(fits)
+
+        fallback = LinearFit(9.0, np.array([5.0, 6.0]), [])
+        model = AdaptiveModel(FULLY_ADAPTIVE, 2, None, Counting(), fallback)
         M = np.array([[0, 1], [1, 0], [0, 1], [1, 1], [1, 0], [0, 1]])
-        b, W = adaptive._per_row_fits(M, fit_of)
+        X = np.array([[10.0, 100.0]] * 6)
+        pred = model.predict(X, M)
         assert asked == [(0, 1), (1, 0), (1, 1)]
-        assert b.tolist() == [1.0, 9.0, 1.0, 2.0, 9.0, 1.0]
-        assert W.tolist() == [[1, 2], [5, 6], [1, 2], [3, 4], [5, 6], [1, 2]]
+        # b + w . x over the observed slots of each row's pattern
+        assert pred.tolist() == [11.0, 609.0, 11.0, 2.0, 609.0, 11.0]
 
     @pytest.mark.parametrize("fit", [
         lambda ds: fit_adaptive(ds, FULLY_ADAPTIVE, ElasticNetSpec(lam=0.01)),
@@ -405,11 +414,12 @@ def static_fit_sse(sub: MaskedDataset, spec):
 
 def oracle_fit_finite_adaptive(dataset, spec, max_depth, min_leaf,
                                min_gain=1e-3):
-    """The greedy partition as first written: every node refits its own rows,
-    so each child of a split is fitted twice (once as a candidate side)."""
+    """The greedy partition as first written, as its partition_tree document:
+    every node refits its own rows, so each child of a split is fitted twice
+    (once as a candidate side)."""
     def build(rows, depth):
         f, sse = static_fit_sse(dataset.subset(rows), spec)
-        node = TreeNode(fit=f, n_rows=len(rows))
+        node = {"fit": f.to_dict(), "n_rows": len(rows)}
         if depth >= max_depth or len(rows) < 2 * min_leaf:
             return node
         best = None
@@ -428,21 +438,17 @@ def oracle_fit_finite_adaptive(dataset, spec, max_depth, min_leaf,
         gain = (sse - total) / sse if sse > 0 else 0.0
         if gain < min_gain:
             return node
-        node.split_feature = j
-        node.left = build(left, depth + 1)
-        node.right = build(right, depth + 1)
+        node.update(split_feature=j, left=build(left, depth + 1),
+                    right=build(right, depth + 1))
         return node
 
-    return PartitionTree(build(np.arange(dataset.n), 0), dataset.d)
+    return {"type": "partition_tree", "d": dataset.d,
+            "root": build(np.arange(dataset.n), 0)}
 
 
-def assert_same_partition(a: TreeNode, b: TreeNode):
-    assert (a.split_feature, a.n_rows, a.fit.intercept) == \
-        (b.split_feature, b.n_rows, b.fit.intercept)
-    assert np.array_equal(a.fit.coefficients, b.fit.coefficients)
-    if a.split_feature is not None:
-        assert_same_partition(a.left, b.left)
-        assert_same_partition(a.right, b.right)
+def assert_same_partition(tree, doc):
+    """tree's document is doc: splits, row counts and fits, bit for bit."""
+    assert json.dumps(tree.to_dict()) == json.dumps(doc)
 
 
 class TestFiniteAdaptive:
@@ -462,7 +468,7 @@ class TestFiniteAdaptive:
         calls.clear()
         tree = fit_finite_adaptive(ds, spec, max_depth=max_depth,
                                    min_leaf=min_leaf)
-        assert_same_partition(tree.root, want.root)
+        assert_same_partition(tree, want)
         splits = len(tree.leaves()) - 1
         assert splits >= 2
         # a winner's fits pass to its children, and the bound skips the
@@ -475,7 +481,7 @@ class TestFiniteAdaptive:
         M = np.zeros((100, 3), dtype=int)
         y = X @ np.array([1.0, 2.0, 3.0])
         tree = fit_finite_adaptive(MaskedDataset(X, M, y), LAM0)
-        assert tree.root.split_feature is None
+        assert tree.feature.tolist() == [-1]
 
     def test_sign_flip_instance_splits_on_feature_two(self):
         rng = np.random.default_rng(10)
@@ -486,9 +492,10 @@ class TestFiniteAdaptive:
         y = np.where(M[:, 1] == 0, X[:, 0], -X[:, 0]) \
             + 0.02 * rng.normal(size=n)
         tree = fit_finite_adaptive(MaskedDataset(X, M, y), LAM0)
-        assert tree.root.split_feature == 1
-        slope_obs = tree.root.left.fit.coefficients[0]
-        slope_miss = tree.root.right.fit.coefficients[0]
+        assert tree.feature[0] == 1
+        observed, missing = tree.child[0]
+        slope_obs = tree.fits[observed].coefficients[0]
+        slope_miss = tree.fits[missing].coefficients[0]
         assert slope_obs == pytest.approx(1.0, abs=0.05)
         assert slope_miss == pytest.approx(-1.0, abs=0.05)
 
@@ -509,24 +516,19 @@ class TestFiniteAdaptive:
             right = rows[ds.M[:, j] == 1]
             if len(left) >= 5 and len(right) >= 5:
                 sses[j] = lstsq_sse(left) + lstsq_sse(right)
-        assert tree.root.split_feature == min(sses, key=sses.get)
+        assert tree.feature[0] == min(sses, key=sses.get)
 
     def test_routing_totality(self):
         ds = random_dataset(12, n=300, d=4, p_miss=0.4, mask_signal=True)
         tree = fit_finite_adaptive(ds, LAM0, max_depth=3, min_leaf=10)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = rng.integers(0, 2, size=4)
-            leaf = tree.route(m)
-            assert leaf.split_feature is None
-
-    def test_route_takes_a_tuple_or_an_array_row(self):
-        ds = random_dataset(12, n=300, d=4, p_miss=0.4, mask_signal=True)
-        tree = fit_finite_adaptive(ds, ElasticNetSpec(lam=0.01), max_depth=3,
-                                   min_leaf=10)
-        assert tree.root.split_feature is not None
-        for m in itertools.product((0, 1), repeat=4):
-            assert tree.route(m) is tree.route(np.array(m, dtype=np.int8))
+        assert tree.levels == 3
+        # every one of the 2^d masks reaches a leaf: the walk of the
+        # document to a leaf, row by row, gives the same bits
+        M = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int8)
+        X = np.random.default_rng(0).normal(size=M.shape)
+        want = oracles.partition_tree_predict(tree.to_dict(), X, M)
+        for mask in (M, M.astype(bool), M.astype(float)):
+            assert tree.predict(X, mask).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("limits, message", [
         ({"max_depth": -1}, "max_depth: must be >= 0"),
@@ -546,7 +548,7 @@ class TestFiniteAdaptive:
     def test_min_leaf_respected(self):
         ds = random_dataset(13, n=200, d=4, p_miss=0.4, mask_signal=True)
         tree = fit_finite_adaptive(ds, LAM0, max_depth=4, min_leaf=25)
-        assert all(leaf.n_rows >= 25 for leaf in tree.leaves())
+        assert all(tree.n_rows[i] >= 25 for i in tree.leaves())
 
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e300])
     def test_invariant_to_non_finite_masked_values(self, fill):
@@ -623,7 +625,7 @@ class TestFinitePruning:
         ds, spec, limits = finite_case(**case)
         tree = fit_finite_adaptive(ds, spec, **limits)
         want = oracles.fit_finite_adaptive(ds, spec, **limits)
-        assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
+        assert_same_partition(tree, want)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_is_below_every_fit(self, seed):

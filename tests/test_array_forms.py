@@ -1,13 +1,15 @@
 """missfit.core.unique_patterns, expand_matrix and the adaptive predicts
 equal the reference loops in tests/oracles.py bit for bit."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from missfit.adaptive import (FULLY_ADAPTIVE, AdaptiveModel, PartitionTree,
-                              TreeNode, expand_matrix)
+                              expand_matrix)
 from missfit.core import unique_patterns
 from missfit.elasticnet import LinearFit
 
@@ -80,29 +82,53 @@ def test_fully_adaptive_predict_matches_per_row_loop(seed, n, d, p_miss):
     assert same_bits(model.predict_matrix(X, M), want)
 
 
-def random_tree(rng, d, depth):
-    node = TreeNode(random_fit(rng, d), n_rows=1)
-    if depth > 0 and rng.random() < 0.8:
-        node.split_feature = int(rng.integers(0, d))
-        node.left = random_tree(rng, d, depth - 1)
-        node.right = random_tree(rng, d, depth - 1)
-    return node
+@st.composite
+def partition_docs(draw):
+    """A partition_tree document: d in 1..6, depth up to 0..4, a split on any
+    feature (one may repeat along a path) and a random fit at every node."""
+    d, max_depth = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    numbers = st.floats(-1e6, 1e6)
+
+    def node(depth):
+        doc = {"fit": {"intercept": draw(numbers),
+                       "coefficients": draw(st.lists(numbers, min_size=d, max_size=d)),
+                       "converged": draw(st.booleans())},
+               "n_rows": draw(st.integers(1, 10 ** 6))}
+        if depth < max_depth and draw(st.integers(0, 4)) > 0:
+            doc["split_feature"] = draw(st.integers(0, d - 1))
+            doc["left"], doc["right"] = node(depth + 1), node(depth + 1)
+        return doc
+
+    return {"type": "partition_tree", "d": d, "root": node(0)}
 
 
 @settings(max_examples=150, deadline=None)
-@given(**batches, depth=st.integers(0, 4))
-def test_partition_tree_predict_matches_route_and_masked_dot(seed, n, d,
-                                                              p_miss, depth):
-    X, M, rng = batch(seed, n, d, p_miss)
-    tree = PartitionTree(random_tree(rng, d, depth), d)
-    want = oracles.partition_tree_predict(tree, X, M)
-    assert same_bits(tree.predict_matrix(X, M), want)
+@given(doc=partition_docs())
+def test_partition_document_round_trips_byte_for_byte(doc):
+    tree = PartitionTree.from_dict(doc)
+    assert json.dumps(tree.to_dict()) == json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=partition_docs(), seed=batches["seed"], n=batches["n"],
+       p_miss=batches["p_miss"])
+def test_partition_tree_predict_matches_route_and_masked_dot(doc, seed, n, p_miss):
+    X, M, _ = batch(seed, n, doc["d"], p_miss)
+    tree = PartitionTree.from_dict(doc)
+    for depth in (0, 1, 2, 3, 4, 5, None):
+        want = oracles.partition_tree_predict(doc, X, M, depth)
+        assert same_bits(tree.predict(X, M, depth), want)
+        # NaN, +-inf or 1e300 at a masked slot reads as 0
+        assert same_bits(tree.predict(np.where(M == 1, 0.0, X), M, depth), want)
 
 
 def test_predicts_reject_mask_of_another_shape():
     X, M, rng = batch(0, 5, 3, 0.5)
     model = AdaptiveModel(FULLY_ADAPTIVE, 3, None, {}, random_fit(rng, 3))
-    tree = PartitionTree(random_tree(rng, 3, 2), 3)
+    fit = {"intercept": 1.0, "coefficients": [1.0, 2.0, 3.0]}
+    tree = PartitionTree.from_dict({"d": 3, "root": {
+        "fit": fit, "n_rows": 2, "split_feature": 1,
+        "left": {"fit": fit, "n_rows": 1}, "right": {"fit": fit, "n_rows": 1}}})
     for predict in (model.predict, tree.predict):
         for bad in (M[:4], M[:, :2], M[0]):
             with pytest.raises(ValueError):

@@ -261,7 +261,8 @@ INVALID_MODELS = {
                                {"right": {**LEAF, "prediction": -INF}},
                                {"prediction": "3.25"}, {"prediction": True},
                                {"right": {**LEAF, "prediction": HUGE}},
-                               {"threshold": HUGE}, {"threshold": -HUGE})),
+                               {"threshold": HUGE}, {"threshold": -HUGE},
+                               {"threshold": None, "missing_side": "right"})),
                  {"d": 2.5, "root": SPLIT}, {"d": True, "root": LEAF}],
     "mia_forest": [{"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "feature": 3}]},
                    {"d": 3, "params": {}, "trees": [LEAF, {**SPLIT, "threshold": NAN}]},

@@ -175,8 +175,9 @@ class TestAdversarial:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(50, 3))
         M = (rng.random((50, 3)) < 0.4).astype(int)
-        sigma, obj = adversarial_permute(X, M, exact_limit=10)
+        sigma, obj = adversarial_permute(X, M, exact_limit=0)  # greedy at any n
         assert sorted(sigma.tolist()) == list(range(50))
+        assert obj == float((X @ M.T.astype(float))[np.arange(50), sigma].sum())
         _, exact = adversarial_permute(X, M)
         assert obj <= exact + 1e-9
 

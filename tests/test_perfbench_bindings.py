@@ -127,6 +127,38 @@ def test_predict_stream_seed0_pass_equals_its_reference(monkeypatch, tmp_path):
     assert list(result.outputs.values()) == ref["digests"]
 
 
+# The JSON text readers the benchmark binds refuse a name given twice, at the
+# top level and nested, as a model file read by the CLI does; json alone
+# keeps the name's last value.
+SPEC = elasticnet.ElasticNetSpec(lam=0.01)
+JSON_TEXTS = {
+    "adaptive.model_from_json": lambda ds: adaptive.model_to_json(
+        adaptive.fit_adaptive(ds, adaptive.STATIC, SPEC)),
+    "adaptive.tree_from_json": lambda ds: adaptive.tree_to_json(
+        adaptive.fit_finite_adaptive(ds, SPEC, max_depth=1, min_leaf=10)),
+    "joint.joint_model_from_json": lambda ds: joint.joint_model_to_json(
+        joint.joint_fit(ds, joint.linear_contract(SPEC))),
+    "learners.tree_from_json": lambda ds: learners.tree_to_json(
+        learners.fit_cart_mia(ds, learners.TreeParams(max_depth=2))),
+    "learners.forest_from_json": lambda ds: learners.forest_to_json(
+        learners.fit_forest(ds, learners.TreeParams(max_depth=2, n_trees=2))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(JSON_TEXTS))
+def test_json_readers_refuse_a_repeated_key(reader):
+    mod, name = reader.split(".")
+    read = getattr(importlib.import_module(f"missfit.{mod}"), name)
+    lines = JSON_TEXTS[reader](tiny()).splitlines()
+    read("\n".join(lines))
+    nested = next(i for i, line in enumerate(lines)
+                  if line.startswith("  \"") and line.endswith(","))
+    for i in (1, nested):
+        key = lines[i].split('"')[1]
+        with pytest.raises(ValueError, match=f"^repeated key '{key}'$"):
+            read("\n".join(lines[:i + 1] + lines[i:]))
+
+
 # Each work counter of the tracer, run on the real result of a tiny call of
 # the function it is bound to. A change to what a function returns must not
 # silently change a per-layer metric of the benchmark.
@@ -141,7 +173,7 @@ def tiny(n=120, d=3, seed=0):
 
 
 def json_nodes(doc):
-    """(node count, sum of n_rows) of a serialized MIA tree."""
+    """(node count, sum of n_rows) of a serialized MIA or partition tree."""
     nodes, rows = 1, doc["n_rows"]
     for side in ("left", "right"):
         if side in doc:
@@ -175,9 +207,10 @@ def case_finite():
     ds = tiny()
     tree = adaptive.fit_finite_adaptive(ds, elasticnet.ElasticNetSpec(lam=0.01),
                                         max_depth=2, min_leaf=10)
-    reached = {id(tree.route(m)) for m in ds.M}  # every leaf holds rows
-    assert len(reached) >= 2
-    return (ds,), tree, {"finite_leaves": len(reached)}
+    nodes, _ = json_nodes(tree.to_dict()["root"])
+    assert nodes > 1
+    # every split has two children, so a tree of n nodes has (n + 1) / 2 leaves
+    return (ds,), tree, {"finite_leaves": (nodes + 1) // 2}
 
 
 def case_joint_fit():
