@@ -76,7 +76,7 @@ def _is_binary(y) -> bool:
 
 # ---------------------------------------------------------------------------
 # Methods. Method.build turns a grid point into the checked spec that fit reads;
-# tree fits set seed and task with dataclasses.replace. Fits return a model with predict.
+# tree fits set the seed with dataclasses.replace. Fits return a model with predict.
 
 def _enet_spec(lam=0.01, alpha=0.5) -> ElasticNetSpec:
     return ElasticNetSpec(lam=lam, alpha=alpha)
@@ -98,11 +98,8 @@ def _fit_imputed(name, train, spec, seed, task):
     """joint_* and mean_impute_*: an imputation vector mu, then the regressor
     that the name's suffix names. Only joint_* searches mu."""
     kind = name.rsplit("_", 1)[1]
-    if kind == "linear":
-        contract = linear_contract(spec)
-    else:
-        tp = replace(spec, task=task)
-        contract = tree_contract(tp) if kind == "tree" else forest_contract(tp)
+    contract = {"linear": linear_contract, "tree": tree_contract,
+                "forest": forest_contract}[kind](spec)
     if name.startswith("mean_impute_"):
         return fit_mean_impute(train, contract, seed)
     metric = auc_error if task == "classification" else mse_error
@@ -111,7 +108,7 @@ def _fit_imputed(name, train, spec, seed, task):
 
 def _fit_mia(name, train, spec, seed, task):
     fit = fit_cart_mia if name == "cart_mia" else fit_forest
-    return fit(train, replace(spec, seed=seed, task=task))
+    return fit(train, replace(spec, seed=seed))
 
 
 @dataclass(frozen=True)

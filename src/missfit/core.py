@@ -196,7 +196,7 @@ def read_csv(path, target: str) -> MaskedDataset:
     targets, non-numeric fields and rows of another width than the header
     are refused.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh.readlines())
         except UnicodeDecodeError as exc:

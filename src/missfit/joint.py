@@ -135,6 +135,7 @@ class JointModel:
         check_finite("sigma", *doc["sigma"])
         mu, sigma = (np.array(doc[k], dtype=float) for k in ("mu", "sigma"))
         d = p["d"] if p["type"] != "linear" else len(predictor.coefficients)
+        check_int("d", d, 1)
         if not len(mu) == len(sigma) == d:
             raise ValueError(f"mu and sigma are not {d} long, as the predictor")
         if not isinstance(stop := doc.get("stop_reason", ""), str):

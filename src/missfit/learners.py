@@ -31,19 +31,16 @@ class TreeParams:
     n_trees: int = 100
     mtry: int | None = None  # default: all features (tree), ceil(sqrt(d)) (forest)
     seed: int = 0
-    task: str = "regression"  # or "classification" (binary y, Gini impurity)
 
     def __post_init__(self):
         for name in ("max_depth", "min_leaf", "n_trees", "mtry"):
             check_int(name, getattr(self, name), 1, null=name == "mtry")
         check_int("seed", self.seed, 0)
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
 
 
 @dataclass
 class MiaNode:
-    prediction: float  # mean target (regression) or class-1 frequency
+    prediction: float  # mean target: on 0/1 targets, the class-1 frequency
     n_rows: int
     feature: int | None = None
     threshold: float | None = None  # None with feature set = pure missingness split
@@ -154,66 +151,54 @@ class MiaTree:
         return cls(MiaNode.from_dict(doc["root"], doc["d"]), doc["d"])
 
 
-def _impurity_sums(y: np.ndarray, task: str) -> float:
-    """Total impurity (SSE, or n * Gini) of one node's targets."""
-    n = len(y)
-    if n == 0:
-        return 0.0
-    if task == "regression":  # y.sum() / n is y.mean() to the bit, and cheaper
-        return float(((y - y.sum() / n) ** 2).sum())
-    p = float(y.sum() / n)
-    return n * 2.0 * p * (1.0 - p)
+def _impurity_sums(y: np.ndarray) -> float:
+    """Total impurity of one node's targets: their squared error about the
+    mean. On 0/1 targets it is half the node's total Gini n * 2p(1 - p), p
+    the class-1 frequency, so the least-squares split is the least-Gini one."""
+    # y.sum() / n is y.mean() to the bit, and cheaper
+    return float(((y - y.sum() / len(y)) ** 2).sum())
 
 
-def _sweep_impurity(k, s1, s2, task):
-    """Impurity of children with k rows and target sums s1 (and squares s2);
+def _sweep_impurity(k, s1, s2):
+    """Impurity of children with k rows, target sums s1 and squares s2;
     k = 0 divides by zero, so the caller masks it out under np.errstate."""
-    if task == "regression":
-        return s2 - s1 * s1 / k
-    p = s1 / k
-    return k * 2.0 * p * (1.0 - p)
+    return s2 - s1 * s1 / k
 
 
-def _shortlist_tolerance(yr, c, task) -> float:
+def _shortlist_tolerance(yr, c) -> float:
     """Margin above the least sweep score within which the exact winner lies.
 
     Any sum of m terms, in any order, errs by at most m*eps*sum|terms|. Over
     the node's n rows let u = y - ybar exactly, c = fl(y - ybar), U = sum u^2
     (the computed T = sum c^2 is within a factor 2 of U) and Y = max|y|.
 
-    Regression, sweep: a child's S1 and S2 are each at most three running
-    sums over the node added or subtracted (a threshold's side with the
-    missing block; either side of a pure split is two: the missing block
-    P[n] - P[n_obs], the observed block P[n_obs]), so S2 errs by at most
-    3(n+2)*eps*U and S1 by e = 3(n+2)*eps*sum|u| <= 3(n+2)*eps*sqrt(nU). As
-    |S1|/k <= sqrt(U), S1^2/k errs by at most 2e*sqrt(U); the square,
-    division and subtraction add 3*eps*U. Two children and their sum:
+    Sweep: a child's S1 and S2 are each at most three running sums over the
+    node added or subtracted (a threshold's side with the missing block;
+    either side of a pure split is two: the missing block P[n] - P[n_obs],
+    the observed block P[n_obs]), so S2 errs by at most 3(n+2)*eps*U and S1
+    by e = 3(n+2)*eps*sum|u| <= 3(n+2)*eps*sqrt(nU). As |S1|/k <= sqrt(U),
+    S1^2/k errs by at most 2e*sqrt(U); the square, division and subtraction
+    add 3*eps*U. Two children and their sum:
     a <= [6(n+2)(1 + 2 sqrt(n)) + 8]*eps*U.
-    Regression, exact: `_impurity_sums` takes the mean of the uncentred y,
-    which errs by d <= k*eps*Y; sum (y - mean)^2 is the child's SSE plus
-    k*d^2, summed with relative error (k+2)*eps. Two children:
+    Exact: `_impurity_sums` takes the mean of the uncentred y, which errs by
+    d <= k*eps*Y; sum (y - mean)^2 is the child's SSE plus k*d^2, summed
+    with relative error (k+2)*eps. Two children:
     b <= (n+4)*eps*U + 2n^3*eps^2*Y^2.
     Each score is within a (sweep) or b (exact) of the true impurity, so any
     candidate of least exact score has a sweep score at most 2(a+b) <=
     32(n+2)(sqrt(n)+1)*eps*U + 4n^3*eps^2*Y^2 above the least one. The
     tolerance is twice that, as margin for T against U and the eps^2 terms
     dropped.
-
-    Classification (Gini from raw y sums, p = S1/k): S1 errs by at most
-    3(n+1)*n*eps*Y and 2kp(1-p) has slope at most 2k(1 + 2Y) in p; the same
-    steps give 2(a+b) <= 18(n+1)^3*eps*Y(1 + 2Y), doubled likewise.
     """
     n = len(yr)
     eps = np.finfo(float).eps
     Y = float(np.max(np.abs(yr)))
-    if task == "regression":
-        T = float(np.dot(c, c))
-        return (64.0 * (n + 2) * (np.sqrt(n) + 1) * eps * T
-                + 8.0 * n ** 3 * (eps * Y) ** 2)
-    return 36.0 * (n + 1) ** 3 * eps * Y * (1.0 + 2.0 * Y)
+    T = float(np.dot(c, c))
+    return (64.0 * (n + 2) * (np.sqrt(n) + 1) * eps * T
+            + 8.0 * n ** 3 * (eps * Y) ** 2)
 
 
-def _best_splits(X, M, y, nodes, min_leaf, task):
+def _best_splits(X, M, y, nodes, min_leaf):
     """Best (feature, threshold, side) split of each (rows, features) node in
     `nodes`, all with one feature count, by one presorted sweep: per node
     (impurity, feature, threshold, side, left_rows, right_rows, the node's
@@ -256,10 +241,9 @@ def _best_splits(X, M, y, nodes, min_leaf, task):
     own = []  # each node's impurity, as _impurity_sums has it
     for b, (rows, _) in enumerate(nodes):
         yr = y[rows]
-        c = yr - yr.sum() / len(rows) if task == "regression" else yr
-        C[b, :len(rows)], tol[b] = c, _shortlist_tolerance(yr, c, task)
-        own.append(float((c ** 2).sum()) if task == "regression"
-                   else _impurity_sums(yr, task))
+        c = yr - yr.sum() / len(rows)
+        C[b, :len(rows)], tol[b] = c, _shortlist_tolerance(yr, c)
+        own.append(float((c ** 2).sum()))
     cs = np.take(C, perm + np.arange(B).repeat(F)[:, None] * N)
     P = np.zeros((2, B * F, N + 1))  # prefix sums of c and c^2, per lane
     np.cumsum(cs, axis=1, out=P[0, :, 1:])
@@ -289,8 +273,8 @@ def _best_splits(X, M, y, nodes, min_leaf, task):
     s_left = np.array((s_lo + s_mi, s_lo))
     s_right = np.array((s_hi, s_hi + s_mi))
     with np.errstate(divide="ignore", invalid="ignore"):  # empty children
-        approx = (_sweep_impurity(k_left, s_left[:, 0], s_left[:, 1], task)
-                  + _sweep_impurity(n - k_left, s_right[:, 0], s_right[:, 1], task))
+        approx = (_sweep_impurity(k_left, s_left[:, 0], s_left[:, 1])
+                  + _sweep_impurity(n - k_left, s_right[:, 0], s_right[:, 1]))
     valid = (k_left >= min_leaf) & (n - k_left >= min_leaf)
     approx = np.where(valid, approx, np.inf)
     least = np.full(B, np.inf)
@@ -311,7 +295,7 @@ def _best_splits(X, M, y, nodes, min_leaf, task):
             left, right = np.concatenate([below, miss]), above
         else:
             left, right = below, np.concatenate([above, miss])
-        imp = _impurity_sums(y[left], task) + _impurity_sums(y[right], task)
+        imp = _impurity_sums(y[left]) + _impurity_sums(y[right])
         if best[b] is None or imp < best[b][0]:
             best[b] = (imp, features[b, f], None if pure[k] else float(thr[k]),
                        ("left", "right")[side], left, right, own[b])
@@ -323,7 +307,7 @@ def _grow(X, M, y, samples, params: TreeParams, rngs=None) -> list[MiaNode]:
     t draws each node's mtry features from rngs[t], if given, in its own
     depth-first order, so a round takes one node of each tree; otherwise a
     round takes every open node: one depth of each tree."""
-    d, task, min_leaf = X.shape[1], params.task, params.min_leaf
+    d, min_leaf = X.shape[1], params.min_leaf
     draw = rngs is not None and params.mtry is not None and params.mtry < d
     slots = _Routing.GROUP_SLOTS // (params.mtry if draw else max(d, 1))
 
@@ -351,7 +335,7 @@ def _grow(X, M, y, samples, params: TreeParams, rngs=None) -> list[MiaNode]:
             while k < len(taken) and (k + 1) * (len(taken[k][0]) + 1) <= slots:
                 k += 1
             chunk, taken = taken[:k], taken[k:]
-            found = _best_splits(X, M, y, [job[:2] for job in chunk], min_leaf, task)
+            found = _best_splits(X, M, y, [job[:2] for job in chunk], min_leaf)
             for (rows, _, t, node, depth), best in zip(chunk, found):
                 if best is None or best[0] >= best[6]:  # no split lowers impurity
                     continue
@@ -393,7 +377,13 @@ class Forest:
         trees = [MiaTree(MiaNode.from_dict(t, d), d) for t in doc["trees"]]
         if not trees:
             raise ValueError("trees: must hold at least one tree")
-        return cls(trees, TreeParams(**doc["params"]), d)
+        params = {**doc["params"]}
+        # forests saved while TreeParams had a task field hold one; no fit
+        # or predict reads it
+        task = params.pop("task", "regression")
+        if task not in ("regression", "classification"):
+            raise ValueError(f"unknown task {task!r}")
+        return cls(trees, TreeParams(**params), d)
 
 
 def fit_forest(dataset: MaskedDataset, params: TreeParams) -> Forest:

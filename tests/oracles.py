@@ -178,7 +178,7 @@ def mia_tree_predict(tree, X, M) -> np.ndarray:
                      for x, m in zip(X.tolist(), M.tolist())], dtype=float)
 
 
-def mia_best_split(X, M, y, rows, features, min_leaf, task):
+def mia_best_split(X, M, y, rows, features, min_leaf):
     """Exhaustive MIA split search: every candidate scored from scratch.
 
     missfit.learners._best_splits must reproduce it exactly for each node:
@@ -192,8 +192,7 @@ def mia_best_split(X, M, y, rows, features, min_leaf, task):
         obs = rows[mj == 0]
         # pure missing-vs-observed split
         if len(miss) >= min_leaf and len(obs) >= min_leaf:
-            imp = (_impurity_sums(y[miss], task)
-                   + _impurity_sums(y[obs], task))
+            imp = _impurity_sums(y[miss]) + _impurity_sums(y[obs])
             if best is None or imp < best[0]:
                 best = (imp, j, None, "left", miss, obs)
         if len(obs) < 2:
@@ -214,8 +213,7 @@ def mia_best_split(X, M, y, rows, features, min_leaf, task):
                 right = right_obs if side == "left" else np.concatenate([right_obs, miss])
                 if len(left) < min_leaf or len(right) < min_leaf:
                     continue
-                imp = (_impurity_sums(y[left], task)
-                       + _impurity_sums(y[right], task))
+                imp = _impurity_sums(y[left]) + _impurity_sums(y[right])
                 if best is None or imp < best[0]:
                     best = (imp, j, float(thr), side, left, right)
     return best
@@ -235,8 +233,8 @@ def mia_build(X, M, y, rows, depth, params, rng=None) -> MiaNode:
         features = np.sort(rng.choice(d, params.mtry, replace=False))
     else:
         features = np.arange(d)
-    parent_imp = _impurity_sums(y[rows], params.task)
-    best = mia_best_split(X, M, y, rows, features, params.min_leaf, params.task)
+    parent_imp = _impurity_sums(y[rows])
+    best = mia_best_split(X, M, y, rows, features, params.min_leaf)
     if best is None or best[0] >= parent_imp:
         return node
     imp, j, thr, side, left, right = best

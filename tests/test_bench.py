@@ -102,6 +102,19 @@ class TestFitMethod:
             assert yhat.shape == (ds.n,)
             assert np.all(np.isfinite(yhat))
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name, point", [
+        ("cart_mia", {"max_depth": 6}), ("rf_mia", {"max_depth": 6, "n_trees": 5}),
+        ("mean_impute_tree", {"max_depth": 5}),
+        ("mean_impute_forest", {"max_depth": 6, "n_trees": 5})])
+    def test_tree_fits_do_not_read_the_task(self, name, point, seed):
+        # on 0/1 targets the squared-error search is the Gini search, so a
+        # classification cell fits the trees a regression cell would
+        data = generated("mcar", seed, "classification")
+        docs = [json.dumps(fit_method(name, data, point, seed, task).to_dict())
+                for task in ("regression", "classification")]
+        assert docs[0] == docs[1]
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             fit_method("mystery", small_dataset(), {}, 0, "regression")

@@ -232,6 +232,9 @@ INVALID_MODELS = {
     "joint": [
         {"contract": "linear", "mu": [0.0, 0.0], "sigma": [1.0, 1.0],
          "predictor": {"type": "linear", **FIT}},
+        # an empty linear predictor: d = 0, as every other reader refuses
+        {"contract": "linear", "mu": [], "sigma": [],
+         "predictor": {"type": "linear", "intercept": 0.0, "coefficients": []}},
         {"contract": "tree", "mu": [0.0] * 3, "sigma": [1.0] * 3,
          "predictor": {"type": "mia_tree", "d": 4, "root": SPLIT}},
         {"contract": "linear", "mu": ["x", 0.0, 0.0], "sigma": [1.0] * 3,
@@ -411,6 +414,31 @@ class TestFitPredict:
         assert missing.any() and not missing.all()
         got = np.loadtxt(preds, skiprows=1)
         assert np.array_equal(got, np.where(missing, 1.0, 0.0))
+
+    def test_a_forest_document_may_hold_a_legacy_task(self, dataset_csv, tmp_path,
+                                                      capsys):
+        # forests saved while TreeParams had a task field hold one, which no
+        # predict reads; a value that field refused is refused still
+        model = tmp_path / "rf.json"
+        assert main(["fit", "--data", str(dataset_csv), "--method", "rf_mia",
+                     "--max-depth", "2", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        assert "task" not in doc["params"]
+        preds = []
+        for task in (None, "regression", "classification", "ranking"):
+            extra = {} if task is None else {"task": task}
+            model.write_text(json.dumps({**doc, "params": {**doc["params"], **extra}}))
+            out = tmp_path / "p.csv"
+            capsys.readouterr()
+            code = main(["predict", "--model", str(model), "--data",
+                         str(dataset_csv), "--out", str(out)])
+            if task == "ranking":
+                assert code == 2
+                assert "unknown task 'ranking'" in capsys.readouterr().err
+            else:
+                assert code == 0
+                preds.append(out.read_bytes())
+        assert preds[0] == preds[1] == preds[2]
 
     def test_integer_numbers_load(self, dataset_csv, tmp_path):
         # a JSON integer is a number, as a float is; a bool or a string is none
@@ -1053,6 +1081,27 @@ class TestInspect:
         data.write_bytes(b"x1,y\n\xff,1\n")
         assert main(["inspect", str(data)]) == 2
         assert f"error: {data} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["y,x1\n2.0,1.5\n3.0,NA\n",
+                                      "x1,x2,y\n1.5,NA,2.0\nNA,0.5,3.0\n"],
+                             ids=["target_first", "target_last"])
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, text, tmp_path,
+                                                         capsys):
+        # spreadsheet "CSV UTF-8" exports start with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outs = []
+        for data in (plain, marked):
+            assert main(["inspect", str(data)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        a, b = read_csv(plain, "y"), read_csv(marked, "y")
+        header = text.split("\n")[0].split(",")
+        assert b.feature_names == a.feature_names == tuple(c for c in header if c != "y")
+        assert a.X.tobytes() == b.X.tobytes() and a.M.tobytes() == b.M.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
 
     def test_non_numeric_field_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,16 +15,18 @@ from missfit.learners import (Forest, MiaTree, TreeParams, fit_cart_mia,
                               mean_impute, tree_from_json, tree_to_json)
 
 
-def random_dataset(seed, n=200, d=4, p_miss=0.3, task="regression"):
+def random_dataset(seed, n=200, d=4, p_miss=0.3, binary=False):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     M = (rng.random((n, d)) < p_miss).astype(int)
     signal = np.where(M[:, 0] == 1, 2.0, X[:, 0]) + 0.5 * X[:, 1] * (1 - M[:, 1])
-    if task == "classification":
-        y = (signal + 0.3 * rng.normal(size=n) > 0).astype(float)
-    else:
-        y = signal + 0.3 * rng.normal(size=n)
-    return MaskedDataset(X, M, y)
+    y = signal + 0.3 * rng.normal(size=n)
+    return MaskedDataset(X, M, (y > 0).astype(float) if binary else y)
+
+
+# a 0/1-target data case next to real targets, under the ids the two tasks had
+BINARY = pytest.mark.parametrize("binary", [False, True],
+                                 ids=["regression", "classification"])
 
 
 def assert_same_split(got, want):
@@ -35,9 +39,10 @@ def assert_same_split(got, want):
 
 
 @st.composite
-def split_data(draw):
+def split_data(draw, labels=None):
     """Data built to hit the sweep's rounding and tie cases: (X, M, y,
-    min_leaf, task, rng) with n >= 2 * min_leaf rows, rng to draw nodes."""
+    min_leaf, rng) with n >= 2 * min_leaf rows, rng to draw nodes. 0/1
+    targets (always, if `labels`) tie exactly everywhere."""
     min_leaf = draw(st.integers(1, 12))
     n = 2 * min_leaf if draw(st.booleans()) else draw(st.integers(2 * min_leaf, 60))
     d = draw(st.integers(1, 4))
@@ -58,25 +63,24 @@ def split_data(draw):
     if d > 1 and draw(st.booleans()):  # duplicate or mirrored column: ties
         X[:, 1], M[:, 1] = X[:, 0] * draw(st.sampled_from([1.0, -1.0])), M[:, 0]
     X[M == 1] = np.nan
-    task = draw(st.sampled_from(["regression", "classification"]))
-    if task == "classification":
+    if labels or labels is None and draw(st.booleans()):
         y = (rng.random(n) < 0.5).astype(float)
     else:
         y = rng.normal(size=n) + draw(st.sampled_from([0.0, 1e6]))
         if draw(st.booleans()):  # few levels: distinct partitions tie exactly
             y = np.round(y)
-    return X, M, y, min_leaf, task, rng
+    return X, M, y, min_leaf, rng
 
 
 @st.composite
 def split_cases(draw):
     """One node: every row or a bootstrap draw of them, some features."""
-    X, M, y, min_leaf, task, rng = draw(split_data())
+    X, M, y, min_leaf, rng = draw(split_data())
     n, d = X.shape
     rows = (rng.integers(0, n, size=n) if draw(st.booleans())
             else np.arange(n))
     features = np.sort(rng.choice(d, draw(st.integers(1, d)), replace=False))
-    return X, M, y, rows, features, min_leaf, task
+    return X, M, y, rows, features, min_leaf
 
 
 @st.composite
@@ -85,7 +89,7 @@ def split_batches(draw):
     rows: 2 * min_leaf bootstrap rows; 2 * min_leaf - 1 distinct rows, where
     no candidate is valid; the rows that miss a node's first feature; and a
     few random subsets and bootstrap draws, in a random order."""
-    X, M, y, min_leaf, task, rng = draw(split_data())
+    X, M, y, min_leaf, rng = draw(split_data())
     n, d = X.shape
     F = draw(st.integers(1, d))
 
@@ -102,7 +106,7 @@ def split_batches(draw):
         rows = (rng.integers(0, n, size=size) if draw(st.booleans())
                 else np.sort(rng.choice(n, size, replace=False)))
         nodes.append((rows, features()))
-    return X, M, y, draw(st.permutations(nodes)), min_leaf, task
+    return X, M, y, draw(st.permutations(nodes)), min_leaf
 
 
 def trap_batch():
@@ -111,25 +115,25 @@ def trap_batch():
     X = np.arange(12.0)[:, None]
     y = (X[:, 0] > 5).astype(float)
     nodes = [(np.arange(3), np.arange(1)), (np.arange(12), np.arange(1))]
-    return X, np.zeros((12, 1), dtype=np.int8), y, nodes, 2, "regression"
+    return X, np.zeros((12, 1), dtype=np.int8), y, nodes, 2
 
 
-def search_one(X, M, y, rows, features, min_leaf, task):
+def search_one(X, M, y, rows, features, min_leaf):
     """_best_splits on a batch of one node."""
-    return learners._best_splits(X, M, y, [(rows, features)], min_leaf, task)[0]
+    return learners._best_splits(X, M, y, [(rows, features)], min_leaf)[0]
 
 
 def mirrored_case(seed, n=40):
-    """A node whose feature 1 is feature 0 negated, with 0/1 regression
-    targets: each cut of one feature ties exactly with its mirror image in
-    the other, and the sweep's sums, taken in opposite orders, tell the two
-    apart by rounding alone."""
+    """A node whose feature 1 is feature 0 negated, with 0/1 targets: each
+    cut of one feature ties exactly with its mirror image in the other, and
+    the sweep's sums, taken in opposite orders, tell the two apart by
+    rounding alone."""
     rng = np.random.default_rng(seed)
     x = np.where(rng.random(n) < 0.3, np.nan, rng.choice(rng.normal(size=8), n))
     X = np.stack([x, -x], axis=1)
     M = np.isnan(X).astype(np.int8)
     y = rng.integers(0, 2, n).astype(float)
-    return X, M, y, np.arange(n), np.arange(2), 3, "regression"
+    return X, M, y, np.arange(n), np.arange(2), 3
 
 
 def assert_same_tree(a, b):
@@ -169,22 +173,22 @@ class TestSplitSearch:
     @given(split_batches())
     @example(trap_batch())
     def test_batch_matches_oracle_per_node(self, batch):
-        X, M, y, nodes, min_leaf, task = batch
+        X, M, y, nodes, min_leaf = batch
         got = learners._best_splits(*batch)
         assert len(got) == len(nodes)
         for split, (rows, features) in zip(got, nodes):
             assert_same_split(split, oracles.mia_best_split(
-                X, M, y, rows, features, min_leaf, task))
+                X, M, y, rows, features, min_leaf))
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_mask_only_signal_takes_the_pure_split(self, task):
+    @BINARY
+    def test_mask_only_signal_takes_the_pure_split(self, binary):
         # y follows x0's mask bit alone; the observed values are noise, so
         # every threshold, with the missing rows on either side, scores worse
         rng = np.random.default_rng(3)
         X, M = rng.normal(size=(40, 3)), np.zeros((40, 3), dtype=np.int8)
         M[::3, 0] = 1
-        y = M[:, 0] + (0.01 * rng.normal(size=40) if task == "regression" else 0.0)
-        case = (X, M, y, np.arange(40), np.arange(3), 3, task)
+        y = M[:, 0] + (0.0 if binary else 0.01 * rng.normal(size=40))
+        case = (X, M, y, np.arange(40), np.arange(3), 3)
         got = search_one(*case)
         assert (got[1], got[2], got[3]) == (0, None, "left")
         assert np.array_equal(got[4], np.arange(0, 40, 3))
@@ -205,31 +209,82 @@ class TestSplitSearch:
         assert max(k for k, _, _ in batches) > 1
         assert all(k == 1 or k * F * (N + 1) <= group_slots for k, F, N in batches)
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_forest_trees_match_oracle_build(self, task, monkeypatch):
+    @BINARY
+    def test_forest_trees_match_oracle_build(self, binary, monkeypatch):
         # trees grown together against oracles.mia_build, one node at a time
-        ds = random_dataset(18, n=150, d=5, task=task)
+        ds = random_dataset(18, n=150, d=5, binary=binary)
         ds = MaskedDataset(np.round(ds.X, 1), ds.M, ds.y)  # repeated values
         # mtry 5 = d draws no features; 600 slots make small chunks
         for mtry, group_slots in itertools.product([2, 5], [65_536, 600]):
             batches = self.record_batches(monkeypatch, group_slots)
-            params = TreeParams(n_trees=4, mtry=mtry, max_depth=5, min_leaf=3, task=task)
+            params = TreeParams(n_trees=4, mtry=mtry, max_depth=5, min_leaf=3)
             forest = fit_forest(ds, params)  # bootstrap rows: repeats
             for tree, root in zip(forest.trees, oracles.mia_forest_roots(ds, params),
                                   strict=True):
                 assert_same_tree(tree.root, root)
             self.assert_batched_within(batches, group_slots)
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_cart_tree_matches_oracle_build(self, task, monkeypatch):
-        ds = random_dataset(18, n=150, d=5, task=task)
+    @BINARY
+    def test_cart_tree_matches_oracle_build(self, binary, monkeypatch):
+        ds = random_dataset(18, n=150, d=5, binary=binary)
         ds = MaskedDataset(np.round(ds.X, 1), ds.M, ds.y)
-        params = TreeParams(max_depth=6, min_leaf=3, task=task)
+        params = TreeParams(max_depth=6, min_leaf=3)
         want = oracles.mia_build(ds.X, ds.M, ds.y, np.arange(ds.n), 0, params)
         for group_slots in [65_536, 600]:
             batches = self.record_batches(monkeypatch, group_slots)
             assert_same_tree(fit_cart_mia(ds, params).root, want)
             self.assert_batched_within(batches, group_slots)
+
+
+def gini(y, rows):
+    """A node's total Gini n * 2p(1 - p), exactly, from its class counts."""
+    ones = int(y[rows].sum())
+    return Fraction(2 * ones * (len(rows) - ones), len(rows))
+
+
+def candidate_ginis(X, M, y, rows, min_leaf):
+    """The exact Gini of each candidate split of a node with min_leaf rows on
+    either side: every feature's pure split and its thresholds at midpoints,
+    with the missing rows on either side."""
+    for j in range(X.shape[1]):
+        miss, obs = rows[M[rows, j] == 1], rows[M[rows, j] == 0]
+        parts, vals = [(miss, obs)], np.unique(X[obs, j])
+        with np.errstate(over="ignore"):  # midpoints of huge values: +-inf
+            thresholds = (vals[:-1] + vals[1:]) / 2.0
+        for thr in thresholds:
+            lo, hi = obs[X[obs, j] <= thr], obs[X[obs, j] > thr]
+            parts += [(np.concatenate([lo, miss]), hi), (lo, np.concatenate([hi, miss]))]
+        for left, right in parts:
+            if min(len(left), len(right)) >= min_leaf:
+                yield gini(y, left) + gini(y, right)
+
+
+def split_nodes(node, X, M, rows):
+    """(split node, its left child's rows, its right child's), the rows
+    routed from `rows` at the root."""
+    if node.is_leaf():
+        return
+    j = node.feature
+    miss = M[rows, j] == 1
+    left = miss if node.threshold is None else np.where(
+        miss, node.missing_side == "left", X[rows, j] <= node.threshold)
+    yield node, rows[left], rows[~left]
+    yield from split_nodes(node.left, X, M, rows[left])
+    yield from split_nodes(node.right, X, M, rows[~left])
+
+
+@settings(deadline=None, max_examples=150)
+@given(split_data(labels=True), st.integers(1, 4))
+def test_cart_splits_have_the_least_gini(data, max_depth):
+    # on 0/1 targets squared error is half the Gini, so the least-squares
+    # search picks a least-Gini split, exact ties included
+    X, M, y, min_leaf, _ = data
+    tree = fit_cart_mia(MaskedDataset(X, M, y),
+                        TreeParams(max_depth=max_depth, min_leaf=min_leaf))
+    for node, left, right in split_nodes(tree.root, X, M, np.arange(len(y))):
+        assert (node.left.n_rows, node.right.n_rows) == (len(left), len(right))
+        assert gini(y, left) + gini(y, right) == min(candidate_ginis(
+            X, M, y, np.concatenate([left, right]), min_leaf))
 
 
 class TestParams:
@@ -238,8 +293,11 @@ class TestParams:
         assert (p.max_depth, p.min_leaf, p.n_trees) == (6, 5, 100)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            TreeParams(task="ranking")
+        # a fit reads no task: on 0/1 targets squared error is half the Gini
+        assert [f.name for f in fields(TreeParams)] == [
+            "max_depth", "min_leaf", "n_trees", "mtry", "seed"]
+        with pytest.raises(TypeError):
+            TreeParams(task="classification")
 
     @pytest.mark.parametrize("field, value", [
         ("max_depth", 0), ("max_depth", 2.5), ("max_depth", True),
@@ -366,8 +424,9 @@ class TestCart:
         assert np.array_equal(tree.predict(ds.X, ds.M), tree.predict(X2, ds.M))
 
     def test_classification_gini(self):
-        ds = random_dataset(9, n=300, task="classification")
-        tree = fit_cart_mia(ds, TreeParams(task="classification", max_depth=4))
+        # 0/1 targets: the squared-error search is the Gini search
+        ds = random_dataset(9, n=300, binary=True)
+        tree = fit_cart_mia(ds, TreeParams(max_depth=4))
         preds = tree.predict(ds.X, ds.M)
         assert np.all((preds >= 0) & (preds <= 1))
         acc = np.mean((preds > 0.5) == (ds.y > 0.5))
@@ -409,7 +468,7 @@ class TestForest:
         assert err40 < err1
 
 
-def routing_dataset(seed, n, d, depth, all_missing, task):
+def routing_dataset(seed, n, d, depth, all_missing, binary):
     """Rows whose targets reward every split kind: column 0 with its missing
     rows high (missing right), column 1 with them low (missing left), column 2
     by its mask alone (pure). Depth 0 is a constant target: a lone leaf."""
@@ -421,7 +480,7 @@ def routing_dataset(seed, n, d, depth, all_missing, task):
     signal = (np.where(M[:, 0] == 1, 2.0, X[:, 0])
               + np.where(M[:, 1] == 1, -2.0, X[:, 1]) + 1.5 * M[:, 2])
     y = signal + 0.3 * rng.normal(size=n)
-    if task == "classification":
+    if binary:
         y = (y > 0).astype(float)
     if depth == 0:
         y = np.full(n, y[0])
@@ -460,14 +519,14 @@ class TestRouting:
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 10),
            min_leaf=st.integers(1, 5), all_missing=st.booleans(),
-           task=st.sampled_from(["regression", "classification"]),
+           binary=st.booleans(),
            n_trees=st.sampled_from([None, 1, 3]),
            rows=st.sampled_from([0, 1, 16, 500]))
     def test_matches_per_node_walk(self, seed, depth, min_leaf, all_missing,
-                                   task, n_trees, rows):
-        ds = routing_dataset(seed, 120, 4, depth, all_missing, task)
+                                   binary, n_trees, rows):
+        ds = routing_dataset(seed, 120, 4, depth, all_missing, binary)
         params = TreeParams(max_depth=max(depth, 1), min_leaf=min_leaf,
-                            n_trees=n_trees or 1, seed=seed % 1000, task=task)
+                            n_trees=n_trees or 1, seed=seed % 1000)
         X, M = routing_batch(np.random.default_rng(seed), rows, 4)
         if n_trees is None:
             tree = fit_cart_mia(ds, params)
@@ -479,7 +538,7 @@ class TestRouting:
         assert got.tobytes() == want.tobytes()
 
     def test_cases_reach_every_split_kind(self):
-        ds = routing_dataset(0, 120, 4, 6, True, "regression")
+        ds = routing_dataset(0, 120, 4, 6, True, False)
         tree = fit_cart_mia(ds, TreeParams(max_depth=6, min_leaf=2))
         assert split_kinds(tree.root) == {"pure", "left", "right"}
         assert tree._routing.depth == 6
