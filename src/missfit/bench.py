@@ -69,9 +69,12 @@ def auc_error(y, scores) -> float:
     return 1.0 - (scaled_auc(y, scores) + 1.0) / 2.0
 
 
-def _is_binary(y) -> bool:
+def task_of(y) -> str:
+    """The task a cell fits for target y: classification when y takes the
+    values 0 and 1 and no other, regression otherwise."""
     vals = np.unique(y)
-    return len(vals) == 2 and set(vals) <= {0.0, 1.0}
+    return ("classification" if len(vals) == 2 and set(vals) <= {0.0, 1.0}
+            else "regression")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +450,7 @@ def run_replication(config: ExperimentConfig, rep: int,
         dataset, X_full, _truth = generate(spec)
     else:
         dataset = read_csv(config.dataset_csv, config.target)
-    task = "classification" if _is_binary(dataset.y) else "regression"
+    task = task_of(dataset.y)
     metric_name = "2auc-1" if task == "classification" else "r2"
     rng = np.random.default_rng(rep_seed + 7)
     perm = rng.permutation(dataset.n)
@@ -498,7 +501,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
             tasks.append((config, r, todo))
     table = ResultsTable([])
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(run_replication, *zip(*tasks)))
     else:
         results = [run_replication(*t) for t in tasks]

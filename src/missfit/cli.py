@@ -77,7 +77,8 @@ def cmd_fit(args) -> int:
         raise UsageError(exc) from None
     seed = _seed(args)
     dataset = read_csv(args.data, args.target)
-    model = bench.fit_method(args.method, dataset, params, seed, "regression")
+    model = bench.fit_method(args.method, dataset, params, seed,
+                             bench.task_of(dataset.y))
     yhat = model.predict(dataset.X, dataset.M)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(model.to_dict(), indent=1))

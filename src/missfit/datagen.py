@@ -166,35 +166,24 @@ def generate(spec: GeneratorSpec) -> tuple[MaskedDataset, np.ndarray, GroundTrut
     return MaskedDataset(X, M, y), X, truth
 
 
-def adversarial_permute(X_full, M, exact_limit: int = 2000):
+def adversarial_permute(X_full, M):
     """Permutation of mask rows maximizing sum_i <x_i, m_{sigma(i)}>.
 
-    Solved exactly as a linear assignment problem up to exact_limit rows;
-    larger instances use a greedy pass over rows in descending best-score
-    order. Returns (sigma, achieved objective).
+    Solved exactly as a linear assignment problem at every n. The solve
+    slows faster than n^2 and with ties among the scores: at n = 4,000 on a
+    2-CPU Xeon, about 1 s for random censoring masks and 6 s for masks of
+    two patterns. Returns (sigma, achieved objective).
     """
     X_full = np.atleast_2d(np.asarray(X_full, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if X_full.shape != M.shape:
         raise ValueError("shape mismatch between X_full and M")
-    n = X_full.shape[0]
     scores = X_full @ M.T  # scores[i, l] = <x_i, m_l>
-    if n <= exact_limit:
-        # imported here: scipy.optimize is most of the package's import time
-        from scipy.optimize import linear_sum_assignment
-        rows, cols = linear_sum_assignment(scores, maximize=True)
-        sigma = np.empty(n, dtype=int)
-        sigma[rows] = cols
-    else:
-        sigma = np.full(n, -1, dtype=int)
-        taken = np.zeros(n, dtype=bool)
-        order = np.argsort(-scores.max(axis=1), kind="stable")
-        for i in order:
-            row = np.where(taken, -np.inf, scores[i])
-            pick = int(np.argmax(row))
-            sigma[i] = pick
-            taken[pick] = True
-    objective = float(scores[np.arange(n), sigma].sum())
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import linear_sum_assignment
+    # on a square matrix the rows come back as 0..n-1 in order
+    rows, sigma = linear_sum_assignment(scores, maximize=True)
+    objective = float(scores[rows, sigma].sum())
     return sigma, objective
 
 

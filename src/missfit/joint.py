@@ -112,12 +112,10 @@ class JointModel:
         return self.predictor.predict(A, depth=depth)
 
     def to_dict(self) -> dict:
-        pred, label = self.predictor, self.contract_label
-        if label == "linear":  # its own document, with a type and no converged flag
-            predictor = {"type": "linear", "intercept": float(pred.intercept),
-                         "coefficients": list(map(float, pred.coefficients))}
-        else:
-            predictor = pred.to_dict()
+        label = self.contract_label
+        predictor = self.predictor.to_dict()
+        if label == "linear":  # a LinearFit document carries no type
+            predictor = {"type": "linear", **predictor}
         return {"type": "joint", "contract": label,
                 "mu": list(map(float, self.mu)),
                 "sigma": list(map(float, self.sigma)),

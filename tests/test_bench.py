@@ -740,6 +740,31 @@ class TestRunner:
         b = [(r.sort_key(), r.value) for r in parallel.sorted_records()]
         assert a == b
 
+    def test_at_most_one_worker_per_replication_left(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        config = tiny_config(methods=["static"], replications=3)
+        full = run_experiment(config, jobs=64)
+        resumed = run_experiment(config, jobs=64, skip={("tiny", "static", 0)})
+        assert pools == [3, 2]
+        assert [r.replication for r in full.sorted_records()] == [0, 1, 2]
+        assert [r.value for r in resumed.sorted_records()] == \
+            [r.value for r in full.sorted_records()[1:]]
+
     def test_skip_cells(self):
         config = tiny_config()
         table = run_experiment(config, skip={("tiny", "static", 0)})

@@ -291,6 +291,23 @@ class TestFitPredict:
         assert lines[0] == "prediction"
         assert len(lines) == 81
 
+    def test_a_0_1_target_is_fitted_as_a_classification_cell(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MISSFIT_SEED", raising=False)
+        ds, _, _ = generate(GeneratorSpec(n=300, d=4, k=2, r=2,
+                                          mechanism="censoring", seed=3))
+        labels = (ds.y > np.median(ds.y)).astype(float)
+        data, model = tmp_path / "data.csv", tmp_path / "m.json"
+        write_csv(MaskedDataset(ds.X, ds.M, labels), data)
+        assert main(["fit", "--data", str(data), "--method", "joint_linear",
+                     "--out", str(model)]) == 0
+        train = read_csv(data, "y")
+        docs = {task: json.dumps(missfit.bench.fit_method(
+            "joint_linear", train, {}, 0, task).to_dict(), indent=1)
+            for task in ("classification", "regression")}
+        assert docs["classification"] != docs["regression"]
+        assert model.read_text() == docs["classification"]
+
     @pytest.mark.parametrize("method", ["rf_mia", "joint_forest", "cart_mia"])
     def test_negative_seed_is_usage_error(self, method, dataset_csv, tmp_path,
                                           capsys):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from missfit.datagen import (GeneratorSpec, adversarial_permute,
                              apply_censoring, apply_mcar, censoring_thresholds,
@@ -171,15 +172,52 @@ class TestAdversarial:
             identity = float(np.sum(X * M))
             assert obj >= identity - 1e-9
 
-    def test_greedy_fallback_is_valid_permutation(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(50, 3))
-        M = (rng.random((50, 3)) < 0.4).astype(int)
-        sigma, obj = adversarial_permute(X, M, exact_limit=0)  # greedy at any n
-        assert sorted(sigma.tolist()) == list(range(50))
-        assert obj == float((X @ M.T.astype(float))[np.arange(50), sigma].sum())
-        _, exact = adversarial_permute(X, M)
-        assert obj <= exact + 1e-9
+    def test_exact_above_two_thousand_rows(self):
+        X = gen_design(GeneratorSpec(n=2001, d=10, seed=8))
+        M = apply_censoring(X, 0.5)
+        sigma, obj = adversarial_permute(X, M)
+        assert sorted(sigma.tolist()) == list(range(2001))
+        scores = X @ M.T.astype(float)
+        rows, cols = linear_sum_assignment(scores, maximize=True)
+        assert obj == pytest.approx(float(scores[rows, cols].sum()), rel=1e-12)
+        # swapping the masks of rows i and k changes the objective by
+        # S[i, k] + S[k, i] - S[i, i] - S[k, k], S the scores as assigned
+        S = scores[:, sigma]
+        diag = np.diag(S)
+        gain = S + S.T - diag[:, None] - diag[None, :]
+        assert gain.max() <= 1e-9
+
+    def test_one_pattern_for_every_row(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 3))
+        M = np.tile([1, 0, 1], (40, 1))
+        sigma, obj = adversarial_permute(X, M)
+        assert sorted(sigma.tolist()) == list(range(40))
+        assert obj == pytest.approx(float(np.sum(X * M)), rel=1e-12)
+
+    def test_a_column_missing_in_every_row(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(6, 3))
+        M = (rng.random((6, 3)) < 0.5).astype(int)
+        M[:, 1] = 1
+        sigma, obj = adversarial_permute(X, M)
+        scores = X @ M.T.astype(float)
+        best = max(sum(scores[i, perm[i]] for i in range(6))
+                   for perm in itertools.permutations(range(6)))
+        assert obj == pytest.approx(best)
+        assert sorted(sigma.tolist()) == list(range(6))
+        # the column adds sum_i x_i1 to every assignment's objective
+        M[:, 1] = 0
+        assert obj == pytest.approx(adversarial_permute(X, M)[1]
+                                    + X[:, 1].sum())
+
+    def test_two_rows(self):
+        X = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        M = np.array([[0, 1], [1, 0]])
+        sigma, obj = adversarial_permute(X, M)
+        assert sigma.tolist() == [1, 0] and obj == 2.0
+        sigma, obj = adversarial_permute(X, M[::-1])
+        assert sigma.tolist() == [0, 1] and obj == 2.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -228,6 +266,19 @@ class TestSemiSynthetic:
         assert sorted(map(tuple, am.M.tolist())) == \
             sorted(map(tuple, mar.M.tolist()))
         assert float(np.sum(X * am.M)) > float(np.sum(X * mar.M))
+
+    def test_am_above_two_thousand_rows_is_exact(self):
+        spec = {"n": 2001, "d": 10, "r": 5, "k": 4, "mechanism": "censoring",
+                "p": 0.5, "seed": 4}
+        mar, X, _ = generate(GeneratorSpec(**spec, setting="mar"))
+        am, X_am, _ = generate(GeneratorSpec(**spec, setting="am"))
+        assert np.array_equal(X, X_am) and np.array_equal(mar.y, am.y)
+        assert sorted(map(tuple, am.M.tolist())) == \
+            sorted(map(tuple, mar.M.tolist()))
+        scores = X @ mar.M.T.astype(float)
+        rows, cols = linear_sum_assignment(scores, maximize=True)
+        assert float(np.sum(X * am.M)) == \
+            pytest.approx(float(scores[rows, cols].sum()), rel=1e-12)
 
     def test_k_missing_exceeds_available(self):
         with pytest.raises(ValueError, match="^k_missing: must be in"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,18 @@ class TestPredictAndSerialize:
             assert np.allclose(back.predict(ds.X, ds.M),
                                model.predict(ds.X, ds.M))
             assert back.contract_label == model.contract_label
+
+    @pytest.mark.parametrize("max_iters", [1, 1000])
+    def test_a_linear_document_records_convergence(self, max_iters):
+        ds = censored_dataset(seed=13, n=150)
+        contract = linear_contract(ElasticNetSpec(lam=1e-4, max_iters=max_iters))
+        model = joint_fit(ds, contract, FitLimits(max_outer=2))
+        assert model.predictor.converged is (max_iters == 1000)
+        text = joint_model_to_json(model)
+        predictor = json.loads(text)["predictor"]
+        assert predictor == {"type": "linear", **model.predictor.to_dict()}
+        assert predictor["converged"] is model.predictor.converged
+        assert joint_model_to_json(joint_model_from_json(text)) == text
 
 
 class TestContracts:
