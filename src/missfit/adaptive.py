@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import re
 from collections.abc import Mapping
@@ -28,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_int, check_real, unique_keys, unique_patterns
+from .core import (MaskedDataset, batch, check_int, check_real, json_reader, to_json,
+                   unique_patterns)
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit, support_penalty_weights
 
 
@@ -410,18 +410,5 @@ def _lstsq_bound(A, y) -> float:
 
 # ---------------------------------------------------------------------------
 # JSON text of the documents above; the benchmark's tracer binds these by name.
-
-def model_to_json(model: AdaptiveModel) -> str:
-    return json.dumps(model.to_dict(), indent=1)
-
-
-def model_from_json(text: str) -> AdaptiveModel:
-    return AdaptiveModel.from_dict(json.loads(text, object_pairs_hook=unique_keys))
-
-
-def tree_to_json(tree: PartitionTree) -> str:
-    return json.dumps(tree.to_dict(), indent=1)
-
-
-def tree_from_json(text: str) -> PartitionTree:
-    return PartitionTree.from_dict(json.loads(text, object_pairs_hook=unique_keys))
+model_to_json = tree_to_json = to_json
+model_from_json, tree_from_json = json_reader(AdaptiveModel), json_reader(PartitionTree)

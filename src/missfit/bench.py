@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_int, check_real, read_csv, unique_keys
+from .core import MaskedDataset, batch, check_int, check_real, read_csv, read_json
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .adaptive import fit_adaptive, fit_finite_adaptive, finite_limits
 from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
@@ -360,7 +360,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            doc = json.loads(text, object_pairs_hook=unique_keys)
+            doc = read_json(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"$: invalid JSON ({exc})") from exc
         except RecursionError:

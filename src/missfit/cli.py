@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import adaptive, bench, datagen, joint, learners
-from .core import DatasetError, read_csv, unique_keys, unique_patterns
+from .core import DatasetError, read_csv, read_json, to_json, unique_patterns
 
 # Saved model type -> the class whose from_dict reads it.
 LOADERS = {"adaptive": adaptive.AdaptiveModel,
@@ -81,7 +80,7 @@ def cmd_fit(args) -> int:
                              bench.task_of(dataset.y))
     yhat = model.predict(dataset.X, dataset.M)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model.to_dict(), indent=1))
+        fh.write(to_json(model))
     mse = float(np.mean((dataset.y - yhat) ** 2))
     print(f"wrote {args.out}")
     print(f"training MSE {_sig6(mse)}  R2 {_sig6(bench.r_squared(dataset.y, yhat))}")
@@ -91,7 +90,7 @@ def cmd_fit(args) -> int:
 def _load_model(path):
     try:  # not UTF-8 or JSON, a name given twice, or a field absent or ill-typed
         with open(path, encoding="utf-8") as fh:
-            doc = json.loads(fh.read(), object_pairs_hook=unique_keys)
+            doc = read_json(fh.read())
         cls = LOADERS.get(doc.get("type")) if isinstance(doc, dict) else None
         if cls is None:
             raise UsageError(f"unrecognized model file {path}")

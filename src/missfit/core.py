@@ -7,6 +7,7 @@ whatever number is stored there (no NaN sentinel); all semantics flow from M.
 from __future__ import annotations
 
 import csv
+import json
 import numbers
 import sys
 from dataclasses import dataclass
@@ -55,13 +56,28 @@ def check_finite(field: str, *values) -> None:
             raise ValueError(f"{field}: must be a finite number")
 
 
-def unique_keys(pairs) -> dict:
+def _unique_keys(pairs) -> dict:
     """json's object_pairs_hook for the documents the package reads: a name
     given twice is refused, where json keeps its last value silently."""
     if len(doc := dict(pairs)) < len(pairs):
         keys = [k for k, _ in pairs]
         raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
     return doc
+
+
+def read_json(text: str):
+    """The one parse of every JSON document the package reads."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def to_json(model) -> str:
+    """The one writer of model files: the model's document, one space a level."""
+    return json.dumps(model.to_dict(), indent=1)
+
+
+def json_reader(cls):
+    """A new reader of one model class's JSON text; each call makes a distinct function."""
+    return lambda text: cls.from_dict(read_json(text))
 
 
 @dataclass(frozen=True)

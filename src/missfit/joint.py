@@ -10,13 +10,13 @@ mu_j ends the fit: a refit on the same matrix would change nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_finite, check_int, check_real, unique_keys
+from .core import (MaskedDataset, batch, check_finite, check_int, check_real,
+                   json_reader, to_json)
 from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
 from .learners import (Forest, MiaTree, TreeParams, fit_cart_mia, fit_forest,
                        mean_impute)
@@ -239,10 +239,4 @@ def joint_fit(dataset: MaskedDataset, contract: Contract,
 
 
 # JSON text of JointModel documents; the benchmark's tracer binds these by name.
-
-def joint_model_to_json(model: JointModel) -> str:
-    return json.dumps(model.to_dict(), indent=1)
-
-
-def joint_model_from_json(text: str) -> JointModel:
-    return JointModel.from_dict(json.loads(text, object_pairs_hook=unique_keys))
+joint_model_to_json, joint_model_from_json = to_json, json_reader(JointModel)

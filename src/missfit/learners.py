@@ -15,13 +15,12 @@ together, one level per step (_Routing).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_finite, check_int, unique_keys
+from .core import MaskedDataset, batch, check_finite, check_int, json_reader, to_json
 
 
 @dataclass(frozen=True)
@@ -414,18 +413,5 @@ def mean_impute(dataset: MaskedDataset) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # JSON text of the documents above; the benchmark's tracer binds these by name.
-
-def tree_to_json(tree: MiaTree) -> str:
-    return json.dumps(tree.to_dict(), indent=1)
-
-
-def tree_from_json(text: str) -> MiaTree:
-    return MiaTree.from_dict(json.loads(text, object_pairs_hook=unique_keys))
-
-
-def forest_to_json(forest: Forest) -> str:
-    return json.dumps(forest.to_dict(), indent=1)
-
-
-def forest_from_json(text: str) -> Forest:
-    return Forest.from_dict(json.loads(text, object_pairs_hook=unique_keys))
+tree_to_json = forest_to_json = to_json
+tree_from_json, forest_from_json = json_reader(MiaTree), json_reader(Forest)

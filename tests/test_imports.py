@@ -2,7 +2,9 @@
 
 The one exception is scipy: `scipy.stats` and `scipy.optimize` are imported
 inside the functions that use them, since together they are most of the
-package's import time (see test_cli's import-time test).
+package's import time (see test_cli's import-time test). And only `core`
+calls `json.loads` or `json.dumps`: its `read_json` and `to_json` are the
+package's one JSON codec.
 """
 
 import ast
@@ -31,3 +33,19 @@ def test_only_scipy_is_imported_inside_functions():
             if module.split(".")[0] != "scipy":
                 found.setdefault(path.name, []).append((fn, module))
     assert found == {}
+
+
+def test_json_text_is_read_and_written_only_in_core():
+    # core.read_json and core.to_json are the package's one JSON codec, so no
+    # other module restates the parse rule or the model-file format
+    codec, importers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and "json" in (a.name for a in node.names):
+                importers.add(path.stem)
+            restated = (isinstance(node, ast.Attribute) and node.attr in ("loads", "dumps")
+                        and isinstance(node.value, ast.Name) and node.value.id == "json")
+            if restated or (isinstance(node, ast.ImportFrom) and node.module == "json"):
+                codec.add(path.stem)
+    assert codec == {"core"}
+    assert not importers & {"adaptive", "joint", "learners", "cli"}

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from missfit import adaptive, bench, joint
+from missfit import adaptive, bench, joint, learners
 from missfit.cli import main
-from missfit.core import DatasetError, MaskedDataset, read_csv, write_csv
+from missfit.core import DatasetError, MaskedDataset, read_csv, to_json, write_csv
 from missfit.elasticnet import fit as enet_fit
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +174,32 @@ def test_cli_fit_predict_matches_in_process_model(name, tmp_path, capsys):
                              "regression")
     new = read_csv(test_csv, "y")
     assert got == model.predict(new.X, new.M).tolist()
+
+
+# Saved model type -> the reader of its text that the benchmark binds.
+READERS = {"adaptive": adaptive.model_from_json,
+           "partition_tree": adaptive.tree_from_json,
+           "joint": joint.joint_model_from_json,
+           "mia_tree": learners.tree_from_json,
+           "mia_forest": learners.forest_from_json}
+
+
+@pytest.mark.parametrize("name", SAVED)
+def test_saved_model_text_is_the_codec_and_round_trips(name, tmp_path):
+    train, test = split()
+    train_csv, model_json = tmp_path / "train.csv", tmp_path / "model.json"
+    write_csv(train, train_csv)
+    assert main(["fit", "--data", str(train_csv), "--method", name,
+                 "--lam", "0.02", "--alpha", "0.7", "--max-depth", "2",
+                 "--seed", "3", "--out", str(model_json)]) == 0
+    model = bench.fit_method(name, read_csv(train_csv, "y"),
+                             {"lam": 0.02, "alpha": 0.7, "max_depth": 2}, 3,
+                             "regression")
+    text = model_json.read_text(encoding="utf-8")
+    assert text == to_json(model)
+    back = READERS[model.to_dict()["type"]](text)
+    assert to_json(back) == text
+    assert np.array_equal(back.predict(test.X, test.M), model.predict(test.X, test.M))
 
 
 def test_cli_method_set_comes_from_the_table(tmp_path, capsys):

@@ -36,6 +36,14 @@ def test_traced_functions_exist(tracer):
         assert callable(getattr(module, attr, None)), f"missfit.{mod}.{attr}"
 
 
+def test_traced_functions_are_distinct_objects(tracer):
+    # install wraps every binding of each entry's object: two entries sharing
+    # one object would wrap a wrapper, and each call would open two spans
+    bound = [getattr(importlib.import_module(f"missfit.{mod}"), attr)
+             for _span, mod, attr, _counter in tracer.FUNCTIONS]
+    assert len({id(fn) for fn in bound}) == len(bound)
+
+
 def test_traced_methods_are_defined_on_their_class(tracer):
     for _span, mod, cls_name, attr, _counter in tracer.METHODS:
         cls = getattr(importlib.import_module(f"missfit.{mod}"), cls_name)
