@@ -22,9 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MaskedDataset, batch, check_int, check_real, read_csv, read_json
-from .elasticnet import ElasticNetSpec, LinearFit, fit as enet_fit
-from .adaptive import fit_adaptive, fit_finite_adaptive, finite_limits
+from .core import MaskedDataset, check_int, check_real, read_csv, read_json
+from .elasticnet import ElasticNetSpec, fit as enet_fit
+from .adaptive import (STATIC, AdaptiveModel, expand_matrix, fit_adaptive,
+                       fit_finite_adaptive, finite_limits)
 from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
                     mse_error, tree_contract, forest_contract)
 from .learners import TreeParams, fit_cart_mia, fit_forest
@@ -114,27 +115,15 @@ def _fit_mia(name, train, spec, seed, task):
     return fit(train, replace(spec, seed=seed))
 
 
-@dataclass(frozen=True)
-class LinearOnDesign:
-    """A linear fit on the design that `design` builds from (X, M), for
-    batches d columns wide like the training data."""
-
-    fit: LinearFit
-    design: Callable
-    d: int
-
-    def predict(self, X, M) -> np.ndarray:
-        return self.fit.predict(self.design(*batch(X, M, self.d)))
-
-
-def _fit_on_design(name, train, spec, seed, task):
-    if name == "oracle":  # train.X is fully observed; see run_replication
-        design = lambda X, M: np.column_stack([X, M])
-    else:  # complete_features: the columns observed in every training row
-        cols = np.flatnonzero(train.M.sum(axis=0) == 0)
-        design = lambda X, M: np.where(M == 1, 0.0, X)[:, cols]
-    A = design(train.X, train.M)
-    return LinearOnDesign(enet_fit(A, train.y, spec), design, train.d)
+def _fit_complete(name, train, spec, seed, task):
+    """The static fit that weighs 0 every column some training row misses.
+    On the fully observed design [X, M] (see run_replication) it keeps every
+    column: the oracle."""
+    cols = np.flatnonzero(train.M.sum(axis=0) == 0)
+    fit = enet_fit(expand_matrix(train.X, train.M, STATIC)[:, cols], train.y, spec)
+    w = np.zeros(train.d)
+    w[cols] = fit.coefficients
+    return AdaptiveModel(STATIC, train.d, replace(fit, coefficients=w))
 
 
 @dataclass(frozen=True)
@@ -186,8 +175,8 @@ METHODS = {
     "mean_impute_forest": Method(*_FOREST, _fit_imputed, _depths(6, 9, n_trees=100), True),
     "cart_mia": Method(*_TREE, _fit_mia, _depths(2, 4, 6, 8, 10), True, nests=True),
     "rf_mia": Method(*_FOREST, _fit_mia, _depths(6, 9, n_trees=100), True),
-    "complete_features": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
-    "oracle": Method(*_LINEAR, _fit_on_design, _lams(0.1, 0.01, 0.001)),
+    "complete_features": Method(*_LINEAR, _fit_complete, _lams(0.1, 0.01, 0.001), True),
+    "oracle": Method(*_LINEAR, _fit_complete, _lams(0.1, 0.01, 0.001)),
 }
 
 BEST_VARIANTS = {
@@ -457,8 +446,9 @@ def run_replication(config: ExperimentConfig, rep: int,
     n_test = int(round(dataset.n * config.test_fraction))
     test_rows, train_rows = perm[:n_test], perm[n_test:]
     split = (dataset.subset(train_rows), dataset.subset(test_rows))
-    if "oracle" in methods:  # the same rows, fully observed
-        full = MaskedDataset(X_full, dataset.M, dataset.y)
+    if "oracle" in methods:  # the same rows: the design [X, M], fully observed
+        full = MaskedDataset(np.hstack([X_full, dataset.M]),
+                             np.zeros((dataset.n, 2 * dataset.d)), dataset.y)
         oracle_split = (full.subset(train_rows), full.subset(test_rows))
     setting = _replication_setting(config)
 

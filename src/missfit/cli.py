@@ -42,6 +42,13 @@ def _seed(args) -> int:
     return seed
 
 
+def _check_out(path) -> None:  # called before any read or fit the command makes
+    if not os.path.isdir(out_dir := os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"--out {path}: no directory {out_dir}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path}: is a directory")
+
+
 def _sig6(x: float) -> str:
     return f"{x:.6g}"
 
@@ -52,6 +59,7 @@ def cmd_generate(args) -> int:
             **{k: getattr(args, k) for k in GENERATE_FLAGS}, seed=_seed(args))
     except ValueError as exc:
         raise UsageError(exc) from exc
+    _check_out(args.out)
     dataset, _X_full, _truth = datagen.generate(spec)
     sidecar = args.out + ".json"
     datagen.save_dataset(dataset, args.out, sidecar, spec)
@@ -75,6 +83,7 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise UsageError(exc) from None
     seed = _seed(args)
+    _check_out(args.out)
     dataset = read_csv(args.data, args.target)
     model = bench.fit_method(args.method, dataset, params, seed,
                              bench.task_of(dataset.y))
@@ -101,6 +110,7 @@ def _load_model(path):
 
 
 def cmd_predict(args) -> int:
+    _check_out(args.out)
     model = _load_model(args.model)
     dataset = read_csv(args.data, args.target)
     yhat = model.predict(dataset.X, dataset.M)
@@ -142,10 +152,7 @@ def cmd_bench(args) -> int:
             for v in bench.BEST_VARIANTS.get(m, (m,)):
                 print(f"    {v} grid={config.grid(v)}")
         return 0
-    if not os.path.isdir(out_dir := os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(f"--out {args.out}: no directory {out_dir}")
-    if os.path.isdir(args.out):
-        raise IsADirectoryError(f"--out {args.out}: is a directory")
+    _check_out(args.out)
     skip = set()
     prior = bench.ResultsTable([])
     timings = args.out + ".timings.csv"

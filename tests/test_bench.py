@@ -13,9 +13,10 @@ from missfit.bench import (BEST_VARIANTS, METHODS, ConfigError,
                            run_experiment, run_replication, scaled_auc,
                            write_results_csv)
 from missfit import adaptive, bench
-from missfit.core import MaskedDataset
+from missfit.cli import LOADERS
+from missfit.core import MaskedDataset, read_json, to_json
 from missfit.datagen import GeneratorSpec, generate
-from missfit.elasticnet import ElasticNetSpec
+from missfit.elasticnet import ElasticNetSpec, fit as enet_fit
 import oracles
 
 
@@ -173,6 +174,32 @@ class TestFitMethod:
         ds2 = MaskedDataset(X2, ds.M, ds.y)
         assert np.allclose(model.predict(ds.X, ds.M),
                            model.predict(ds2.X, ds2.M))
+
+    @pytest.mark.parametrize("lam", [0.1, 0.01, 0.001])
+    def test_complete_features_is_the_fit_of_the_complete_columns(self, lam):
+        # a column that some training row misses weighs exactly 0; the others
+        # and the intercept are enet_fit's on the complete columns, bit for bit
+        ds = generate(GeneratorSpec(n=200, d=8, k=4, d_missing=5, seed=3))[0]
+        complete = np.flatnonzero(~ds.M.any(axis=0))
+        assert len(complete) == 3
+        model = fit_method("complete_features", ds, {"lam": lam}, 0, "regression")
+        want = enet_fit(np.where(ds.M == 1, 0.0, ds.X)[:, complete], ds.y,
+                        ElasticNetSpec(lam=lam, alpha=0.5))
+        w = model.fit.coefficients
+        assert model.mode == "static" and len(w) == ds.d
+        assert np.array_equal(w[:5], np.zeros(5)) and not np.signbit(w[:5]).any()
+        assert w[complete].tobytes() == want.coefficients.tobytes()
+        assert model.fit.intercept.hex() == want.intercept.hex()
+
+    def test_complete_features_without_a_complete_column_predicts_the_mean(self):
+        ds = small_dataset(4)
+        assert ds.M.any(axis=0).all()
+        model = fit_method("complete_features", ds, {"lam": 0.01}, 0, "regression")
+        test = small_dataset(5, n=30)
+        yhat = model.predict(test.X, test.M)
+        assert np.array_equal(yhat, np.full(test.n, ds.y.mean()))
+        back = LOADERS["adaptive"].from_dict(read_json(to_json(model)))
+        assert np.array_equal(back.predict(test.X, test.M), yhat)
 
 
 class TestKfoldCv:
@@ -617,6 +644,20 @@ def tiny_config(**over):
 
 
 class TestRunner:
+    @pytest.mark.parametrize("generator, want", [
+        ({"mechanism": "censoring", "p": 0.4},
+         [0.6721116358029577, 0.6395266824725616]),
+        ({"mechanism": "mcar", "p": 0.3, "setting": "nmar", "d_missing": 3,
+          "k_missing": 2}, [0.6592618625010189, 0.6849664974293387])])
+    def test_oracle_values_are_pinned(self, generator, want):
+        # the static fit of the fully observed design [X, M], tuned by CV
+        config = ExperimentConfig(
+            name="pin", methods=["oracle"], replications=2, cv_folds=3,
+            generator={"n": 120, "d": 4, "r": 2, "k": 3, **generator})
+        got = [run_replication(config, rep) for rep in range(2)]
+        assert [errs for _, errs in got] == [[], []]
+        assert [repr(recs[0].value) for recs, _ in got] == list(map(repr, want))
+
     def test_replication_records(self):
         recs, errs = run_replication(tiny_config(), 0)
         assert errs == []

@@ -656,6 +656,28 @@ def test_shipped_config_loads_and_dry_runs(path, tmp_path):
     assert not out.exists()
 
 
+# Each command that writes --out but bench, with arguments that pass its checks.
+OUT_COMMANDS = {"generate": ["generate", "--n", "20"],
+                "fit": ["fit", "--data", "data.csv", "--method", "rf_mia"],
+                "predict": ["predict", "--model", "m.json", "--data", "data.csv"]}
+
+
+@pytest.mark.parametrize("bad", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_an_unwritable_out_fails_before_any_read_or_fit(command, bad, tmp_path,
+                                                        monkeypatch, capsys):
+    def called(*args, **kwargs):
+        raise AssertionError("read or fitted before --out was checked")
+
+    for module, name in [(missfit.datagen, "generate"), (missfit.bench, "fit_method"),
+                         (missfit.cli, "_load_model"), (missfit.cli, "read_csv")]:
+        monkeypatch.setattr(module, name, called)
+    out = tmp_path / "missing" / "out" if bad == "missing directory" else tmp_path
+    assert main([*OUT_COMMANDS[command], "--out", str(out)]) == 1
+    why = f"no directory {out.parent}" if bad == "missing directory" else "is a directory"
+    assert capsys.readouterr().err == f"error: --out {out}: {why}\n"
+
+
 class TestBench:
     def test_dry_run_lists_plan(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,8 @@ The one exception is scipy: `scipy.stats` and `scipy.optimize` are imported
 inside the functions that use them, since together they are most of the
 package's import time (see test_cli's import-time test). And only `core`
 calls `json.loads` or `json.dumps`: its `read_json` and `to_json` are the
-package's one JSON codec.
+package's one JSON codec. Every class that predicts also writes and reads
+its own document, so no fitted form sits outside that one serializer.
 """
 
 import ast
@@ -49,3 +50,14 @@ def test_json_text_is_read_and_written_only_in_core():
                 codec.add(path.stem)
     assert codec == {"core"}
     assert not importers & {"adaptive", "joint", "learners", "cli"}
+
+
+def test_every_class_that_predicts_saves_and_loads():
+    unsaved = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if "predict" in methods and not {"to_dict", "from_dict"} <= methods:
+                    unsaved.append(f"{path.stem}.{node.name}")
+    assert unsaved == []

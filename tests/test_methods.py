@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from missfit import adaptive, bench, joint, learners
-from missfit.cli import main
+from missfit.cli import LOADERS, main
 from missfit.core import DatasetError, MaskedDataset, read_csv, to_json, write_csv
+from missfit.datagen import GeneratorSpec, generate
 from missfit.elasticnet import fit as enet_fit
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,6 +177,19 @@ def test_cli_fit_predict_matches_in_process_model(name, tmp_path, capsys):
     assert got == model.predict(new.X, new.M).tolist()
 
 
+@pytest.mark.parametrize("name", list(bench.METHODS))
+def test_every_fit_is_a_class_that_saves_and_loads(name):
+    train, test = split()
+    if name == "oracle":  # the fully observed design [X, M], as run_replication builds it
+        ds, X_full, _ = generate(GeneratorSpec(n=110, d=3, k=2, r=2, seed=0))
+        full = MaskedDataset(np.hstack([X_full, ds.M]), np.zeros((ds.n, 6)), ds.y)
+        train, test = full.subset(np.arange(80)), full.subset(np.arange(80, 110))
+    model = bench.fit_method(name, train, small_params(name), 0, "regression")
+    assert isinstance(model, tuple(LOADERS.values()))
+    back = LOADERS[model.to_dict()["type"]].from_dict(model.to_dict())
+    assert np.array_equal(back.predict(test.X, test.M), model.predict(test.X, test.M))
+
+
 # Saved model type -> the reader of its text that the benchmark binds.
 READERS = {"adaptive": adaptive.model_from_json,
            "partition_tree": adaptive.tree_from_json,
@@ -207,7 +221,7 @@ def test_cli_method_set_comes_from_the_table(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_csv(split()[0], data)
     unsaved = set(bench.METHODS) - set(SAVED)
-    assert unsaved == {"complete_features", "oracle"}
+    assert unsaved == {"oracle"}
     for name in sorted(unsaved | set(bench.BEST_VARIANTS)):
         code = main(["fit", "--data", str(data), "--method", name,
                      "--out", str(tmp_path / "m.json")])
