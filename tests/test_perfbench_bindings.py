@@ -4,15 +4,12 @@ outputs.
 
 The benchmark's tracer wraps package functions and methods by name, and its
 workloads call package functions through their modules. A renamed binding
-would otherwise show up only in a traced benchmark run. The layer harnesses
-(tests/bench_*.py, which write the committed BENCH_*.json and which the
-test_*.py pattern does not collect) are checked the same way.
+would otherwise show up only in a traced benchmark run.
 """
 
 import ast
 import importlib
 import json
-import types
 from pathlib import Path
 
 import numpy as np
@@ -74,28 +71,6 @@ def test_workload_module_attributes_exist():
     for mod, attr in sorted(used):
         assert hasattr(importlib.import_module(f"missfit.{mod}"), attr), \
             f"missfit.{mod}.{attr}"
-
-
-@pytest.mark.parametrize("harness", sorted(p.stem for p in Path(__file__).parent.glob("bench_*.py")))
-def test_layer_harness_module_attributes_exist(harness):
-    # importing checks each `from missfit... import name`; every missfit
-    # module attribute the harness reads, or monkeypatches by name, exists
-    module = importlib.import_module(harness)
-    bound = {name: m for name, m in vars(module).items()
-             if isinstance(m, types.ModuleType) and m.__name__.startswith("missfit")}
-    used = set()
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in bound):
-            used.add((node.value.id, node.attr))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "setattr" and len(node.args) > 1
-              and isinstance(node.args[0], ast.Name) and node.args[0].id in bound
-              and isinstance(node.args[1], ast.Constant)):
-            used.add((node.args[0].id, node.args[1].value))
-    assert used
-    for name, attr in sorted(used):
-        assert hasattr(bound[name], attr), f"{harness}: {bound[name].__name__}.{attr}"
 
 
 def test_linear_censor_seed0_pass_equals_its_reference(monkeypatch, tmp_path):
