@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -491,6 +490,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
             tasks.append((config, r, todo))
     table = ResultsTable([])
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
         # under fork the pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(run_replication, *zip(*tasks)))

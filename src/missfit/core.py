@@ -175,10 +175,13 @@ def unique_patterns(M) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Group the row indices of mask matrix M by missingness pattern.
 
     Returns (pattern, rows) pairs in order of first appearance; rows ascend.
-    One dict pass over the rows as tuples: 11 us on a 16x10 mask, where a
-    sort-based grouping (np.unique on a void-dtype view, then argsorts) took
-    27 us; 0.29 ms on 700 rows, where the sort took 0.17 ms (best of 7,
-    2-CPU Intel Xeon, Python 3.11, numpy 2.4).
+    One dict pass over the rows as tuples. Callers pass training masks (560
+    to 700 rows of 10 columns in fit_adaptive's fully adaptive fits) and whole
+    CSVs (inspect). On 700 rows it took 0.30 ms with 156 patterns (censoring)
+    and 0.38 ms with 369 (MCAR), where a sort that keeps first-appearance
+    order (np.unique on a void-dtype view, a stable argsort, np.split) took
+    0.31 and 0.60 ms; on 1,000 rows, 0.43 and 0.54 ms against 0.41 and 0.73
+    (best of 7, 2-CPU Intel Xeon, Python 3.11, numpy 2.4).
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(np.asarray(M, dtype=np.int8).tolist()):
@@ -263,8 +266,5 @@ def write_csv(dataset: MaskedDataset, path, target: str = "y") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(dataset.n):
-            row = ["NA" if dataset.M[i, j] else repr(float(dataset.X[i, j]))
-                   for j in range(dataset.d)]
-            row.append(repr(float(dataset.y[i])))
-            writer.writerow(row)
+        for x, m, y in zip(dataset.X.tolist(), dataset.M.tolist(), dataset.y.tolist()):
+            writer.writerow(["NA" if mj else repr(xj) for xj, mj in zip(x, m)] + [repr(y)])

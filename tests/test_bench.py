@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import weakref
@@ -797,7 +798,7 @@ class TestRunner:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         config = tiny_config(methods=["static"], replications=3)
         full = run_experiment(config, jobs=64)
         resumed = run_experiment(config, jobs=64, skip={("tiny", "static", 0)})

@@ -53,6 +53,24 @@ def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("run", ["pass", "main(['bench', '--config', sys.argv[1], "
+                                     "'--out', sys.argv[2], '--jobs', '1'])"],
+                         ids=["import", "bench --jobs 1"])
+def test_a_one_worker_run_leaves_the_process_pool_unloaded(run, tmp_path):
+    # only a run that starts workers pays for loading multiprocessing
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(config_doc()))
+    code = (f"import sys; from missfit.cli import main; {run}; print(sorted("
+            "{'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    src = str(Path(missfit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(out)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert out.exists() == (run != "pass")
+
+
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     # a C locale without UTF-8 mode makes ASCII the default file encoding;
     # every file missfit writes or reads is UTF-8 whatever the locale

@@ -241,6 +241,15 @@ def test_csv_round_trip(tmp_path):
     assert np.all(back.X[back.M == 1] == 0.0)
 
 
+def test_csv_text_is_the_repr_of_each_observed_value(tmp_path):
+    # a masked slot writes NA whatever it holds; a number writes its float repr
+    X = [[-0.0, np.nan], [5e-324, 1e300], [np.inf, 0.1]]
+    ds = MaskedDataset(X, [[0, 1], [0, 0], [1, 0]], [1e300, -0.0, 5e-324], ("a", "b"))
+    write_csv(ds, path := tmp_path / "data.csv")
+    assert path.read_bytes() == (b"a,b,y\r\n-0.0,NA,1e+300\r\n5e-324,1e+300,-0.0\r\n"
+                                 b"NA,0.1,5e-324\r\n")
+
+
 def test_csv_header_names_each_column_once(tmp_path):
     # a target named as a feature would come back as that feature
     ds = MaskedDataset(np.arange(6.0).reshape(3, 2), np.zeros((3, 2)),
