@@ -93,7 +93,9 @@ class _Routing:
     | x, masked slots NaN | 1 - m]: missing-left, missing-right and pure splits
     (at 0.5) test blocks 0, 1 and 2."""
 
-    GROUP_SLOTS = 65_536  # trees x rows routed together; caps the working arrays
+    # trees x rows routed together, and nodes x features x (rows + 1) searched
+    # together (_grow): caps the working arrays, a search's at 5-11 MB
+    GROUP_SLOTS = 65_536
 
     def __init__(self, roots: list[MiaNode], d: int):
         nodes, depth, slots = list(roots), [0] * len(roots), []
@@ -216,7 +218,11 @@ def _best_splits(X, M, y, nodes, min_leaf):
     from `_impurity_sums`, so they only shortlist: every finite score within
     `_shortlist_tolerance` of its node's least one is rescored by
     `_impurity_sums` on the row arrays an exhaustive scan builds, which it
-    also returns.
+    also returns. Working set, at its peak while one side is scored: 9 bytes
+    per lane slot, B * F * (N + 1) of them (perm, missing), and about 165 per
+    candidate (its lane, counts, cut, midpoint, child sums, scores and that
+    side's temporaries); at most about 175 bytes a slot, where every slot is
+    a candidate, and 83 on a forest root of 440 bootstrap rows, 30% missing.
     """
     sizes = np.array([len(rows) for rows, _ in nodes])
     features = np.array([f for _, f in nodes])
@@ -232,6 +238,7 @@ def _best_splits(X, M, y, nodes, min_leaf):
     # value and before the padding, and the stable sort keeps equal values in
     # row order
     xs = np.where(missing | ~real, np.inf, np.take(X, cell).reshape(B * F, N))
+    del R, cell, real
     perm = np.argsort(xs, axis=1, kind="stable")
     xs = np.take(xs, perm + np.arange(B * F)[:, None] * N)
     n_obs = n_lane - missing.sum(axis=1)
@@ -246,8 +253,9 @@ def _best_splits(X, M, y, nodes, min_leaf):
     cs = np.take(C, perm + np.arange(B).repeat(F)[:, None] * N)
     P = np.zeros((2, B * F, N + 1))  # prefix sums of c and c^2, per lane
     np.cumsum(cs, axis=1, out=P[0, :, 1:])
-    np.cumsum(cs * cs, axis=1, out=P[1, :, 1:])
+    np.cumsum(np.multiply(cs, cs, out=cs), axis=1, out=P[1, :, 1:])
     P = P.reshape(2, -1)
+    del C, cs
 
     # candidates (lane, rows left of the cut): pure splits at 0, then the cuts
     # between consecutive distinct observed values
@@ -255,6 +263,7 @@ def _best_splits(X, M, y, nodes, min_leaf):
     cut[:, 0] = (n_lane - n_obs >= min_leaf) & (n_obs >= min_leaf)
     cut[:, 1:] = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, N) < n_obs[:, None])
     at = np.flatnonzero(cut)
+    del cut
     lane, n_lo = np.divmod(at, N)
     pure = n_lo == 0
     lo, hi = np.take(xs, at - 1), np.take(xs, at)  # pure: lo is another lane's
@@ -263,19 +272,19 @@ def _best_splits(X, M, y, nodes, min_leaf):
     # a midpoint that rounded onto hi or overflowed sends another count left
     for k in np.flatnonzero(~pure & ((thr >= hi) | (thr < lo))):
         n_lo[k] = np.searchsorted(xs[lane[k], :n_obs[lane[k]]], thr[k], side="right")
+    del at, lo, hi, xs
 
-    # child totals, (side, [stat,] candidate); side 0 sends missing rows left
+    # child sums, (stat, candidate), then scores one side at a time: 0 = missing left
     n, no, base = n_lane[lane], n_obs[lane], lane * (N + 1)
     s_lo, s_ob = np.take(P, base + n_lo, axis=1), np.take(P, base + no, axis=1)
-    s_mi, s_hi = np.take(P, base + n, axis=1) - s_ob, s_ob - s_lo
-    k_left = np.array((n_lo + (n - no), n_lo))
-    s_left = np.array((s_lo + s_mi, s_lo))
-    s_right = np.array((s_hi, s_hi + s_mi))
+    s_mi = np.take(P, base + n, axis=1) - s_ob
+    del P, base
+    s_hi, approx = np.subtract(s_ob, s_lo, out=s_ob), np.empty((2, len(lane)))
     with np.errstate(divide="ignore", invalid="ignore"):  # empty children
-        approx = (_sweep_impurity(k_left, s_left[:, 0], s_left[:, 1])
-                  + _sweep_impurity(n - k_left, s_right[:, 0], s_right[:, 1]))
-    valid = (k_left >= min_leaf) & (n - k_left >= min_leaf)
-    approx = np.where(valid, approx, np.inf)
+        for side, k in enumerate((n_lo + (n - no), n_lo)):
+            left, right = (s_lo + s_mi, s_hi) if side == 0 else (s_lo, s_hi + s_mi)
+            approx[side] = _sweep_impurity(k, *left) + _sweep_impurity(n - k, *right)
+            approx[side, (k < min_leaf) | (n - k < min_leaf)] = np.inf
     least = np.full(B, np.inf)
     np.minimum.at(least, lane // F, approx.min(axis=0))
     # finite scores only: a node without a valid candidate has least = inf

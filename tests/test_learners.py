@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -118,6 +119,20 @@ def trap_batch():
     return X, np.zeros((12, 1), dtype=np.int8), y, nodes, 2
 
 
+def forest_root_chunk():
+    """The search chunk of a forest's roots on 440 training rows: 8
+    bootstrap nodes over 4 of 10 features, 30% missing completely at
+    random, min_leaf 5."""
+    rng = np.random.default_rng(0)
+    n, d = 440, 10
+    X, M = rng.normal(size=(n, d)), (rng.random((n, d)) < 0.3).astype(np.int8)
+    X[M == 1] = np.nan
+    y = rng.normal(size=n)
+    nodes = [(rng.integers(0, n, size=n), np.sort(rng.choice(d, 4, replace=False)))
+             for _ in range(8)]
+    return X, M, y, nodes, 5
+
+
 def search_one(X, M, y, rows, features, min_leaf):
     """_best_splits on a batch of one node."""
     return learners._best_splits(X, M, y, [(rows, features)], min_leaf)[0]
@@ -172,6 +187,7 @@ class TestSplitSearch:
     @settings(deadline=None, max_examples=150)
     @given(split_batches())
     @example(trap_batch())
+    @example(forest_root_chunk())
     def test_batch_matches_oracle_per_node(self, batch):
         X, M, y, nodes, min_leaf = batch
         got = learners._best_splits(*batch)
@@ -179,6 +195,21 @@ class TestSplitSearch:
         for split, (rows, features) in zip(got, nodes):
             assert_same_split(split, oracles.mia_best_split(
                 X, M, y, rows, features, min_leaf))
+
+    def test_working_set_per_lane_slot(self):
+        # the arrays live at once while candidates are scored, against the
+        # B * F * (N + 1) lane slots that _grow's chunking rule counts
+        chunk = forest_root_chunk()
+        learners._best_splits(*chunk)  # lazy numpy set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            learners._best_splits(*chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nodes = chunk[3]
+        slots = len(nodes) * len(nodes[0][1]) * (max(len(r) for r, _ in nodes) + 1)
+        assert peak <= 125 * slots
 
     @BINARY
     def test_mask_only_signal_takes_the_pure_split(self, binary):
