@@ -6,6 +6,10 @@ by plus or minus sigma_j (the sample standard deviation of feature j's
 observed values over sqrt(n), n counting all rows), keeping whichever of the
 three candidates gives the lowest training error. A first pass that moves no
 mu_j ends the fit: a refit on the same matrix would change nothing.
+
+A trial on a tree or forest that moves mu_j across no split threshold of
+feature j routes every row as mu_j does, so it takes the current error
+without a prediction, and every result bit stays (coordinate_step).
 """
 
 from __future__ import annotations
@@ -69,14 +73,26 @@ def coordinate_step(A, rows, j, mu_j, sigma_j, predictor, y, error_metric,
                     current: float) -> tuple[int, float]:
     """Pick the best of mu_j + eps * sigma_j for eps in {-1, 0, +1}.
 
-    A is the imputed matrix at mu. Each trial is written into A[rows, j], the
-    rows missing feature j, and mu_j is restored there on return. `current`
+    A is the float64 imputed matrix at mu. Each trial is written into A[rows,
+    j], the rows missing feature j, and mu_j is restored there on return. `current`
     must be the error of `predictor` on A, the eps = 0 candidate. Ties prefer
     0, then -1, so a flat error surface leaves mu unchanged.
+
+    A tree or forest predictor reads A as fully observed, so a row goes left
+    at a split on feature j exactly when its value is <= the threshold. A
+    trial that moves mu_j across no threshold of j (`crosses`) sends every
+    row down the path it takes at mu_j, so its predictions, and its error,
+    are those at mu_j bit for bit: it scores `current` without touching A
+    or calling `predict`. Other predictors score every trial.
     """
     errors = {0: current}
+    screen = isinstance(predictor, (MiaTree, Forest))
     for eps in (-1, 1):
-        A[rows, j] = mu_j + eps * sigma_j
+        trial = mu_j + eps * sigma_j
+        if screen and not predictor.crosses(j, mu_j, trial):
+            errors[eps] = current
+            continue
+        A[rows, j] = trial
         errors[eps] = error_metric(y, predictor.predict(A))
     A[rows, j] = mu_j
     best = min((0, -1, 1), key=lambda e: errors[e])

@@ -128,6 +128,25 @@ class _Routing:
             out[t:t + group] = self.value[s]
         return out
 
+    @functools.cached_property
+    def cuts(self) -> list[np.ndarray]:
+        """Per feature j, the sorted thresholds of the splits that test an
+        observed value of j: blocks 0 and 1, not pure splits, nor the col-0,
+        thr-0.0 slots of leaves, whose children are their own."""
+        k = np.arange(0, len(self.child), 2)
+        split = (self.child[k] != k) & (self.col[k] < 2 * self.d)
+        j, t = self.col[k][split] % self.d, self.thr[k][split]
+        return [np.sort(t[j == f]) for f in range(self.d)]
+
+    def crosses(self, j, a, b) -> bool:
+        """Whether an observed value of feature j that moves from a to b can
+        take another branch at some split: whether a threshold t of j has
+        a <= t and not b <= t, or the other way round. np.searchsorted counts
+        the t < a and the t < b, so they differ exactly when some t lies in
+        [min(a, b), max(a, b)); NaN sorts last and fails every <= as it does."""
+        lo, hi = np.searchsorted(self.cuts[j], (a, b))
+        return bool(lo != hi)
+
 
 @dataclass
 class MiaTree:
@@ -142,6 +161,10 @@ class MiaTree:
         """Leaf values; at `depth`, those of this tree cut at that depth.
         Without a mask M, X is fully observed."""
         return self._routing.route(X, M, depth)[0]
+
+    def crosses(self, j, a, b) -> bool:
+        """Can moving an observed value of j from a to b change a prediction?"""
+        return self._routing.crosses(j, a, b)
 
     def to_dict(self) -> dict:
         return {"type": "mia_tree", "d": self.d, "root": self.root.to_dict()}
@@ -218,11 +241,13 @@ def _best_splits(X, M, y, nodes, min_leaf):
     from `_impurity_sums`, so they only shortlist: every finite score within
     `_shortlist_tolerance` of its node's least one is rescored by
     `_impurity_sums` on the row arrays an exhaustive scan builds, which it
-    also returns. Working set, at its peak while one side is scored: 9 bytes
-    per lane slot, B * F * (N + 1) of them (perm, missing), and about 165 per
-    candidate (its lane, counts, cut, midpoint, child sums, scores and that
-    side's temporaries); at most about 175 bytes a slot, where every slot is
-    a candidate, and 83 on a forest root of 440 bootstrap rows, 30% missing.
+    also returns; a lane without missing rows gives both sides of a cut the
+    same children, hence the same scores, and side 0 wins the tie, so its
+    side 1 is left out. Working set, at its peak while one side is scored:
+    9 bytes per lane slot, B * F * (N + 1) of them (perm, missing), and about
+    165 per candidate (its lane, counts, cut, midpoint, child sums, scores and
+    that side's temporaries); at most about 175 bytes a slot, where every slot
+    is a candidate, and 83 on a forest root of 440 bootstrap rows, 30% missing.
     """
     sizes = np.array([len(rows) for rows, _ in nodes])
     features = np.array([f for _, f in nodes])
@@ -289,6 +314,7 @@ def _best_splits(X, M, y, nodes, min_leaf):
     np.minimum.at(least, lane // F, approx.min(axis=0))
     # finite scores only: a node without a valid candidate has least = inf
     short = (approx <= (least + tol)[lane // F]) & (approx < np.inf)
+    short[1] &= no < n  # without missing rows side 1 repeats side 0
 
     best = [None] * B
     for cand in np.flatnonzero(short.T):  # node-major, then candidate-major
@@ -373,6 +399,10 @@ class Forest:
 
     def predict(self, X, M=None) -> np.ndarray:
         return self._routing.route(X, M).mean(axis=0)
+
+    def crosses(self, j, a, b) -> bool:
+        """Can moving an observed value of j from a to b change a prediction?"""
+        return self._routing.crosses(j, a, b)
 
     def to_dict(self) -> dict:
         return {"type": "mia_forest", "d": self.d, "params": asdict(self.params),

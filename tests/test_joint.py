@@ -283,6 +283,53 @@ class TestFirstPassStop:
         assert (model.n_refits, model.stop_reason) == (1, "max_outer")
 
 
+class TestScreenedTrials:
+    """A tree predictor is asked to predict only for trials that move mu_j
+    across one of its thresholds of j."""
+
+    @staticmethod
+    def count(monkeypatch, record=lambda X: None):
+        """Count MiaTree.predict calls, and the trials `crosses` passes and
+        sees; `record` gets each matrix predicted."""
+        counts = {"predict": 0, "through": 0, "trials": 0}
+        predict, crosses = MiaTree.predict, MiaTree.crosses
+
+        def counted_predict(self, X, *args, **kwargs):
+            counts["predict"] += 1
+            record(X)
+            return predict(self, X, *args, **kwargs)
+
+        def counted_crosses(self, j, a, b):
+            counts["trials"] += 1
+            counts["through"] += (out := crosses(self, j, a, b))
+            return out
+
+        monkeypatch.setattr(MiaTree, "predict", counted_predict)
+        monkeypatch.setattr(MiaTree, "crosses", counted_crosses)
+        return counts
+
+    @pytest.mark.parametrize("max_depth, through", [(3, 0), (5, 1)])
+    def test_only_trials_that_cross_predict(self, monkeypatch, max_depth, through):
+        # one error at the start, then one per trial the rule lets through;
+        # the fit stops after one pass, so no refit predicts
+        counts = self.count(monkeypatch)
+        contract = tree_contract(TreeParams(max_depth=max_depth, min_leaf=2))
+        model = joint_fit(masked_noise_feature(), contract)
+        assert model.n_refits == 1
+        assert (counts["trials"], counts["through"]) == (2, through)
+        assert counts["predict"] == 1 + through
+
+    def test_a_never_observed_column_is_never_predicted_on(self, monkeypatch):
+        # mean_impute fills it with mu = 0, so no tree splits on it, and its
+        # +-1 trials never reach a matrix that predict sees
+        ds = degenerate_columns(small_mcar_dataset())
+        seen = set()
+        counts = self.count(monkeypatch, lambda X: seen.update(X[:, -2].tolist()))
+        model = joint_fit(ds, CONTRACTS["tree"], FitLimits(max_outer=4), seed=3)
+        assert seen == {0.0} and model.mu[-2] == 0.0 and model.sigma[-2] == 1.0
+        assert counts["through"] > 0 and counts["predict"] > model.n_refits
+
+
 class TestPredictAndSerialize:
     def test_predict_matrix_form(self):
         ds = censored_dataset(seed=12, n=150)

@@ -1,6 +1,7 @@
 import itertools
+import json
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,20 @@ class TestSplitSearch:
         got = search_one(*case)
         assert (got[1], got[2], got[3]) == (0, None, "left")
         assert np.array_equal(got[4], np.arange(0, 40, 3))
+        assert_same_split(got, oracles.mia_best_split(*case))
+
+    def test_a_fully_observed_lane_rescores_one_side(self, monkeypatch):
+        # one clear best threshold; with no missing row its missing-right
+        # copy has the same children and loses the tie, so it is not rescored
+        X, M = np.arange(10.0)[:, None], np.zeros((10, 1), dtype=np.int8)
+        y = (X[:, 0] > 4.5).astype(float)
+        calls, exact = [], learners._impurity_sums
+        monkeypatch.setattr(learners, "_impurity_sums",
+                            lambda v: calls.append(len(v)) or exact(v))
+        case = (X, M, y, np.arange(10), np.arange(1), 1)
+        got = search_one(*case)
+        assert calls == [5, 5]
+        assert (got[0], got[2], got[3]) == (0.0, 4.5, "left")
         assert_same_split(got, oracles.mia_best_split(*case))
 
     @staticmethod
@@ -627,6 +642,96 @@ class TestRouting:
                         "right": {"prediction": 1.0, "n_rows": 1}}}
         with pytest.raises(ValueError, match="feature 2 outside"):
             MiaTree.from_dict(doc).predict(np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+def thresholds_of(roots, j):
+    """Every number a split of a tree document tests feature j at."""
+    stack, found = list(roots), []
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            if node["feature"] == j and node["threshold"] is not None:
+                found.append(node["threshold"])
+            stack += node["left"], node["right"]
+    return found
+
+
+@st.composite
+def crossing_cases(draw):
+    """A tree or forest read back from its document, some of whose
+    thresholds were set to +-inf there; a feature j; and two values for it,
+    each drawn or one of the model's thresholds of j, exactly or one ulp off.
+    Fitted with the data's mask or on fully observed data, as joint fits do."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    ds = routing_dataset(seed, 120, 4, 6, False, False)
+    if draw(st.booleans()):
+        ds = MaskedDataset(ds.X, np.zeros_like(ds.M), ds.y)
+    params = TreeParams(max_depth=draw(st.integers(1, 6)), n_trees=3,
+                        min_leaf=draw(st.integers(1, 5)), seed=seed % 1000)
+    model = fit_forest(ds, params) if draw(st.booleans()) else fit_cart_mia(ds, params)
+    doc = model.to_dict()
+    roots = doc["trees"] if isinstance(model, Forest) else [doc["root"]]
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            if node["threshold"] is not None and draw(st.integers(0, 5)) == 0:
+                node["threshold"] = draw(st.sampled_from([-np.inf, np.inf]))
+            stack += node["left"], node["right"]
+    model = (forest_from_json if isinstance(model, Forest) else tree_from_json)(
+        json.dumps(doc))
+    j = draw(st.integers(0, 3))
+    cuts = thresholds_of(roots, j)
+
+    def value():
+        if cuts and draw(st.booleans()):
+            t = draw(st.sampled_from(cuts))
+            return np.nextafter(t, draw(st.sampled_from([t, -np.inf, np.inf])))
+        return draw(st.floats(-3, 3) | st.sampled_from([0.0, -np.inf, np.inf]))
+
+    return model, j, value(), value()
+
+
+class TestCrossing:
+    """`crosses(j, a, b)` False: moving observed values of j from a to b
+    changes no prediction, in any bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(crossing_cases(), st.integers(0, 2 ** 32 - 1))
+    def test_no_crossing_keeps_every_prediction(self, case, seed):
+        model, j, a, b = case
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(200, 4))
+        rows = rng.random(200) < 0.5  # the rows that miss j in a joint fit
+        Xa, Xb = X.copy(), X.copy()
+        Xa[rows, j], Xb[rows, j] = a, b
+        if not model.crosses(j, a, b):
+            assert model.predict(Xa).tobytes() == model.predict(Xb).tobytes()
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_a_document_crosses_exactly_at_its_thresholds(self, kind):
+        # feature 1 is split at -inf, 0.5 and +inf, each value range has its
+        # own leaf, and feature 0 is split nowhere, though every leaf's slots
+        # test column 0 at 0.0: a value crosses iff its prediction changes
+        def leaf(v):
+            return {"prediction": v, "n_rows": 1}
+
+        def split(t, left, right):
+            return {"prediction": 0.0, "n_rows": 2, "feature": 1, "threshold": t,
+                    "missing_side": "left", "left": left, "right": right}
+
+        root = split(-np.inf, leaf(0.0),
+                     split(0.5, leaf(1.0), split(np.inf, leaf(2.0), leaf(3.0))))
+        doc = ({"type": "mia_tree", "d": 2, "root": root} if kind == "tree" else
+               {"type": "mia_forest", "d": 2, "params": asdict(TreeParams()),
+                "trees": [root]})
+        model = (tree_from_json if kind == "tree" else forest_from_json)(json.dumps(doc))
+        values = [-np.inf, -1.0, 0.0, 0.5, np.nextafter(0.5, 1.0), 1.0, np.inf, np.nan]
+        for j, a, b in itertools.product([0, 1], values, values):
+            Xa, Xb = np.zeros((1, 2)), np.zeros((1, 2))
+            Xa[0, j], Xb[0, j] = a, b
+            moved = model.predict(Xa).tobytes() != model.predict(Xb).tobytes()
+            assert model.crosses(j, a, b) is moved, (j, a, b)
 
 
 class TestMeanImpute:
