@@ -17,6 +17,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -25,8 +26,8 @@ from .core import MaskedDataset, check_int, check_real, read_csv, read_json
 from .elasticnet import ElasticNetSpec, fit as enet_fit
 from .adaptive import (STATIC, AdaptiveModel, expand_matrix, fit_adaptive,
                        fit_finite_adaptive, finite_limits)
-from .joint import (FitLimits, fit_mean_impute, joint_fit, linear_contract,
-                    mse_error, tree_contract, forest_contract)
+from .joint import (FitLimits, fit_mean_impute, joint_fit, joint_search,
+                    linear_contract, mse_error, tree_contract, forest_contract)
 from .learners import TreeParams, fit_cart_mia, fit_forest
 from .datagen import GeneratorSpec, generate
 
@@ -109,6 +110,24 @@ def _fit_imputed(name, train, spec, seed, task):
     return joint_fit(train, contract, FitLimits(), metric, seed)
 
 
+def _joint_tree_depths(train, params, seed, task):
+    """joint_tree's fold fit for a depth grid (Method.nests): the first tree
+    of its deepest point, `params`, which is mean_impute_tree's tree. It
+    returns the model at each depth k: its own mu search from that tree's
+    top k levels, its own first tree to the bit (MiaTree.top), so the model
+    is the one its own fit makes, refits and stop included."""
+    first = fit_method("mean_impute_tree", train, params, seed, task).predictor
+    spec = _method("joint_tree").build(params)
+    metric = auc_error if task == "classification" else mse_error
+
+    def at(depth):  # None: params' own
+        point = spec if depth is None else replace(spec, max_depth=depth)
+        return joint_search(train, tree_contract(point), first.top(point.max_depth),
+                            FitLimits(), metric, seed)
+
+    return at
+
+
 def _fit_mia(name, train, spec, seed, task):
     fit = fit_cart_mia if name == "cart_mia" else fit_forest
     return fit(train, replace(spec, seed=seed))
@@ -135,10 +154,12 @@ class Method:
     grid: list[dict]
     saves: bool = False  # `missfit fit` may save it (model.to_dict())
     # its tree grown to max_depth k is the top k levels of any deeper one on
-    # the same rows, and its model's predict(X, M, depth) reads that top:
-    # cart_mia, finite and mean_impute_tree, whose mu is the column means at
-    # every depth; not joint_tree, whose mu search reads the tree
-    nests: bool = False
+    # the same rows, so CV fits a depth grid once per fold (_fit_plan). True:
+    # its model's predict(X, M, depth) reads that top (cart_mia, finite, and
+    # mean_impute_tree, whose mu is the column means at every depth). Or the
+    # fold fit, which returns the model of each depth: joint_tree's mu search
+    # reads the tree, so each depth searches from one first tree's top
+    nests: bool | Callable = False
 
     def build(self, params: dict):
         """The spec of grid point `params`, whose keys outside self.params it ignores."""
@@ -167,7 +188,8 @@ METHODS = {
     "fully_adaptive": Method(*_LINEAR, _fit_adaptive, _lams(0.1, 0.01), True),
     "finite": Method(*_FINITE, _fit_finite, _depths(1, 2, 3), True, nests=True),
     "joint_linear": Method(*_LINEAR, _fit_imputed, _lams(0.01, 0.001), True),
-    "joint_tree": Method(*_TREE, _fit_imputed, _depths(3, 5), True),
+    "joint_tree": Method(*_TREE, _fit_imputed, _depths(3, 5), True,
+                         nests=_joint_tree_depths),
     "joint_forest": Method(*_FOREST, _fit_imputed, _depths(6, n_trees=50), True),
     "mean_impute_linear": Method(*_LINEAR, _fit_imputed, _lams(0.1, 0.01, 0.001), True),
     "mean_impute_tree": Method(*_TREE, _fit_imputed, _depths(3, 5, 7), True, nests=True),
@@ -231,24 +253,30 @@ def kfold_cv(dataset: MaskedDataset, name: str, grid: list[dict], folds: int,
 
     CV goes fold by fold: per fold it builds the training set, makes each
     fit of _fit_plan once, scores on it every grid point it serves, and
-    drops it. A nested depth grid (cart_mia, finite, mean_impute_tree) is
-    fitted at its deepest point, and each point is scored on that fit's
-    predictions at its own depth, which are the bytes of its own fit's.
+    drops it. A nested depth grid (cart_mia, finite, mean_impute_tree,
+    joint_tree) is fitted at its deepest point, and each point is scored on
+    that fit's predictions at its own depth, which are the bytes of its own
+    fit's. For joint_tree that fit is the first tree alone, and each point's
+    mu search starts from its top levels (_joint_tree_depths).
     """
     if not grid:
         raise ValueError(f"{name}: empty grid, nothing to cross-validate")
     if dataset.n < folds:
         raise ValueError("need n >= folds")
-    plan = _fit_plan(name, grid)
+    plan, nests = _fit_plan(name, grid), METHODS[name].nests
+    fit = nests if callable(nests) else partial(fit_method, name)
     chunks = np.array_split(np.random.default_rng(seed).permutation(dataset.n), folds)
     scores = [[] for _ in grid]
     for f, val in enumerate(chunks):
         train = dataset.subset(np.concatenate(chunks[:f] + chunks[f + 1:]))
         X, M, y = dataset.X[val], dataset.M[val], dataset.y[val]
         for top, points in plan.items():
-            model = fit_method(name, train, grid[top], seed, task)
+            model = fit(train, grid[top], seed, task)
             for i, depth in points:
-                yhat = model.predict(X, M) if depth is None else model.predict(X, M, depth)
+                if callable(nests):  # the model of each depth
+                    yhat = model(depth).predict(X, M)
+                else:
+                    yhat = model.predict(X, M) if depth is None else model.predict(X, M, depth)
                 try:
                     scores[i].append(_score(y, yhat, task))
                 except ValueError:  # degenerate fold (constant / one-class)

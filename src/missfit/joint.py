@@ -10,6 +10,9 @@ mu_j ends the fit: a refit on the same matrix would change nothing.
 A trial on a tree or forest that moves mu_j across no split threshold of
 feature j routes every row as mu_j does, so it takes the current error
 without a prediction, and every result bit stays (coordinate_step).
+
+joint_fit is the first fit, on the mean-imputed matrix, then joint_search,
+which a depth grid of trees runs from one first tree's top levels.
 """
 
 from __future__ import annotations
@@ -183,10 +186,22 @@ def joint_fit(dataset: MaskedDataset, contract: Contract,
     error trace is non-increasing. An iteration that improves the error by
     less than limits.min_rel_improve, relatively, ends the fit; the first
     does so only if it moved no mu_j, as a refit would then replay it.
+    The first fit is the contract's on the mean-imputed matrix, and the rest
+    is joint_search.
     """
+    first = contract(mean_impute(dataset)[1], dataset.y, seed)
+    return joint_search(dataset, contract, first, limits, error_metric, seed)
+
+
+def joint_search(dataset: MaskedDataset, contract: Contract, first,
+                 limits: FitLimits = FitLimits(), error_metric=mse_error,
+                 seed: int = 0) -> JointModel:
+    """joint_fit after its first fit: the search from `first`. The model is
+    joint_fit's to the bit when `first` is, to the bit, the contract's fit on
+    the mean-imputed matrix, as a deeper tree's top levels are (MiaTree.top)."""
     mu, A = mean_impute(dataset)  # A: X with mu in the missing slots
     # a contract may keep the matrix it is given, so each gets a copy of A
-    predictor, n_refits = contract(A.copy(), dataset.y, seed), 1
+    predictor, n_refits = first, 1
     obs = dataset.M == 0
     sigma = np.empty(dataset.d)
     for j in range(dataset.d):

@@ -166,6 +166,18 @@ class MiaTree:
         """Can moving an observed value of j from a to b change a prediction?"""
         return self._routing.crosses(j, a, b)
 
+    def top(self, k: int) -> MiaTree:
+        """This tree's top k levels as a tree of its own, its nodes at depth k
+        leaves. A CART tree grows level by level and a node's split reads only
+        its rows, so for k up to this tree's max_depth it is, to the bit, the
+        tree that fit_cart_mia grows at max_depth=k on the same rows."""
+        def cut(node, k):
+            if node.is_leaf() or k == 0:
+                return MiaNode(node.prediction, node.n_rows)
+            return replace(node, left=cut(node.left, k - 1), right=cut(node.right, k - 1))
+
+        return MiaTree(cut(self.root, k), self.d)
+
     def to_dict(self) -> dict:
         return {"type": "mia_tree", "d": self.d, "root": self.root.to_dict()}
 

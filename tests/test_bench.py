@@ -13,7 +13,7 @@ from missfit.bench import (BEST_VARIANTS, METHODS, ConfigError,
                            kfold_cv, r_squared, read_results_csv,
                            run_experiment, run_replication, scaled_auc,
                            write_results_csv)
-from missfit import adaptive, bench
+from missfit import adaptive, bench, joint
 from missfit.cli import LOADERS
 from missfit.core import MaskedDataset, read_json, to_json
 from missfit.datagen import GeneratorSpec, generate
@@ -313,12 +313,59 @@ class TestNestedDepthGrids:
         assert cv_bytes(data, "mean_impute_tree", grid, task) == nested
         assert fits == [3, 5, 7] * 4
 
-    def test_joint_tree_does_not_nest(self, fits):
-        # its mu search reads the tree, so each depth imputes its own mu
-        assert not METHODS["joint_tree"].nests
-        kfold_cv(generated("censoring", 3), "joint_tree",
-                 [{"max_depth": 2}, {"max_depth": 3}], 4, 1)
-        assert fits == [2, 3] * 4
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_joint_tree_keeps_its_bytes(self, task, mechanism, seed, fits,
+                                        monkeypatch):
+        # its mu search reads the tree, so each depth runs its own search,
+        # but from the top levels of one first tree per fold
+        data = generated(mechanism, seed, task)
+        grid = [{"max_depth": t} for t in (2, 3, 5)]
+        nested = cv_bytes(data, "joint_tree", grid, task)
+        assert fits == [5] * 4  # the deepest point's first tree, once per fold
+        no_nesting(monkeypatch, "joint_tree")
+        fits.clear()
+        assert cv_bytes(data, "joint_tree", grid, task) == nested
+        assert fits == [2, 3, 5] * 4
+
+    def test_joint_tree_keeps_its_bytes_when_a_shallow_search_refits(
+            self, fits, monkeypatch):
+        # on this instance the searches of every depth move mu, so each
+        # refits at its own depth
+        searches, real = [], bench.joint_search
+
+        def traced(train, contract, first, *args):
+            model = real(train, contract, first, *args)
+            searches.append((first._routing.depth, model.n_refits))
+            return model
+
+        trees, fit_tree = [], joint.fit_cart_mia
+        monkeypatch.setattr(bench, "joint_search", traced)
+        monkeypatch.setattr(joint, "fit_cart_mia", lambda *a: trees.append(a) or fit_tree(*a))
+        data = generated("mcar", 3, n=120)
+        grid = [{"max_depth": t} for t in (2, 3, 5)]
+        nested = cv_bytes(data, "joint_tree", grid)
+        assert fits == [5] * 4
+        assert {depth for depth, refits in searches if refits > 1} >= {2, 3}
+        # a first tree per fold, then each search's refits
+        n_nested = len(trees)
+        assert n_nested == 4 + sum(refits - 1 for _, refits in searches)
+        no_nesting(monkeypatch, "joint_tree")
+        assert cv_bytes(data, "joint_tree", grid) == nested
+        assert len(trees) - n_nested == n_nested + 2 * 4  # a first tree per point
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_each_joint_tree_depth_is_its_own_fit(self, task):
+        data = generated("mcar", 3, task, n=120)
+        deepest = {"max_depth": 5, "min_leaf": 4}
+        at = bench._joint_tree_depths(data, deepest, 1, task)
+        for k in (1, 2, 3, 4, 5, None):
+            own = fit_method("joint_tree", data, {**deepest, "max_depth": k or 5}, 1, task)
+            got = at(k)
+            assert json.dumps(got.to_dict()) == json.dumps(own.to_dict())
+            assert ((got.error_trace, got.n_refits, got.cycles_per_iter)
+                    == (own.error_trace, own.n_refits, own.cycles_per_iter))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("mechanism", ["mcar", "censoring"])

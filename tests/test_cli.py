@@ -750,6 +750,23 @@ class TestBench:
                 "    mean_impute_tree grid=[{'max_depth': 3}, {'max_depth': 5}, "
                 "{'max_depth': 7}]\n") in capsys.readouterr().out
 
+    def test_dry_run_fits_a_joint_tree_grid_once_per_fold(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # depths 3 and 5 share the depth-5 first tree: 5 folds, then the refit
+        doc = config_doc(methods=["joint_tree"], cv_folds=5, grids={})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "out.csv"), "--dry-run"]) == 0
+        assert ("  method joint_tree, fits per replication: 6\n"
+                "    joint_tree grid=[{'max_depth': 3}, {'max_depth': 5}]\n"
+                ) in capsys.readouterr().out
+        calls, fit = [], missfit.bench.fit_method
+        monkeypatch.setattr(missfit.bench, "fit_method",
+                            lambda *a, **k: calls.append(a) or fit(*a, **k))
+        _, errors = missfit.bench.run_replication(ExperimentConfig(**doc), 0)
+        assert errors == [] and len(calls) == 6
+
     def test_dry_run_names_an_all_default_generator(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config_doc(generator={})))

@@ -7,7 +7,7 @@ from missfit.bench import METHODS, auc_error, fit_method
 from missfit.core import MaskedDataset
 from missfit.elasticnet import ElasticNetSpec, fit as enet_fit
 from missfit.joint import (FitLimits, coordinate_step, fit_mean_impute,
-                           forest_contract, joint_fit,
+                           forest_contract, joint_fit, joint_search,
                            joint_model_from_json, joint_model_to_json,
                            linear_contract, mse_error, tree_contract)
 from missfit.learners import Forest, MiaTree, TreeParams, mean_impute
@@ -154,6 +154,21 @@ class TestJointFit:
         assert 1 <= model.n_refits <= limits.max_outer
         assert len(model.cycles_per_iter) == len(model.error_trace) - 1
         assert all(1 <= c <= limits.max_cycles for c in model.cycles_per_iter)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_search_from_a_given_first_tree(self, seed):
+        # from a deeper tree's top k levels it is joint_fit at depth k; from
+        # any other first tree its error trace still never increases
+        ds = censored_dataset(seed=seed, n=300)
+        deep = tree_contract(TreeParams(max_depth=6))(mean_impute(ds)[1], ds.y, 0)
+        for k in (1, 2, 4):
+            contract = tree_contract(TreeParams(max_depth=k))
+            got, want = joint_search(ds, contract, deep.top(k)), joint_fit(ds, contract)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert (got.error_trace, got.n_refits) == (want.error_trace, want.n_refits)
+            other = joint_search(ds, contract, deep.top(k + 2), FitLimits(max_outer=4))
+            assert np.all(np.diff(got.error_trace) <= 0)
+            assert np.all(np.diff(other.error_trace) <= 0)
 
     def test_tree_and_forest_contracts_run(self):
         ds = censored_dataset(seed=10, n=200)

@@ -734,6 +734,41 @@ class TestCrossing:
             assert model.crosses(j, a, b) is moved, (j, a, b)
 
 
+class TestTop:
+    """MiaTree.top(k) is, to the bit, the tree fit_cart_mia grows at
+    max_depth=k on the same rows, and predicts as the tree cut at k."""
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["mia", "observed"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @BINARY
+    def test_every_depth_is_the_shallow_fit(self, observed, seed, binary):
+        ds = routing_dataset(seed, 160, 4, 1, False, binary)
+        if observed:
+            ds = MaskedDataset(ds.X, np.zeros_like(ds.M), ds.y)
+        deep = fit_cart_mia(ds, TreeParams(max_depth=6, min_leaf=3))
+        assert deep._routing.depth >= 4
+        X, M = routing_batch(np.random.default_rng(seed), 300, 4)
+        for k in range(9):  # past 6, the top is the whole tree
+            top = deep.top(k)
+            want = (fit_cart_mia(ds, TreeParams(max_depth=min(k, 6), min_leaf=3)).to_dict()
+                    if k else {"type": "mia_tree", "d": 4, "root": {
+                        "prediction": deep.root.prediction, "n_rows": 160}})
+            assert json.dumps(top.to_dict()) == json.dumps(want)
+            assert top.predict(X, M).tobytes() == deep.predict(X, M, depth=k).tobytes()
+            assert top._routing.depth == min(k, deep._routing.depth)
+        assert deep.top(3).root is not deep.root  # a tree of its own
+
+    def test_masked_slots_are_never_read(self):
+        ds = routing_dataset(2, 160, 4, 1, True, False)
+        deep = fit_cart_mia(ds, TreeParams(max_depth=6, min_leaf=3))
+        X = np.random.default_rng(2).normal(size=(50, 4))
+        M = np.random.default_rng(3).random((50, 4)) < 0.4
+        for k in range(8):
+            want = deep.predict(np.where(M, 0.0, X), M, depth=k).tobytes()
+            for probe in (np.nan, np.inf, 1e300):
+                assert deep.top(k).predict(np.where(M, probe, X), M).tobytes() == want
+
+
 class TestMeanImpute:
     def test_hand_example(self):
         ds = MaskedDataset(np.array([[1.0, 0.0], [3.0, 6.0], [0.0, 2.0]]),
